@@ -52,6 +52,13 @@ def _alphabet_for(net, arg: str | None) -> Alphabet:
     return Alphabet.default_for(net)
 
 
+def _max_len(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("length bound must be nonnegative, got %d" % n)
+    return n
+
+
 def _show_word(word: str) -> str:
     return word if word else "eps"
 
@@ -139,8 +146,6 @@ def _cmd_quotient(args) -> int:
         second=_read_word(args.second),
         mode=args.mode.replace("-", "_"),
         alphabet=Alphabet.of(args.alphabet) if args.alphabet else None,
-        coverage_len=args.coverage_len,
-        strict=args.strict,
     )
     build = build_quotient_network(spec)
     save_network_path(build.network, args.out)
@@ -259,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("second-minus-first", "first-minus-second"),
     )
     p.add_argument("--alphabet")
-    p.add_argument("--coverage-len", type=int, default=12)
-    p.add_argument("--strict", action="store_true")
 
     p = add("compile-fa", _cmd_compile_fa, "compile a transition table into a network")
     p.add_argument("tsv")
@@ -272,13 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("enum", _cmd_enum, "print all accepted words up to a length")
     p.add_argument("net")
-    p.add_argument("max_len", type=int)
+    p.add_argument("max_len", type=_max_len)
     p.add_argument("--alphabet")
 
     p = add("compare", _cmd_compare, "compare two accepted languages up to a length")
     p.add_argument("net1")
     p.add_argument("net2")
-    p.add_argument("max_len", type=int)
+    p.add_argument("max_len", type=_max_len)
     p.add_argument("--alphabet")
 
     return ap

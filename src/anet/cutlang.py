@@ -79,15 +79,27 @@ def reversal_member(word: str, params: CutParams) -> bool:
     return beta_value(word, params, reverse=True) < params.threshold
 
 
+def _icbrt(n: int) -> int:
+    """Integer cube root: the largest r with r**3 <= n, for n >= 0.
+
+    Newton's iteration from an overestimate decreases monotonically to the
+    floor of the real root, as in math.isqrt; no float is involved.
+    """
+    if n == 0:
+        return 0
+    r = 1 << -(-n.bit_length() // 3)  # 2**ceil(bits/3) > cube root of n
+    while True:
+        nxt = (2 * r + n // (r * r)) // 3
+        if nxt >= r:
+            return r
+        r = nxt
+
+
 def _exact_cbrt(n: int) -> int | None:
-    if n < 0:
-        r = _exact_cbrt(-n)
-        return -r if r is not None else None
-    r = round(n ** (1 / 3))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**3 == n:
-            return cand
-    return None
+    r = _icbrt(abs(n))
+    if r**3 != abs(n):
+        return None
+    return r if n >= 0 else -r
 
 
 def rational_cbrt(q: Fraction) -> Fraction | None:
@@ -233,7 +245,7 @@ def qp_explore(params: CutParams, depth: int = 64) -> QpOutcome:
         raise ValidationError("depth must be positive")
     prime = _growth_prime(params)
     if prime is not None:
-        orbit, digits = _verified_growth_orbit(params, prime, depth)
+        orbit = _verified_growth_orbit(params, prime, depth)
         qden = params.base.denominator
         return QpOutcome(
             kind=NOT_QP_WITNESS,
@@ -263,7 +275,6 @@ def _verified_growth_orbit(params: CutParams, prime: int, depth: int):
     vq = _padic(qden, prime)
     r = params.threshold
     orbit = [r]
-    digits: list[int] = []
     for _ in range(depth):
         for d in _DIGIT_SET:
             nxt = orbit_step(params, r, d)
@@ -277,8 +288,7 @@ def _verified_growth_orbit(params: CutParams, prime: int, depth: int):
                 )
         r = orbit_step(params, r, 0)
         orbit.append(r)
-        digits.append(0)
-    return orbit, digits
+    return orbit
 
 
 def _explore_window(params: CutParams, depth: int) -> QpOutcome:

@@ -320,7 +320,7 @@ def network_from_text(text: str) -> Network:
             parts = rest.split()
             if len(parts) != 3:
                 raise ValidationError("bad weight line %r" % raw)
-            j, i = int(parts[0]), int(parts[1])
+            j, i = _int_field("weight target", parts[0]), _int_field("weight source", parts[1])
             w = parse_rational(parts[2])
             if (j, i) in weights:
                 raise ValidationError("duplicate weight (%d,%d)" % (j, i))
@@ -330,20 +330,20 @@ def network_from_text(text: str) -> Network:
                 raise ValidationError("duplicate header line %r" % key)
             fields[key] = rest.strip()
     try:
-        size = int(fields["size"])
-        analog = int(fields["analog"])
-        inputs = tuple(int(x) for x in fields["inputs"].split())
-        nxt = int(fields["nxt"])
-        out = int(fields["out"])
-        delta = int(fields["delta"])
-        outdelay = int(fields.get("outdelay", "0"))
+        size = _int_field("size", fields["size"])
+        analog = _int_field("analog", fields["analog"])
+        inputs = tuple(_int_field("inputs", x) for x in fields["inputs"].split())
+        nxt = _int_field("nxt", fields["nxt"])
+        out = _int_field("out", fields["out"])
+        delta = _int_field("delta", fields["delta"])
+        outdelay = _int_field("outdelay", fields.get("outdelay", "0"))
     except KeyError as exc:
         raise ValidationError("missing header line %s" % exc) from None
     if analog != size:
         raise ValidationError("analog unit must be the highest index (%d != %d)" % (analog, size))
     init_active = None
     if "init" in fields:
-        init_active = tuple(int(x) for x in fields["init"].split())
+        init_active = tuple(_int_field("init", x) for x in fields["init"].split())
     init_analog = parse_rational(fields["inita"]) if "inita" in fields else ZERO
     net = Network(
         size=size,
@@ -358,6 +358,13 @@ def network_from_text(text: str) -> Network:
         comment="\n".join(comment_lines),
     )
     return net.require_valid()
+
+
+def _int_field(name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError("%s: %r is not an integer" % (name, text[:40])) from None
 
 
 def make_network(

@@ -173,10 +173,13 @@ class _Branch:
     bits: tuple[int, ...]
     a: Fraction
     b: Fraction
-    t: int
-    fed: int
-    last_query: int
-    horizon_due: int  # last instant whose state still matters
+    t: int = 0
+    fed: int = 0
+    last_query: int = 0
+    horizon_due: int = 0  # last instant whose state still matters
+
+
+_UNIT = Interval(ZERO, ONE, True, True)
 
 
 def _clip_ge(piece: Interval, v: Fraction) -> Interval | None:
@@ -258,17 +261,19 @@ def build_partition_refined(
     horizon: int,
     words: Iterable[str],
     alphabet: Alphabet | None = None,
+    *,
+    starts: Sequence[tuple[int, ...]] | None = None,
 ) -> PartitionResult:
     """Partition from symbolic protocol runs over the given words.
 
-    Every initial binary state is paired with every word; the analog value is
-    left as an unknown y in [0, 1] and each run is followed with the analog
-    state kept affine in y. Whenever a unit's excitation sign depends on y,
-    the current piece splits at the crossing point, and the crossing points of
-    all runs become the partition endpoints. Runs are followed through the
-    word, the formal extra symbol, and the verdict delay; branches that
-    overrun the query gap bound stop contributing, mirroring how replays on
-    concrete points are scored.
+    Every start binary state (all of them when starts is None) is paired with
+    every word; the analog value is left as an unknown y in [0, 1] and each
+    run is followed with the analog state kept affine in y. Whenever a unit's
+    excitation sign depends on y, the current piece splits at the crossing
+    point, and the crossing points of all runs become the partition
+    endpoints. Runs are followed through the word, the formal extra symbol,
+    and the verdict delay; branches that overrun the query gap bound stop
+    contributing, mirroring how replays on concrete points are scored.
     """
     if horizon < 1:
         raise ValidationError("horizon must be positive")
@@ -278,26 +283,30 @@ def build_partition_refined(
         raise ValidationError("refined construction needs at least one word")
     rows = _Rows(net)
     pairs: set[HalfLinePair] = set(CORNER_PAIRS)
-    for bits0 in itertools.product((0, 1), repeat=net.size - 1):
+    for bits0 in _admit_starts(net, starts, len(wordlist), "words"):
         for word in wordlist:
             _run_symbolic(net, rows, alphabet, bits0, word, pairs)
     return _finish(net, horizon, pairs, "refined", words=wordlist)
 
 
+def _admit_starts(
+    net: Network, starts: Sequence[tuple[int, ...]] | None, per_start: int, what: str
+) -> Iterable[tuple[int, ...]]:
+    """The start binary states, every one when starts is None, within budget."""
+    count = 2 ** (net.size - 1) if starts is None else len(starts)
+    if count * per_start > ENDPOINT_BUDGET:
+        raise ResourceBudgetError(
+            "%d start states times %d %s exceeds the budget of %d"
+            % (count, per_start, what, ENDPOINT_BUDGET)
+        )
+    if starts is None:
+        return itertools.product((0, 1), repeat=net.size - 1)
+    return starts
+
+
 def _run_symbolic(net, rows, alphabet, bits0, word, pairs) -> None:
     symbols = [alphabet.index(ch) for ch in word] + [0]
-    stack = [
-        _Branch(
-            piece=Interval(ZERO, ONE, True, True),
-            bits=tuple(bits0),
-            a=ZERO,
-            b=ONE,
-            t=0,
-            fed=0,
-            last_query=0,
-            horizon_due=0,
-        )
-    ]
+    stack = [_Branch(_UNIT, tuple(bits0), ZERO, ONE)]
     while stack:
         br = stack.pop()
         if br.fed >= len(symbols):
@@ -307,9 +316,49 @@ def _run_symbolic(net, rows, alphabet, bits0, word, pairs) -> None:
             continue  # query gap exceeded; concrete replays here reject
         clamp: dict[int, int] = {}
         if br.bits[net.nxt - 1] == 1 and br.fed < len(symbols):
-            sym = symbols[br.fed]
-            clamp = {u: (1 if k == sym else 0) for k, u in enumerate(net.input_units)}
+            clamp = _clamp(net, symbols[br.fed])
         _step_symbolic(net, rows, br, clamp, stack, pairs)
+
+
+def _clamp(net: Network, sym: int) -> dict[int, int]:
+    return {u: (1 if k == sym else 0) for k, u in enumerate(net.input_units)}
+
+
+def fire_states(net: Network) -> list[tuple[int, ...]]:
+    """Binary states the network can hold at a fire instant, over-approximated.
+
+    At a fire instant the nxt unit is on, so the next symbol lands one step
+    later. The search starts from the initial configuration and, from every
+    fire state found, clamps each symbol with the analog value left unknown
+    in [0, 1], following the run symbolically until nxt fires again.
+    Branches that overrun the query gap bound are dropped, since concrete
+    runs raise there. Every real analog value lies in [0, 1], so the result
+    holds every state that some word reaches, and possibly a few more. The
+    branch count is held to the endpoint budget.
+    """
+    rows = _Rows(net)
+    cut_points: set[HalfLinePair] = set()  # split points are not needed here
+    init = net.initial_configuration()
+    stack = [_Branch(_UNIT, init.binary, init.analog, ZERO)]
+    found: set[tuple[int, ...]] = set()
+    branches = 0
+    while stack:
+        br = stack.pop()
+        branches += 1
+        if branches > ENDPOINT_BUDGET:
+            raise ResourceBudgetError(
+                "fire-state search passed %d symbolic branches" % ENDPOINT_BUDGET
+            )
+        if br.t + 1 > br.last_query + net.delta:
+            continue
+        if not br.bits[net.nxt - 1]:
+            _step_symbolic(net, rows, br, {}, stack, cut_points)
+        elif br.bits not in found:
+            found.add(br.bits)
+            for sym in range(len(net.input_units)):
+                fresh = _Branch(_UNIT, br.bits, ZERO, ONE)
+                _step_symbolic(net, rows, fresh, _clamp(net, sym), stack, cut_points)
+    return sorted(found)
 
 
 def _step_symbolic(net, rows, br: _Branch, clamp, stack, pairs) -> None:
@@ -419,13 +468,15 @@ def extrapolation_table(
     result: PartitionResult,
     word: str,
     alphabet: Alphabet | None = None,
+    *,
+    starts: Sequence[tuple[int, ...]] | None = None,
 ) -> ExtrapolationTable:
-    """Tabulate the word's verdict from every binary state and interval.
+    """Tabulate the word's verdict from every start binary state and interval.
 
-    Each row replays the online run from a concrete start whose analog value
-    is the interval's representative point. Runs that violate the query gap
-    bound count as rejecting; the partition construction keeps that uniform
-    within an interval.
+    starts None means every binary state. Each row replays the online run
+    from a concrete start whose analog value is the interval's representative
+    point. Runs that violate the query gap bound count as rejecting; the
+    partition construction keeps that uniform within an interval.
     """
     alphabet = alphabet or Alphabet.default_for(net)
     if net.delta * (len(word) + 1) > result.horizon:
@@ -436,7 +487,7 @@ def extrapolation_table(
     part = result.partition
     reps = [iv.representative() for iv in part.intervals]
     rows: dict[tuple[tuple[int, ...], int], bool] = {}
-    for bits in itertools.product((0, 1), repeat=net.size - 1):
+    for bits in _admit_starts(net, starts, len(reps), "intervals"):
         for idx, rep in enumerate(reps):
             rows[(bits, idx)] = probe_verdict(net, Configuration(bits, rep), word, alphabet)
     return ExtrapolationTable(word=word, partition=part, rows=rows)

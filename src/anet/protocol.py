@@ -78,7 +78,6 @@ class RunSession:
         "verdicts",
         "rows",
         "_trace",
-        "last_fire_cfg",
     )
 
     def __init__(
@@ -105,9 +104,6 @@ class RunSession:
         self.verdicts: dict[int, bool] = {}
         self._trace = trace
         self.rows: list[tuple[int, Configuration]] = [(0, self.cfg)] if trace else []
-        # state at the most recent fire instant, i.e. what the network had
-        # committed to just before the last symbol was clamped
-        self.last_fire_cfg: Configuration | None = None
 
     def clone(self) -> "RunSession":
         other = RunSession.__new__(RunSession)
@@ -121,7 +117,6 @@ class RunSession:
         other.verdicts = dict(self.verdicts)
         other._trace = self._trace
         other.rows = list(self.rows)
-        other.last_fire_cfg = self.last_fire_cfg
         return other
 
     def _advance(self, inputs_next) -> None:
@@ -144,8 +139,6 @@ class RunSession:
                     "no query by t=%d (previous query at t=%d, bound %d)"
                     % (deadline, deadline - self.net.delta, self.net.delta)
                 )
-            if fires:
-                self.last_fire_cfg = self.cfg
             self._advance({unit: 1} if fires else None)
             if fires:
                 tau = self.t
@@ -158,10 +151,6 @@ class RunSession:
                     self._due.pop()
                     self.verdicts[k] = bool(self.cfg.binary[self.net.out - 1])
                 return
-
-    def run_steps(self, n: int) -> None:
-        for _ in range(n):
-            self._advance(None)
 
     def drain(self) -> None:
         """Run past the last query far enough to settle every scheduled verdict."""
@@ -188,18 +177,6 @@ def run_online(net: Network, word: str | Sequence[str], alphabet: Alphabet | Non
     """Run the full protocol on word, append the formal extra symbol, settle verdicts."""
     net.require_valid()
     session = RunSession(net, alphabet, trace=True)
-    return _finish_run(session, word)
-
-
-def run_online_from(
-    net: Network, start: Configuration, word: str | Sequence[str], alphabet: Alphabet | None = None
-) -> RunTrace:
-    """Same as run_online but from an explicit starting configuration."""
-    session = RunSession(net, alphabet, start=start, trace=True)
-    return _finish_run(session, word)
-
-
-def _finish_run(session: RunSession, word: str | Sequence[str]) -> RunTrace:
     word_str = word if isinstance(word, str) else "".join(word)
     for sym in word_str:
         session.feed(sym)

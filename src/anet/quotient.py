@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import QueryGapError, ValidationError
 from .network import Network
@@ -25,6 +25,7 @@ from .partition import (
     PartitionResult,
     build_partition_refined,
     extrapolation_table,
+    fire_states,
 )
 
 SECOND_MINUS_FIRST = "second_minus_first"
@@ -44,9 +45,9 @@ class QuotientSpec:
     second_minus_first accepts x exactly when the second probe accepts and the
     first does not; first_minus_second is the reverse difference.
 
-    coverage_len bounds the corpus of words used to find reachable table rows;
-    coverage_words adds explicit words (their prefixes are walked too). strict
-    tabulates every row instead, which is only sensible for small bases.
+    The built network tabulates every (fire state, interval) pair, where the
+    fire states are those the base can reach when it requests a symbol, so
+    it is correct for words of every length.
     """
 
     base: Network
@@ -54,9 +55,6 @@ class QuotientSpec:
     second: str
     mode: str
     alphabet: Alphabet | None = None
-    coverage_len: int = 12
-    coverage_words: tuple[str, ...] = ()
-    strict: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
@@ -64,7 +62,7 @@ class QuotientSpec:
         if not self.first or not self.second:
             raise ValidationError("both suffix words must be nonempty")
         alpha = self.alphabet or Alphabet.default_for(self.base)
-        for word in (self.first, self.second) + tuple(self.coverage_words):
+        for word in (self.first, self.second):
             for ch in word:
                 alpha.index(ch)
 
@@ -152,60 +150,6 @@ def quotient_difference_language(
     return out
 
 
-def reachable_rows(
-    base: Network,
-    part: PartitionResult,
-    max_len: int,
-    alphabet: Alphabet | None = None,
-    extra_words: Iterable[str] = (),
-) -> set[tuple[tuple[int, ...], int]]:
-    """(binary state, interval) pairs the base visits at fire instants.
-
-    Walks the full word tree up to max_len plus the given words, recording the
-    state committed just before each symbol lands. These are exactly the rows
-    the lookup table can ever be asked about by runs of that length.
-    """
-    base.require_valid()
-    root = RunSession(base, alphabet)
-    alpha = root.alphabet
-    part_index = part.partition.index_of
-    rows: set[tuple[tuple[int, ...], int]] = set()
-
-    def note(sess: RunSession) -> None:
-        cfg = sess.last_fire_cfg
-        rows.add((cfg.binary, part_index(cfg.analog)))
-
-    stack: list[tuple[RunSession, int]] = [(root, 0)]
-    while stack:
-        sess, depth = stack.pop()
-        for sym in alpha.symbols:
-            child = sess.clone()
-            try:
-                child.feed(sym)
-            except QueryGapError:
-                continue
-            note(child)
-            if depth + 1 <= max_len:
-                stack.append((child, depth + 1))
-    for word in extra_words:
-        sess = RunSession(base, alphabet)
-        ok = True
-        for sym in word:
-            try:
-                sess.feed(sym)
-            except QueryGapError:
-                ok = False
-                break
-            note(sess)
-        if ok:
-            try:
-                sess.feed(alpha.formal_extra)
-                note(sess)
-            except QueryGapError:
-                pass
-    return rows
-
-
 def build_quotient_network(spec: QuotientSpec) -> QuotientBuild:
     """Assemble the quotient acceptor.
 
@@ -222,19 +166,15 @@ def build_quotient_network(spec: QuotientSpec) -> QuotientBuild:
     first_word = spec.first
     second_word = spec.second + spec.first
     horizon = base.delta * (len(second_word) + 1)
-    part = build_partition_refined(base, horizon, [first_word, second_word], alphabet)
-    t_first = extrapolation_table(base, part, first_word, alphabet)
-    t_second = extrapolation_table(base, part, second_word, alphabet)
-
-    if spec.strict:
-        keys = set(t_first.rows.keys())
-    else:
-        keys = reachable_rows(
-            base, part, spec.coverage_len, alphabet, extra_words=spec.coverage_words
-        )
+    starts = fire_states(base)
+    part = build_partition_refined(
+        base, horizon, [first_word, second_word], alphabet, starts=starts
+    )
+    t_first = extrapolation_table(base, part, first_word, alphabet, starts=starts)
+    t_second = extrapolation_table(base, part, second_word, alphabet, starts=starts)
     truth = {
-        key: combine_verdicts(spec.mode, t_first.rows[key], t_second.rows[key])
-        for key in keys
+        key: combine_verdicts(spec.mode, first, t_second.rows[key])
+        for key, first in t_first.rows.items()
     }
     true_rows = sorted(key for key, v in truth.items() if v)
 
@@ -327,18 +267,3 @@ def build_quotient_network(spec: QuotientSpec) -> QuotientBuild:
         layout=layout,
     )
 
-
-def snapshot_schedule(build: QuotientBuild, prefix_len: int) -> str:
-    """Describe when the verdict circuitry observes and reports for a prefix.
-
-    Instants are counted in query ordinals: with the k-th query at time tau_k,
-    the verdict for the first prefix_len symbols roots at the state one step
-    before query prefix_len+1 and reaches the report unit three steps after
-    that query instant.
-    """
-    k = prefix_len + 1
-    return (
-        "prefix of length %d: state frozen at tau_%d - 1, detectors and copies at tau_%d, "
-        "row match at tau_%d + 1, any-row at tau_%d + 2, report at tau_%d + 3"
-        % (prefix_len, k, k, k, k, k)
-    )

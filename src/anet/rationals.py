@@ -58,6 +58,8 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(s)
     except ZeroDivisionError:
         raise ValidationError("zero denominator in %r" % text) from None
+    except ValueError as exc:  # int-from-string digit limit
+        raise ValidationError("rational text rejected: %s" % exc) from None
 
 
 def format_rational(q: Fraction) -> str:
@@ -153,10 +155,6 @@ class IntervalPartition:
             else:
                 lo = mid + 1
         raise ValidationError("no interval contains %s; partition broken" % (y,))
-
-
-def interval_contains(interval: Interval, y: Fraction) -> bool:
-    return interval.contains(y)
 
 
 def _dedup_sorted(pairs: Iterable[HalfLinePair]) -> list[HalfLinePair]:

@@ -270,9 +270,7 @@ def test_criterion_6_quotient_networks_match_oracle():
         )
         nonempty = 0
         for base, first, second, mode in combos:
-            spec = QuotientSpec(
-                base=base, first=first, second=second, mode=mode, coverage_len=10
-            )
+            spec = QuotientSpec(base=base, first=first, second=second, mode=mode)
             got = enumerate_language(build_quotient_network(spec).network, 10)
             want = quotient_difference_language(base, first, second, mode, 10)
             assert got == want, "combo %r diverges" % ((first, second, mode),)
@@ -317,20 +315,8 @@ def test_criterion_7_reduction_contract():
         par_m = machine_from_tsv(PARITY_TSV)
         par_net, _ = compile_mealy(par_m)
         words_c = ("1110", "0110", "1000", "1011", "0001")
-        cover = tuple(
-            word_scheme(words_c, m, n)
-            for m in range(1, 13)
-            for n in range(1, 14 - m)
-        )
         q_net = build_quotient_network(
-            QuotientSpec(
-                base=par_net,
-                first="1",
-                second="1",
-                mode=SECOND_MINUS_FIRST,
-                coverage_len=10,
-                coverage_words=cover,
-            )
+            QuotientSpec(base=par_net, first="1", second="1", mode=SECOND_MINUS_FIRST)
         ).network
 
         def quotient_oracle(w: str) -> bool:

@@ -150,8 +150,6 @@ def test_quotient_round_trip(tmp_path, capsys):
             str(out),
             "--mode",
             "second-minus-first",
-            "--coverage-len",
-            "8",
         ]
     )
     assert rc == 0
@@ -205,6 +203,45 @@ def test_validation_error_exits_two(tmp_path, capsys):
     rc = main(["build-cut", "2", "1/4", str(tmp_path / "x.anet")])
     assert rc == 2
     assert "ValidationError" in capsys.readouterr().err
+
+
+def test_build_cut_accepts_cube_past_float_precision(tmp_path, capsys):
+    base = str((10**17 + 3) ** 3)
+    assert main(["build-cut", base, "1/4", str(tmp_path / "big.anet")]) == 0
+    assert "8 units" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "bad_line", ["size abc", "delta 3.0", "inputs 1 x", "init 3 y", "w x 1 1", "w 8 ? 1"]
+)
+def test_non_integer_field_exits_two(cut_path, tmp_path, bad_line, capsys):
+    key = bad_line.split()[0]
+    lines = open(cut_path).read().splitlines()
+    if key == "w":
+        lines.append(bad_line)
+    elif key == "init":
+        lines.insert(2, bad_line)
+    else:
+        lines = [bad_line if ln.split()[0] == key else ln for ln in lines]
+    bad = tmp_path / "bad.anet"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["enum", str(bad), "1"]) == 2
+    assert "ValidationError" in capsys.readouterr().err
+
+
+def test_rational_past_digit_limit_exits_two(tmp_path, capsys):
+    rc = main(["build-cut", "9" * 5000, "1/4", str(tmp_path / "x.anet")])
+    assert rc == 2
+    assert "ValidationError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["enum", "compare"])
+def test_negative_length_exits_one(cut_path, cmd, capsys):
+    nets = [cut_path] * (2 if cmd == "compare" else 1)
+    assert main([cmd, *nets, "-3"]) == 1
+    captured = capsys.readouterr()
+    assert "UsageError" in captured.err
+    assert captured.out == ""
 
 
 def test_budget_error_exits_three(cut_path, capsys):

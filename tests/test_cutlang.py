@@ -37,6 +37,22 @@ def test_rational_cbrt():
     assert rational_cbrt(F(1)) == F(1)
     assert rational_cbrt(F(2)) is None
     assert rational_cbrt(F(9, 4)) is None
+    # past float precision and past float range
+    assert rational_cbrt(F((10**17 + 3) ** 3)) == 10**17 + 3
+    assert rational_cbrt(F(10**400)) is None
+    assert rational_cbrt(F(-8, 27)) == F(-2, 3)
+
+
+@given(
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.integers(min_value=1, max_value=10**400),
+)
+@settings(max_examples=60, deadline=None)
+def test_rational_cbrt_inverts_cube(num, den):
+    q = F(num, den)
+    assert rational_cbrt(q**3) == q
+    if q > 0:
+        assert rational_cbrt(q**3 + F(1, q.denominator**3)) is None
 
 
 # independently derived: value of the reversed word under negative powers of

@@ -3,9 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from anet.cli import main
 from anet.cutlang import build_cut_acceptor, cut_params
 from anet.errors import ResourceBudgetError, ValidationError
-from anet.network import Configuration, make_network
+from anet.mealy import compile_mealy, machine_from_tsv
+from anet.network import Configuration, make_network, save_network_path
+from anet import partition
 from anet.partition import (
     build_partition_exhaustive,
     build_partition_refined,
@@ -14,7 +17,10 @@ from anet.partition import (
     pivot,
     probe_verdict,
 )
+from anet.protocol import Alphabet
+from anet.reduction import ReductionSpec, build_reduction
 from conftest import make_skeleton_net
+from test_acceptance import MOD3_TSV
 
 
 def test_endpoint_bound_frozen_values():
@@ -55,6 +61,30 @@ def test_exhaustive_budget_guard(cut_net):
     # 2^(7*7) candidate bit patterns is far past any sane budget
     with pytest.raises(ResourceBudgetError):
         build_partition_exhaustive(cut_net, 7)
+
+
+def test_all_start_states_refused_past_budget(tmp_path, capsys):
+    inner, _ = compile_mealy(machine_from_tsv(MOD3_TSV))
+    words = ("aaaa", "aaaa", "bbbb", "bbbb", "bbbb")
+    net = build_reduction(ReductionSpec(inner, words, Alphabet.of("ab"))).network
+    assert net.size == 113
+    with pytest.raises(ResourceBudgetError):
+        build_partition_refined(net, 7, ("0", "1"))
+    start = net.initial_configuration().binary
+    part = build_partition_refined(net, 2 * net.delta, ("0",), starts=[start])
+    with pytest.raises(ResourceBudgetError):
+        extrapolation_table(net, part, "0")
+    path = tmp_path / "red.anet"
+    save_network_path(net, str(path))
+    assert main(["partition", str(path), "7"]) == 3
+    assert "ResourceBudgetError" in capsys.readouterr().err
+
+
+def test_fire_state_search_is_budgeted(cut_net, monkeypatch):
+    assert len(partition.fire_states(cut_net)) == 2
+    monkeypatch.setattr(partition, "ENDPOINT_BUDGET", 3)
+    with pytest.raises(ResourceBudgetError):
+        partition.fire_states(cut_net)
 
 
 # endpoints found by the symbolic protocol replay on the probe words 0 and 1;

@@ -6,7 +6,8 @@ from anet.cutlang import build_cut_acceptor, cut_params
 from anet.errors import ValidationError
 from anet.mealy import compile_mealy, machine_from_tsv
 from anet.network import network_from_text, network_to_text
-from anet.protocol import Alphabet, accepts, enumerate_language
+from anet.partition import fire_states
+from anet.protocol import Alphabet, accepts, enumerate_language, run_online
 from anet.quotient import (
     FIRST_MINUS_SECOND,
     SECOND_MINUS_FIRST,
@@ -54,7 +55,7 @@ def test_difference_oracle_parity(parity_net):
 
 @pytest.mark.parametrize("mode", [SECOND_MINUS_FIRST, FIRST_MINUS_SECOND])
 def test_built_network_matches_oracle_parity(parity_net, mode):
-    spec = QuotientSpec(base=parity_net, first="1", second="1", mode=mode, coverage_len=8)
+    spec = QuotientSpec(base=parity_net, first="1", second="1", mode=mode)
     build = build_quotient_network(spec)
     assert build.network.output_delay == 3
     got = enumerate_language(build.network, 6)
@@ -64,9 +65,7 @@ def test_built_network_matches_oracle_parity(parity_net, mode):
 
 def test_built_network_matches_oracle_cut_base():
     base = build_cut_acceptor(cut_params(F(27, 8), F(3, 8)))
-    spec = QuotientSpec(
-        base=base, first="1", second="0", mode=SECOND_MINUS_FIRST, coverage_len=8
-    )
+    spec = QuotientSpec(base=base, first="1", second="0", mode=SECOND_MINUS_FIRST)
     build = build_quotient_network(spec)
     got = enumerate_language(build.network, 6)
     want = quotient_difference_language(base, "1", "0", SECOND_MINUS_FIRST, 6)
@@ -76,36 +75,40 @@ def test_built_network_matches_oracle_cut_base():
 
 def test_empty_difference_is_the_empty_language():
     base = build_cut_acceptor(cut_params(F(27), F(1, 28)))
-    spec = QuotientSpec(
-        base=base, first="1", second="0", mode=SECOND_MINUS_FIRST, coverage_len=8
-    )
+    spec = QuotientSpec(base=base, first="1", second="0", mode=SECOND_MINUS_FIRST)
     build = build_quotient_network(spec)
     assert enumerate_language(build.network, 6) == set()
 
 
-def test_strict_mode_agrees_with_reachable_coverage(parity_net):
-    loose = build_quotient_network(
-        QuotientSpec(
-            base=parity_net, first="1", second="1", mode=SECOND_MINUS_FIRST, coverage_len=8
-        )
+def test_long_words_match_oracle_cut_base():
+    # a table built from a depth-2 word walk missed 255 of these words
+    base = build_cut_acceptor(cut_params(F(27, 8), F(3, 8)))
+    build = build_quotient_network(
+        QuotientSpec(base=base, first="1", second="0", mode=SECOND_MINUS_FIRST)
     )
-    strict = build_quotient_network(
-        QuotientSpec(
-            base=parity_net, first="1", second="1", mode=SECOND_MINUS_FIRST, strict=True
-        )
-    )
-    a = enumerate_language(loose.network, 5)
-    b = enumerate_language(strict.network, 5)
-    assert a == b
-    # strict tabulates every (state, interval) row, never fewer than reachable
-    assert len(strict.truth) >= len(loose.truth)
+    got = enumerate_language(build.network, 10)
+    assert got == quotient_difference_language(base, "1", "0", SECOND_MINUS_FIRST, 10)
+
+
+@pytest.mark.parametrize("which", ["parity", "cut"])
+def test_fire_states_cover_concrete_runs(parity_net, which):
+    if which == "parity":
+        base = parity_net
+    else:
+        base = build_cut_acceptor(cut_params(F(27, 8), F(3, 8)))
+    found = set(fire_states(base))
+    seen = set()
+    for n in range(9):
+        for word in Alphabet.default_for(base).words(n):
+            trace = run_online(base, word)
+            rows = dict(trace.rows)
+            seen.update(rows[tau - 1].binary for tau in trace.query_times)
+    assert seen <= found
 
 
 def test_quotient_network_round_trips(parity_net):
     build = build_quotient_network(
-        QuotientSpec(
-            base=parity_net, first="1", second="1", mode=SECOND_MINUS_FIRST, coverage_len=6
-        )
+        QuotientSpec(base=parity_net, first="1", second="1", mode=SECOND_MINUS_FIRST)
     )
     text = network_to_text(build.network)
     assert network_from_text(text) == build.network
@@ -114,9 +117,7 @@ def test_quotient_network_round_trips(parity_net):
 def test_quotient_verdict_timing(parity_net):
     # the report unit needs three settling steps after each query instant
     build = build_quotient_network(
-        QuotientSpec(
-            base=parity_net, first="1", second="1", mode=SECOND_MINUS_FIRST, coverage_len=6
-        )
+        QuotientSpec(base=parity_net, first="1", second="1", mode=SECOND_MINUS_FIRST)
     )
     net = build.network
     assert net.delta == parity_net.delta

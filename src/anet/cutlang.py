@@ -223,8 +223,15 @@ def _growth_prime(params: CutParams) -> int | None:
     return None
 
 
-def _padic(n: int, p: int) -> int:
-    v = 0
+def _padic(n: int, p: int, guess: int = 0) -> int:
+    """The p-adic valuation of n != 0: the lowest set bit for p = 2, else one test of guess.
+
+    A wrong guess falls back to stripping one factor of p at a time, so the result is exact.
+    """
+    if p == 2:
+        return (n & -n).bit_length() - 1
+    v = guess if guess > 0 and n % p**guess == 0 else 0
+    n //= p**v
     while n % p == 0:
         n //= p
         v += 1
@@ -271,14 +278,14 @@ def _verified_growth_orbit(params: CutParams, prime: int, depth: int):
     At every visited remainder the one-step property is checked for both
     digits, so the verdict does not depend on the digit policy chosen here.
     """
-    qden = params.base.denominator
-    vq = _padic(qden, prime)
+    vq = _padic(params.base.denominator, prime)
     r = params.threshold
+    vr = _padic(r.denominator, prime)  # tracked: v_p of the current remainder's denominator
     orbit = [r]
     for _ in range(depth):
-        for d in _DIGIT_SET:
-            nxt = orbit_step(params, r, d)
-            if _padic(nxt.denominator, prime) != _padic(r.denominator, prime) + vq:
+        steps = [orbit_step(params, r, d) for d in _DIGIT_SET]
+        for d, nxt in zip(_DIGIT_SET, steps):
+            if _padic(nxt.denominator, prime, vr + vq) != vr + vq:
                 raise ValidationError(
                     "growth invariant broke at %s with digit %d" % (format_rational(r), d)
                 )
@@ -286,7 +293,7 @@ def _verified_growth_orbit(params: CutParams, prime: int, depth: int):
                 raise ValidationError(
                     "numerator lost coprimality at %s with digit %d" % (format_rational(r), d)
                 )
-        r = orbit_step(params, r, 0)
+        r, vr = steps[0], vr + vq  # the digit-0 step is the next orbit point
         orbit.append(r)
     return orbit
 

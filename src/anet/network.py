@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, TextIO
 
 from .errors import ValidationError
 from .rationals import ZERO, ONE, format_rational, parse_rational
-
-Weights = Mapping[tuple[int, int], Fraction]
 
 
 def heaviside(xi: Fraction) -> int:
@@ -53,6 +52,8 @@ class Network:
     weights maps (target, source) to a rational weight; source 0 is the bias.
     input_units are clamped from outside by the run protocol: at a query
     instant they carry the one-hot symbol code, at every other instant zero.
+    The weights are frozen into a read-only copy, since the cached step plan
+    and the protocol's feed memo are derived from them.
     """
 
     size: int
@@ -66,9 +67,8 @@ class Network:
     init_analog: Fraction = ZERO
     comment: str = ""
 
-    @property
-    def analog_unit(self) -> int:
-        return self.size
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
 
     @property
     def n_binary(self) -> int:
@@ -86,24 +86,6 @@ class Network:
         return Configuration(tuple(bits), self.init_analog)
 
     # -- stepping ---------------------------------------------------------
-
-    def excitation(self, cfg: Configuration, j: int, inputs: Mapping[int, int] | None = None) -> Fraction:
-        """Weighted sum feeding unit j from the given state (bias included).
-
-        inputs, when given, overrides the states of the input units for this
-        evaluation; otherwise the states already in cfg are used.
-        """
-        acc = self.weight(j, 0)
-        for (tgt, src), w in self.weights.items():
-            if tgt != j or src == 0:
-                continue
-            if inputs is not None and src in inputs:
-                y = inputs[src]
-            else:
-                y = cfg.unit(src)
-            if y:
-                acc += w * y
-        return acc
 
     def step(self, cfg: Configuration, inputs_next: Mapping[int, int] | None = None) -> Configuration:
         """One synchronous update of every unit.
@@ -137,34 +119,12 @@ class Network:
             bits[u - 1] = 0
         if inputs_next:
             for u, v in inputs_next.items():
-                if u not in self._input_set():
-                    raise ValidationError("unit %d is not an input unit" % u)
-                bits[u - 1] = 1 if v else 0
-        return Configuration(tuple(bits), analog)
-
-    def step_dense(self, cfg: Configuration, inputs_next: Mapping[int, int] | None = None) -> Configuration:
-        """Reference implementation of step: direct excitation of every unit."""
-        bits = [0] * self.n_binary
-        for j in range(1, self.size):
-            bits[j - 1] = heaviside(self.excitation(cfg, j))
-        analog = saturation(self.excitation(cfg, self.size))
-        for u in self.input_units:
-            bits[u - 1] = 0
-        if inputs_next:
-            for u, v in inputs_next.items():
-                if u not in self._input_set():
+                if u not in self.input_units:
                     raise ValidationError("unit %d is not an input unit" % u)
                 bits[u - 1] = 1 if v else 0
         return Configuration(tuple(bits), analog)
 
     # -- precomputed stepping plan (cached, derived only from weights) ----
-
-    def _input_set(self) -> frozenset[int]:
-        cached = self.__dict__.get("_input_set_cache")
-        if cached is None:
-            cached = frozenset(self.input_units)
-            object.__setattr__(self, "_input_set_cache", cached)
-        return cached
 
     def _plan(self) -> "_StepPlan":
         plan = self.__dict__.get("_plan_cache")

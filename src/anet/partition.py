@@ -497,13 +497,7 @@ def probe_verdict(
     net: Network, start: Configuration, word: str, alphabet: Alphabet | None = None
 ) -> bool:
     """Online verdict of word from an arbitrary start; gap violations reject."""
-    alphabet = alphabet or Alphabet.default_for(net)
     try:
-        session = RunSession(net, alphabet=alphabet, start=start)
-        for ch in word:
-            session.feed(ch)
-        session.feed(alphabet.formal_extra)
-        session.drain()
+        return RunSession(net, alphabet, start=start).verdict_after(word)
     except QueryGapError:
         return False
-    return session.verdicts[len(word)]

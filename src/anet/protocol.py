@@ -5,21 +5,35 @@ clamped one hot onto the input units at the following instant (a query
 instant), and the input units are forced to zero everywhere else. The verdict
 for the prefix consumed so far appears on the out unit output_delay steps
 after the next query instant. One formal extra symbol (the first letter of the
-alphabet) is appended so the verdict of the full word can be read. Gaps
-between query instants larger than the declared bound raise QueryGapError.
+alphabet) is appended so the verdict of the full word can be read.
+
+Query gaps have one rule. A feed that finds no query instant within the
+declared bound of the previous one raises QueryGapError; whether it raises
+depends only on the session state, never on the symbol. enumerate_language,
+compare_languages, accepts and run_online pass the error on (the CLI exits
+with code 4); the brute-force quotient oracle and partition.probe_verdict
+count it as a rejection.
+
+Feeds and drains are memoized per network: the steps taken, the final
+configuration and the verdicts settled depend only on the input unit (none
+for a drain), the configuration, the steps since the last query and the
+pending verdict offsets. The memo holds at most FEED_MEMO_LIMIT entries and
+is cleared when full; trace-mode sessions always step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import QueryGapError, ValidationError
 from .network import Configuration, Network
 from .rationals import format_rational
 
 _DIGITS = "0123456789"
+
+# Entries kept in one network's feed memo before it is cleared.
+FEED_MEMO_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -130,7 +144,47 @@ class RunSession:
 
     def feed(self, symbol: str) -> None:
         """Advance to the next query instant and clamp the symbol there."""
-        unit = self.net.input_units[self.alphabet.index(symbol)]
+        self._segment(self.net.input_units[self.alphabet.index(symbol)], symbol)
+
+    def drain(self) -> None:
+        """Run past the last query far enough to settle every scheduled verdict."""
+        if self._due:
+            self._segment(None, None)
+
+    def _segment(self, unit: int | None, symbol: str | None) -> None:
+        """One feed, or the drain when unit is None, replayed from the memo if it is there."""
+        if self._trace:
+            self._steps(unit, symbol)
+            return
+        t0, n0 = self.t, len(self.symbols)
+        last = self.query_times[-1] if self.query_times else 0
+        due = tuple((d - t0, k - n0) for d, k in self._due)
+        # the analog value enters as its integers, which hash and compare in C
+        key = (unit, self.cfg.binary, self.cfg.analog.as_integer_ratio(), last - t0, due)
+        memo = self.net.__dict__.setdefault("_feed_memo", {})  # cached like the step plan
+        hit = memo.get(key)
+        if hit is None:
+            pending = [k for _, k in self._due] + [n0]
+            self._steps(unit, symbol)  # no entry when this raises
+            if len(memo) >= FEED_MEMO_LIMIT:
+                memo.clear()
+            settled = tuple((k - n0, self.verdicts[k]) for k in pending if k in self.verdicts)
+            memo[key] = (self.t - t0, self.cfg, settled, tuple((d - t0, k - n0) for d, k in self._due))
+            return
+        steps, self.cfg, settled, due_after = hit
+        self.t = t0 + steps
+        if symbol is not None:
+            self.query_times.append(self.t)
+            self.symbols.append(symbol)
+        for k, verdict in settled:
+            self.verdicts[n0 + k] = verdict
+        self._due = [(t0 + d, n0 + k) for d, k in due_after]
+
+    def _steps(self, unit: int | None, symbol: str | None) -> None:
+        if unit is None:
+            while self._due:
+                self._advance(None)
+            return
         deadline = (self.query_times[-1] if self.query_times else 0) + self.net.delta
         while True:
             fires = self.cfg.binary[self.net.nxt - 1] == 1
@@ -152,10 +206,18 @@ class RunSession:
                     self.verdicts[k] = bool(self.cfg.binary[self.net.out - 1])
                 return
 
-    def drain(self) -> None:
-        """Run past the last query far enough to settle every scheduled verdict."""
-        while self._due:
-            self._advance(None)
+    def verdict_after(self, suffix: str = "") -> bool:
+        """Verdict for the consumed prefix followed by suffix; this session is unchanged.
+
+        A clone is fed the suffix and the formal extra symbol, then drained.
+        QueryGapError passes through.
+        """
+        probe = self.clone()
+        for sym in suffix:
+            probe.feed(sym)
+        probe.feed(self.alphabet.formal_extra)
+        probe.drain()
+        return probe.verdicts[len(self.symbols) + len(suffix)]
 
 
 @dataclass(frozen=True)
@@ -196,43 +258,36 @@ def run_online(net: Network, word: str | Sequence[str], alphabet: Alphabet | Non
 def accepts(net: Network, word: str | Sequence[str], alphabet: Alphabet | None = None) -> bool:
     """Final verdict for the whole word."""
     net.require_valid()
-    session = RunSession(net, alphabet)
     word_str = word if isinstance(word, str) else "".join(word)
-    for sym in word_str:
-        session.feed(sym)
-    session.feed(session.alphabet.formal_extra)
-    session.drain()
-    return session.verdicts[len(word_str)]
+    return RunSession(net, alphabet).verdict_after(word_str)
 
 
-def enumerate_language(net: Network, max_len: int, alphabet: Alphabet | None = None) -> set[str]:
-    """All accepted words of length at most max_len.
+def walk_words(root: RunSession, max_len: int) -> Iterator[tuple[str, RunSession]]:
+    """Every word of length at most max_len, depth first, with a session that consumed it.
 
-    Runs share common prefixes through session cloning, so the cost is one
-    protocol segment per node of the symbol tree rather than per word.
+    Children are cloned from their parent's session, one feed per tree node.
+    A feed raises QueryGapError for every symbol or for none, and the node's
+    own verdict probe meets the error first; such a node gets no children.
     """
-    net.require_valid()
-    root = RunSession(net, alphabet)
-    alpha = root.alphabet
-    accepted: set[str] = set()
-
-    def verdict_of(session: RunSession, word: str) -> bool:
-        probe = session.clone()
-        probe.feed(alpha.formal_extra)
-        probe.drain()
-        return probe.verdicts[len(word)]
-
     stack: list[tuple[RunSession, str]] = [(root, "")]
     while stack:
         session, word = stack.pop()
-        if verdict_of(session, word):
-            accepted.add(word)
+        yield word, session
         if len(word) < max_len:
-            for sym in alpha.symbols:
+            for sym in root.alphabet.symbols:
                 child = session.clone()
-                child.feed(sym)
+                try:
+                    child.feed(sym)
+                except QueryGapError:
+                    break
                 stack.append((child, word + sym))
-    return accepted
+
+
+def enumerate_language(net: Network, max_len: int, alphabet: Alphabet | None = None) -> set[str]:
+    """All accepted words of length at most max_len; QueryGapError passes through."""
+    net.require_valid()
+    walk = walk_words(RunSession(net, alphabet), max_len)
+    return {word for word, session in walk if session.verdict_after()}
 
 
 def compare_languages(
@@ -273,4 +328,5 @@ def trace_tsv(trace: RunTrace, net: Network) -> str:
         cells.append(format_rational(cfg.analog))
         cells.append("; ".join(notes.get(t, [])))
         lines.append("\t".join(cells))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the trailing newline, without a second copy of the whole text
+    return "\n".join(lines)

@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .errors import QueryGapError, ValidationError
 from .network import Network
-from .protocol import Alphabet, RunSession
+from .protocol import Alphabet, RunSession, walk_words
 from .partition import (
     ExtrapolationTable,
     PartitionResult,
@@ -117,37 +117,18 @@ def quotient_difference_language(
     if mode not in _MODES:
         raise ValidationError("mode must be one of %s" % (_MODES,))
     base.require_valid()
-    root = RunSession(base, alphabet)
-    alpha = root.alphabet
-    out: set[str] = set()
 
-    def probe(sess: RunSession, suffix: str, k: int) -> bool:
-        p = sess.clone()
+    def probe(sess: RunSession, suffix: str) -> bool:
         try:
-            for ch in suffix:
-                p.feed(ch)
-            p.feed(alpha.formal_extra)
-            p.drain()
+            return sess.verdict_after(suffix)
         except QueryGapError:
             return False
-        return p.verdicts[k]
 
-    stack: list[tuple[RunSession, str]] = [(root, "")]
-    while stack:
-        sess, word = stack.pop()
-        a = probe(sess, first, len(word) + len(first))
-        b = probe(sess, second + first, len(word) + len(second) + len(first))
-        if combine_verdicts(mode, a, b):
-            out.add(word)
-        if len(word) < max_len:
-            for sym in alpha.symbols:
-                child = sess.clone()
-                try:
-                    child.feed(sym)
-                except QueryGapError:
-                    continue
-                stack.append((child, word + sym))
-    return out
+    return {
+        word
+        for word, sess in walk_words(RunSession(base, alphabet), max_len)
+        if combine_verdicts(mode, probe(sess, first), probe(sess, second + first))
+    }
 
 
 def build_quotient_network(spec: QuotientSpec) -> QuotientBuild:

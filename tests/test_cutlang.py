@@ -7,6 +7,7 @@ from anet.cutlang import (
     NO_EXPANSION,
     NOT_QP_WITNESS,
     QP_CERTIFICATE,
+    _padic,
     beta_value,
     build_cut_acceptor,
     cut_member,
@@ -53,6 +54,40 @@ def test_rational_cbrt_inverts_cube(num, den):
     assert rational_cbrt(q**3) == q
     if q > 0:
         assert rational_cbrt(q**3 + F(1, q.denominator**3)) is None
+
+
+def _padic_by_division(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@given(
+    st.sampled_from((2, 3, 5)),
+    st.integers(min_value=1, max_value=10**60),
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=0, max_value=500),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_padic_matches_division_loop(p, unit, power, guess, negative):
+    n = unit * p**power * (-1 if negative else 1)
+    want = _padic_by_division(n, p)
+    assert _padic(n, p, guess) == want
+    assert _padic(n, p, want) == want
+    assert _padic(n, p) == want
+
+
+def test_qp_witness_for_odd_growth_prime():
+    # base 64/27 at threshold 1/4: remainder n is 64^n / (4 * 27^n), whose
+    # denominator gains 3^3 per step, so the general-prime valuation is used
+    out = qp_explore(cut_params(F(64, 27), F(1, 4)), depth=40)
+    assert out.kind == NOT_QP_WITNESS and out.growth_prime == 3
+    assert out.explored_depth == 40
+    for n, r in enumerate(out.orbit):
+        assert _padic_by_division(r.denominator, 3) == 3 * n
 
 
 # independently derived: value of the reversed word under negative powers of

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import random
 from fractions import Fraction
@@ -99,6 +100,31 @@ def test_validation_rejects_bad_structure():
         make_network(3, (2,), nxt=1, out=1, delta=1, weights=[(4, 0, Fraction(1))])
 
 
+# -- reference oracle: every unit's excitation summed directly ---------------
+
+
+def excitation(net: Network, cfg: Configuration, j: int) -> Fraction:
+    """Weighted sum feeding unit j from the given state, bias included."""
+    acc = net.weight(j, 0)
+    for (tgt, src), w in net.weights.items():
+        if tgt == j and src != 0 and cfg.unit(src):
+            acc += w * cfg.unit(src)
+    return acc
+
+
+def step_dense(net: Network, cfg: Configuration, inputs_next=None) -> Configuration:
+    """Reference implementation of Network.step."""
+    bits = [heaviside(excitation(net, cfg, j)) for j in range(1, net.size)]
+    analog = saturation(excitation(net, cfg, net.size))
+    for u in net.input_units:
+        bits[u - 1] = 0
+    for u, v in (inputs_next or {}).items():
+        if u not in net.input_units:
+            raise ValidationError("unit %d is not an input unit" % u)
+        bits[u - 1] = 1 if v else 0
+    return Configuration(tuple(bits), analog)
+
+
 small_weight = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=8
 )
@@ -125,7 +151,25 @@ def nets_and_states(draw):
 @settings(max_examples=120, deadline=None)
 def test_sparse_and_dense_steps_agree(case):
     net, cfg, clamp = case
-    assert net.step(cfg, clamp) == net.step_dense(cfg, clamp)
+    assert net.step(cfg, clamp) == step_dense(net, cfg, clamp)
+
+
+def test_weights_are_read_only():
+    net = _tiny_net()
+    with pytest.raises(TypeError):
+        net.weights[(3, 3)] = Fraction(1, 3)
+    assert net.weight(3, 3) == Fraction(1, 2)
+    tight = dataclasses.replace(net, delta=2)
+    assert tight.delta == 2 and tight.weights == net.weights
+    with pytest.raises(TypeError):
+        tight.weights[(3, 0)] = Fraction(1)
+
+
+def test_weights_are_copied_at_construction():
+    table = {(1, 0): Fraction(0), (3, 3): Fraction(1, 2)}
+    net = Network(size=3, input_units=(2,), nxt=1, out=1, delta=1, weights=table)
+    table[(3, 3)] = Fraction(1, 3)
+    assert net.weight(3, 3) == Fraction(1, 2)
 
 
 def test_wire_round_trip():

@@ -4,16 +4,21 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from anet import protocol
 from anet.cutlang import build_cut_acceptor, cut_params
 from anet.errors import QueryGapError, ValidationError
+from anet.mealy import compile_mealy, machine_from_tsv
+from anet.network import Network, make_network
 from anet.protocol import (
     Alphabet,
+    RunSession,
     accepts,
     compare_languages,
     enumerate_language,
     run_online,
     trace_tsv,
 )
+from anet.reduction import ReductionSpec, build_reduction
 
 # state evolution of the threshold-reversal acceptor for base 27/8 at 1/4 on
 # the word 101, frozen from an independent hand simulation; columns y_1..y_8.
@@ -143,3 +148,130 @@ def test_compare_languages_equal_and_not():
 def test_unknown_symbol_rejected(cut_net):
     with pytest.raises(ValidationError):
         run_online(cut_net, "102")
+
+
+def test_verdict_after_leaves_the_session_unchanged(cut_net):
+    for word in ("", "1", "10", "0110", "1101"):
+        for k in range(len(word) + 1):
+            session = RunSession(cut_net)
+            for sym in word[:k]:
+                session.feed(sym)
+            before = _state(session)
+            assert session.verdict_after(word[k:]) == accepts(cut_net, word)
+            assert _state(session) == before
+
+
+# -- the feed memo -------------------------------------------------------------
+
+
+def _mod3_reduction():
+    from test_acceptance import MOD3_TSV  # that module imports this one
+
+    inner, _ = compile_mealy(machine_from_tsv(MOD3_TSV))
+    words = ("aaaa", "aaaa", "bbbb", "bbbb", "bbbb")
+    return build_reduction(ReductionSpec(inner=inner, words=words, alphabet=Alphabet.of("ab"))).network
+
+
+@pytest.fixture(scope="module")
+def memo_nets():
+    from test_acceptance import PARITY_TSV
+
+    return {
+        "cut": build_cut_acceptor(cut_params(F(27, 8), F(1, 4))),
+        "parity": compile_mealy(machine_from_tsv(PARITY_TSV))[0],
+        "mod3": _mod3_reduction(),
+    }
+
+
+def _state(session):
+    return (session.cfg, session.t, session.query_times, session.symbols, session.verdicts)
+
+
+def _feed_or_gap(session, sym):
+    try:
+        session.feed(sym)
+    except QueryGapError:
+        return "gap"
+    return _state(session)
+
+
+@given(st.sampled_from(("cut", "parity", "mod3")), st.text(alphabet="01", max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_memoized_feeds_match_stepping(memo_nets, which, word):
+    # the networks persist across examples, and the second memoized session
+    # repeats the first one's feeds, so both memo misses and hits are compared
+    net = memo_nets[which]
+    stepped = RunSession(net, trace=True)
+    memoized = [RunSession(net), RunSession(net)]
+    for sym in word + stepped.alphabet.formal_extra:
+        want = _feed_or_gap(stepped, sym)
+        assert [_feed_or_gap(m, sym) for m in memoized] == [want, want]
+        if want == "gap":
+            return
+    stepped.drain()
+    for m in memoized:
+        m.drain()
+        assert _state(m) == _state(stepped)
+
+
+def test_gap_violating_feed_raises_again(cut_net):
+    tight = dataclasses.replace(cut_net, delta=2)
+    session = RunSession(tight)
+    session.feed("1")
+    for sym in "0011":
+        with pytest.raises(QueryGapError):
+            session.clone().feed(sym)
+
+
+def _every_step_net():
+    # unit 1 requests a symbol at every step; verdicts lag queries by 2 steps
+    return make_network(3, (2,), nxt=1, out=1, delta=1, weights=[], output_delay=2)
+
+
+def test_feed_memo_keys_on_steps_since_last_query():
+    # a drained session is past its query deadline, while a session started
+    # in the same configuration is not
+    net = _every_step_net()
+    drained = RunSession(net)
+    drained.feed("0")
+    drained.drain()
+    RunSession(net, start=drained.cfg).feed("0")
+    with pytest.raises(QueryGapError):
+        drained.feed("0")
+
+
+def test_feed_memo_keys_on_pending_verdicts():
+    # the same configuration with and without a verdict still to settle
+    net = _every_step_net()
+    session = RunSession(net)
+    stepped = RunSession(net, trace=True)
+    for run in (session, stepped):
+        run.feed("0")
+    RunSession(net, start=session.cfg).feed("0")
+    for run in (session, stepped):
+        run.feed("0")
+        run.drain()
+    assert _state(session) == _state(stepped)
+
+
+def test_feed_memo_is_bounded(cut_net, monkeypatch):
+    monkeypatch.setattr(protocol, "FEED_MEMO_LIMIT", 5)
+    net = dataclasses.replace(cut_net)  # a fresh network starts with an empty memo
+    assert enumerate_language(net, 7) == enumerate_language(cut_net, 7)
+    assert 0 < len(net.__dict__["_feed_memo"]) <= 5
+
+
+def test_enumeration_replays_repeated_feed_states(monkeypatch):
+    # the mod-3 reduction visits a few hundred distinct feed states; without
+    # the memo this enumeration takes about 19,500 steps
+    net = _mod3_reduction()
+    step = Network.step
+    calls = []
+
+    def counting_step(self, *args, **kwargs):
+        calls.append(1)
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "step", counting_step)
+    enumerate_language(net, 12)
+    assert len(calls) < 2000

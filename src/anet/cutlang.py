@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable
 
 from .errors import ValidationError
 from .network import Network, make_network
@@ -48,35 +47,34 @@ def cut_params(base, threshold) -> CutParams:
     return CutParams(rational(base), rational(threshold))
 
 
-def _digits(word: str) -> Iterable[int]:
+def _scaled_value(word: str, params: CutParams) -> tuple[int, int]:
+    """(P, A**n) with value P / A**n for base A/B: P = sum_k x_k B^k A^(n-k) by Horner's rule."""
+    a, b = params.base.numerator, params.base.denominator
+    num, bk = 0, 1
     for ch in word:
-        if ch not in "01":
+        bk *= b
+        num *= a
+        if ch == "1":
+            num += bk
+        elif ch != "0":
             raise ValidationError("digit words use characters 0 and 1, got %r" % ch)
-        yield int(ch)
+    return num, a ** len(word)
 
 
 def beta_value(word: str, params: CutParams, reverse: bool = False) -> Fraction:
     """Positional value sum_k x_k base^-k; reverse=True indexes from the word's end."""
-    digits = list(_digits(word))
-    if reverse:
-        digits.reverse()
-    acc = ZERO
-    scale = ONE
-    for d in digits:
-        scale /= params.base
-        if d:
-            acc += scale
-    return acc
+    return Fraction(*_scaled_value(word[::-1] if reverse else word, params))
 
 
 def cut_member(word: str, params: CutParams) -> bool:
     """Membership in the threshold language (value strictly below the threshold)."""
-    return beta_value(word, params) < params.threshold
+    num, den = _scaled_value(word, params)
+    return num * params.threshold.denominator < params.threshold.numerator * den
 
 
 def reversal_member(word: str, params: CutParams) -> bool:
     """Membership of the reversed word; this is the language the acceptor recognizes."""
-    return beta_value(word, params, reverse=True) < params.threshold
+    return cut_member(word[::-1], params)
 
 
 def _icbrt(n: int) -> int:

@@ -4,17 +4,27 @@ Units are indexed 1..size; index 0 is the formal bias input (always 1) and the
 analog unit is always the highest index. Binary units fire by Heaviside
 (threshold at zero, closed), the analog unit clips its excitation to [0, 1].
 All states and weights are exact rationals.
+
+Stepping runs on per-target integer-scaled weights (each target's weights
+times the lcm of their denominators); analog values stay canonical Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, TextIO
 
-from .errors import ValidationError
+from .errors import ResourceBudgetError, ValidationError
 from .rationals import ZERO, ONE, format_rational, parse_rational
+
+
+# Fraction from a numerator and a positive denominator already in lowest
+# terms, without the constructor's gcd (the keyword is Python 3.10/3.11's).
+_coprime = getattr(Fraction, "_from_coprime_ints", None) or partial(Fraction, _normalize=False)
 
 
 def heaviside(xi: Fraction) -> int:
@@ -95,25 +105,27 @@ class Network:
         listed, or all of them when inputs_next is None, are forced to zero.
         """
         plan = self._plan()
-        acc: dict[int, object] = {}
+        acc = list(plan.bias)
         for i in plan.binary_sources:
             if cfg.binary[i - 1]:
                 for j, w in plan.out_edges[i]:
-                    acc[j] = acc.get(j, 0) + w
-        ys = cfg.analog
-        if ys != 0:
-            for j, w in plan.out_edges[self.size]:
-                acc[j] = acc.get(j, 0) + w * ys
+                    acc[j] += w
+        # with analog value p/q, target j's excitation times L_j * q
+        p, q = cfg.analog.as_integer_ratio()
+        for j, a in plan.analog_in:
+            acc[j] = acc[j] * q + a * p
+        s = self.size
+        bits = [1 if x >= 0 else 0 for x in acc[1:s]]
 
-        bits = [0] * self.n_binary
-        for j in acc.keys() | plan.spontaneous:
-            xi = plan.bias[j] + acc.get(j, 0)
-            if j == self.size:
-                continue
-            if xi >= 0:
-                bits[j - 1] = 1
-        xi_s = plan.bias[self.size] + acc.get(self.size, 0)
-        analog = saturation(Fraction(xi_s) if isinstance(xi_s, int) else xi_s)
+        g = gcd(plan.analog_weight, q)  # gcd(p, q) = 1, so gcd(num, q) = gcd(a_s, q)
+        num, den, scale = acc[s] // g, q // g, plan.analog_scale
+        if num <= 0:
+            analog = ZERO
+        elif num >= scale * den:
+            analog = ONE
+        else:  # num is now coprime to den, so only the small scale shares factors
+            g = gcd(num, scale)
+            analog = _coprime(num // g, scale // g * den)
 
         for u in self.input_units:
             bits[u - 1] = 0
@@ -185,35 +197,51 @@ class Network:
 
 @dataclass(frozen=True)
 class _StepPlan:
-    bias: tuple
-    out_edges: Mapping[int, tuple]
+    """Target j's weights times L_j, the lcm of their denominators, as ints.
+
+    analog_in lists every target with an analog weight, and always the analog
+    unit s, whose weight a_s = analog_weight may be 0; analog_scale is L_s.
+    """
+
+    bias: tuple[int, ...]
+    out_edges: Mapping[int, tuple[tuple[int, int], ...]]
     binary_sources: tuple[int, ...]
-    spontaneous: frozenset[int]
+    analog_in: tuple[tuple[int, int], ...]
+    analog_weight: int
+    analog_scale: int
 
     @staticmethod
     def build(net: Network) -> "_StepPlan":
-        bias: list = [ZERO] * (net.size + 1)
-        out: dict[int, list] = {i: [] for i in range(1, net.size + 1)}
-        indeg: dict[int, int] = {}
+        s = net.size
+        scale = [1] * (s + 1)
+        for (j, _), w in net.weights.items():
+            scale[j] = lcm(scale[j], w.denominator)
+        bias = [0] * (s + 1)
+        out: dict[int, list] = {i: [] for i in range(1, s)}
+        analog_in = {s: 0}
         for (j, i), w in net.weights.items():
             if w == 0:
                 continue
+            v = w.numerator * (scale[j] // w.denominator)
             if i == 0:
-                bias[j] = w
+                bias[j] = v
+            elif i == s:
+                analog_in[j] = v
             else:
-                out[i].append((j, w))
-                indeg[j] = indeg.get(j, 0) + 1
-        # int weights stay int so the hot path avoids Fraction arithmetic
-        bias_n = tuple(int(b) if b.denominator == 1 else b for b in bias)
-        out_n = {i: tuple((j, int(w) if w.denominator == 1 else w) for j, w in lst) for i, lst in out.items()}
-        spont = frozenset(j for j in range(1, net.size + 1) if bias_n[j] >= 0)
-        sources = tuple(i for i in range(1, net.size) if out_n[i])
-        return _StepPlan(tuple(bias_n), out_n, sources, spont)
+                out[i].append((j, v))
+        sources = tuple(i for i in range(1, s) if out[i])
+        edges = {i: tuple(out[i]) for i in sources}
+        return _StepPlan(tuple(bias), edges, sources, tuple(analog_in.items()), analog_in[s], scale[s])
 
 
 # -- wire format ---------------------------------------------------------
 
 FORMAT_MAGIC = "anet v1"
+_HEADER_KEYS = ("size", "analog", "inputs", "nxt", "out", "delta", "outdelay", "init", "inita")
+
+# Largest size a network file may declare: the tests and the benchmark stay in the
+# hundreds, and a reduction grows by about 14 units per letter of its words.
+NETWORK_SIZE_LIMIT = 2**16
 
 
 def save_network(net: Network, fp: TextIO) -> None:
@@ -286,11 +314,15 @@ def network_from_text(text: str) -> Network:
                 raise ValidationError("duplicate weight (%d,%d)" % (j, i))
             weights[(j, i)] = w
         else:
+            if key not in _HEADER_KEYS:
+                raise ValidationError("unknown header line %r" % key[:40])
             if key in fields:
                 raise ValidationError("duplicate header line %r" % key)
             fields[key] = rest.strip()
     try:
         size = _int_field("size", fields["size"])
+        if size > NETWORK_SIZE_LIMIT:
+            raise ResourceBudgetError("size %d exceeds the limit of %d units" % (size, NETWORK_SIZE_LIMIT))
         analog = _int_field("analog", fields["analog"])
         inputs = tuple(_int_field("inputs", x) for x in fields["inputs"].split())
         nxt = _int_field("nxt", fields["nxt"])

@@ -229,6 +229,24 @@ def test_non_integer_field_exits_two(cut_path, tmp_path, bad_line, capsys):
     assert "ValidationError" in capsys.readouterr().err
 
 
+def test_unknown_header_key_exits_two(cut_path, tmp_path, capsys):
+    lines = open(cut_path).read().splitlines()
+    lines.insert(2, "bogus 7")
+    bad = tmp_path / "bad.anet"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["enum", str(bad), "1"]) == 2
+    assert "ValidationError" in capsys.readouterr().err
+
+
+def test_oversized_network_exits_three(cut_path, tmp_path, capsys):
+    lines = open(cut_path).read().splitlines()
+    lines = ["size %d" % (10**12) if ln.startswith("size ") else ln for ln in lines]
+    bad = tmp_path / "huge.anet"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["enum", str(bad), "1"]) == 3
+    assert "ResourceBudgetError" in capsys.readouterr().err
+
+
 def test_rational_past_digit_limit_exits_two(tmp_path, capsys):
     rc = main(["build-cut", "9" * 5000, "1/4", str(tmp_path / "x.anet")])
     assert rc == 2

@@ -108,6 +108,40 @@ def test_beta_value_frozen(word, base, value):
     assert beta_value(word, params, reverse=True) == value
 
 
+def beta_value_by_fractions(word: str, base: F, reverse: bool = False) -> F:
+    """Reference: one Fraction power of the base per digit, summed in order."""
+    acc, scale = F(0), F(1)
+    for ch in reversed(word) if reverse else word:
+        scale /= base
+        if ch == "1":
+            acc += scale
+    return acc
+
+
+@given(
+    st.text(alphabet="01", max_size=40),
+    st.fractions(min_value=F(61, 60), max_value=F(40), max_denominator=60),
+    st.fractions(min_value=F(1, 1000), max_value=F(999, 1000), max_denominator=1000),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_integer_oracles_match_fraction_loop(word, base, threshold, reverse):
+    params = cut_params(base, threshold)
+    want = beta_value_by_fractions(word, base, reverse)
+    got = beta_value(word, params, reverse=reverse)
+    assert type(got) is F and got == want
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    member = reversal_member(word, params) if reverse else cut_member(word, params)
+    assert member == (want < threshold)
+
+
+def test_oracles_reject_non_binary_digits():
+    params = cut_params(F(27, 8), F(1, 4))
+    for oracle in (beta_value, cut_member, reversal_member):
+        with pytest.raises(ValidationError):
+            oracle("012", params)
+
+
 @given(st.text(alphabet="01", max_size=10))
 def test_reversal_member_is_cut_member_of_reversal(w):
     params = cut_params(F(27, 8), F(1, 4))

@@ -2,12 +2,15 @@ import dataclasses
 import io
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anet.errors import ValidationError
+from anet.cutlang import build_cut_acceptor, cut_params
+from anet.errors import ResourceBudgetError, ValidationError
 from anet.network import (
+    NETWORK_SIZE_LIMIT,
     Configuration,
     Network,
     heaviside,
@@ -128,6 +131,15 @@ def step_dense(net: Network, cfg: Configuration, inputs_next=None) -> Configurat
 small_weight = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=8
 )
+# mixed denominators per target make every target's scale a nontrivial lcm
+wide_weight = st.fractions(
+    min_value=Fraction(-4), max_value=Fraction(4), max_denominator=10**6
+)
+wide_analog = st.one_of(
+    st.sampled_from((Fraction(0), Fraction(1))),
+    st.fractions(min_value=0, max_value=1, max_denominator=32),
+    st.fractions(min_value=0, max_value=1, max_denominator=2**256),
+)
 
 
 @st.composite
@@ -137,21 +149,55 @@ def nets_and_states(draw):
     for j in list(range(3, size)) + [size]:
         for i in range(0, size + 1):
             if draw(st.booleans()):
-                w = draw(small_weight)
+                w = draw(st.one_of(small_weight, wide_weight))
                 if w:
                     weights.append((j, i, w))
     net = make_network(size, (2,), nxt=1, out=3 if size > 3 else 1, delta=1, weights=weights)
     bits = tuple(draw(st.integers(0, 1)) for _ in range(size - 1))
-    analog = draw(st.fractions(min_value=0, max_value=1, max_denominator=32))
+    analog = draw(wide_analog)
     clamp = draw(st.sampled_from((None, {2: 1})))
     return net, Configuration(bits, analog), clamp
 
 
+def assert_canonical(x):
+    """A Fraction in lowest terms with a positive denominator; anything else breaks equality."""
+    assert type(x) is Fraction
+    assert x.denominator > 0
+    assert gcd(x.numerator, x.denominator) == 1
+
+
 @given(nets_and_states())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_sparse_and_dense_steps_agree(case):
     net, cfg, clamp = case
-    assert net.step(cfg, clamp) == step_dense(net, cfg, clamp)
+    got = net.step(cfg, clamp)
+    assert got == step_dense(net, cfg, clamp)
+    assert_canonical(got.analog)
+
+
+def test_analog_value_shares_a_factor_with_the_scale():
+    # x/3 + 1/3 at x = 5/2^200: 3 divides 5 + 2^200, so the scale 3 cancels
+    net = make_network(
+        3, (2,), nxt=1, out=1, delta=1, weights=[(3, 3, Fraction(1, 3)), (3, 0, Fraction(1, 3))]
+    )
+    got = net.step(Configuration((0, 0), Fraction(5, 2**200))).analog
+    assert (got.numerator, got.denominator) == ((5 + 2**200) // 3, 2**200)
+    assert_canonical(got)
+
+
+def test_long_cut_run_agrees_with_dense_steps():
+    # the analog denominator grows as 3^t over 400 steps of the 27/8 acceptor
+    net = build_cut_acceptor(cut_params(Fraction(27, 8), Fraction(1, 4)))
+    rng = random.Random(4)
+    cfg = net.initial_configuration()
+    for _ in range(400):
+        fires = cfg.unit(net.nxt) == 1
+        clamp = {rng.choice(net.input_units): 1} if fires else None
+        nxt = net.step(cfg, clamp)
+        assert nxt == step_dense(net, cfg, clamp)
+        assert_canonical(nxt.analog)
+        cfg = nxt
+    assert cfg.analog.denominator.bit_length() > 150
 
 
 def test_weights_are_read_only():
@@ -205,6 +251,23 @@ def test_wire_format_rejects_decimal_weights():
     text = network_to_text(net).replace("1/2", "0.5")
     with pytest.raises(ValidationError):
         network_from_text(text)
+
+
+def test_wire_format_rejects_unknown_header_keys():
+    text = network_to_text(_tiny_net()).replace("delta 1\n", "delta 1\nbogus 7\n")
+    with pytest.raises(ValidationError, match="unknown header"):
+        network_from_text(text)
+
+
+def test_wire_format_refuses_sizes_past_the_limit():
+    # the declared size is refused before anything is allocated per unit
+    text = network_to_text(_tiny_net())
+    top = str(NETWORK_SIZE_LIMIT)
+    at_limit = text.replace("size 3", "size " + top).replace("analog 3", "analog " + top)
+    assert network_from_text(at_limit.replace("w 3 ", "w %s " % top)).size == NETWORK_SIZE_LIMIT
+    for size in (NETWORK_SIZE_LIMIT + 1, 10**12):
+        with pytest.raises(ResourceBudgetError):
+            network_from_text(text.replace("size 3\n", "size %d\n" % size))
 
 
 def test_wire_format_rejects_bad_magic():

@@ -16,10 +16,7 @@ from math import gcd
 
 from .errors import ValidationError
 from .network import Network, make_network
-from .protocol import Alphabet
 from .rationals import ONE, ZERO, format_rational, rational
-
-BINARY = Alphabet.of("01")
 
 
 @dataclass(frozen=True)

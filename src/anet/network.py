@@ -105,11 +105,7 @@ class Network:
         listed, or all of them when inputs_next is None, are forced to zero.
         """
         plan = self._plan()
-        acc = list(plan.bias)
-        for i in plan.binary_sources:
-            if cfg.binary[i - 1]:
-                for j, w in plan.out_edges[i]:
-                    acc[j] += w
+        acc = plan.binary_sums(cfg.binary)
         # with analog value p/q, target j's excitation times L_j * q
         p, q = cfg.analog.as_integer_ratio()
         for j, a in plan.analog_in:
@@ -232,6 +228,18 @@ class _StepPlan:
         sources = tuple(i for i in range(1, s) if out[i])
         edges = {i: tuple(out[i]) for i in sources}
         return _StepPlan(tuple(bias), edges, sources, tuple(analog_in.items()), analog_in[s], scale[s])
+
+    def binary_sums(self, bits: Sequence[int]) -> list[int]:
+        """Per target j, L_j times its bias plus its weights from the active binary units.
+
+        bits holds the states of units 1..size-1; the analog term is the caller's.
+        """
+        acc = list(self.bias)
+        for i in self.binary_sources:
+            if bits[i - 1]:
+                for j, w in self.out_edges[i]:
+                    acc[j] += w
+        return acc
 
 
 # -- wire format ---------------------------------------------------------
@@ -371,13 +379,15 @@ def make_network(
     init_analog: Fraction = ZERO,
     comment: str = "",
 ) -> Network:
-    """Convenience constructor from (target, source, weight) triples; validates."""
+    """Convenience constructor from (target, source, weight) triples; validates.
+
+    A (target, source) pair given twice is refused, zero weights are dropped.
+    """
     table: dict[tuple[int, int], Fraction] = {}
     for j, i, w in weights:
         if (j, i) in table:
             raise ValidationError("duplicate weight (%d,%d)" % (j, i))
-        if w != 0:
-            table[(j, i)] = Fraction(w)
+        table[(j, i)] = Fraction(w)
     net = Network(
         size=size,
         input_units=tuple(inputs),
@@ -385,7 +395,7 @@ def make_network(
         out=out,
         delta=delta,
         output_delay=output_delay,
-        weights=table,
+        weights={key: w for key, w in table.items() if w != 0},
         init_active=tuple(init_active) if init_active is not None else None,
         init_analog=init_analog,
         comment=comment,

@@ -16,12 +16,13 @@ value against a threshold.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import QueryGapError, ResourceBudgetError, ValidationError
-from .network import Configuration, Network
+from .network import Configuration, Network, saturation
 from .protocol import Alphabet, RunSession
 from .rationals import (
     CORNER_PAIRS,
@@ -54,15 +55,11 @@ def pivot(net: Network, unit: int, bits: Sequence[int]) -> Fraction:
     Solves bias + sum_i w(unit,i)*bits_i + w(unit,analog)*y = 0 for y; the
     weight into unit from the analog unit must be nonzero.
     """
-    s = net.size
-    w_an = net.weight(unit, s)
+    plan = net._plan()
+    w_an = dict(plan.analog_in).get(unit, 0)
     if w_an == 0:
         raise ValidationError("unit %d has no weight from the analog unit" % unit)
-    acc = net.weight(unit, 0)
-    for i in range(1, s):
-        if bits[i - 1]:
-            acc += net.weight(unit, i)
-    return -acc / w_an
+    return Fraction(-plan.binary_sums(bits)[unit], w_an)
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,7 @@ def build_partition_exhaustive(
     if horizon < 1:
         raise ValidationError("horizon must be positive")
     s = net.size
-    if 2 ** ((s - 1) * horizon) > budget:
+    if (s - 1) * horizon >= budget.bit_length():  # 2**((s-1)*horizon) > budget
         raise ResourceBudgetError(
             "exhaustive partition needs about 2**%d binary sequences, budget is 2**%d; "
             "use the refined construction instead"
@@ -182,78 +179,22 @@ class _Branch:
 _UNIT = Interval(ZERO, ONE, True, True)
 
 
-def _clip_ge(piece: Interval, v: Fraction) -> Interval | None:
-    if v > piece.hi or (v == piece.hi and not piece.hi_closed):
-        return None
-    lo, lc = piece.lo, piece.lo_closed
-    if v > lo:
-        lo, lc = v, True
-    out = Interval(lo, piece.hi, lc, piece.hi_closed)
-    return out if _nonempty(out) else None
+def _split(piece: Interval, line: HalfLinePair) -> tuple[Interval | None, Interval | None]:
+    """The parts of piece inside and outside the half-line, None where empty."""
+    v, lo, hi = line.a, piece.lo, piece.hi
+    if line.b == -1:  # inside [v, +inf), outside (-inf, v)
+        inside = _interval(v, True, hi, piece.hi_closed) if v > lo else piece
+        outside = _interval(lo, piece.lo_closed, v, False) if v <= hi else piece
+    else:  # inside (-inf, v], outside (v, +inf)
+        inside = _interval(lo, piece.lo_closed, v, True) if v < hi else piece
+        outside = _interval(v, False, hi, piece.hi_closed) if v >= lo else piece
+    return inside, outside
 
 
-def _clip_gt(piece: Interval, v: Fraction) -> Interval | None:
-    if v >= piece.hi:
-        return None
-    lo, lc = piece.lo, piece.lo_closed
-    if v > lo or (v == lo and lc):
-        lo, lc = v, False
-    out = Interval(lo, piece.hi, lc, piece.hi_closed)
-    return out if _nonempty(out) else None
-
-
-def _clip_le(piece: Interval, v: Fraction) -> Interval | None:
-    if v < piece.lo or (v == piece.lo and not piece.lo_closed):
-        return None
-    hi, hc = piece.hi, piece.hi_closed
-    if v < hi:
-        hi, hc = v, True
-    out = Interval(piece.lo, hi, piece.lo_closed, hc)
-    return out if _nonempty(out) else None
-
-
-def _clip_lt(piece: Interval, v: Fraction) -> Interval | None:
-    if v <= piece.lo:
-        return None
-    hi, hc = piece.hi, piece.hi_closed
-    if v < hi or (v == hi and hc):
-        hi, hc = v, False
-    out = Interval(piece.lo, hi, piece.lo_closed, hc)
-    return out if _nonempty(out) else None
-
-
-def _nonempty(iv: Interval) -> bool:
-    if iv.lo < iv.hi:
-        return True
-    return iv.lo == iv.hi and iv.lo_closed and iv.hi_closed
-
-
-class _Rows:
-    """Per-unit weight rows of a network, unpacked once for symbolic stepping."""
-
-    def __init__(self, net: Network):
-        s = net.size
-        self.bias = [ZERO] * (s + 1)
-        self.binary = [[] for _ in range(s + 1)]
-        self.analog = [ZERO] * (s + 1)
-        for (j, i), w in net.weights.items():
-            if i == 0:
-                self.bias[j] = w
-            elif i == s:
-                self.analog[j] = w
-            else:
-                self.binary[j].append((i, w))
-
-    def affine(self, j: int, br: _Branch) -> tuple[Fraction, Fraction]:
-        a = self.bias[j]
-        bits = br.bits
-        for i, w in self.binary[j]:
-            if bits[i - 1]:
-                a += w
-        w_an = self.analog[j]
-        if w_an == 0:
-            return a, ZERO
-        return a + w_an * br.a, w_an * br.b
+def _interval(lo: Fraction, lo_closed: bool, hi: Fraction, hi_closed: bool) -> Interval | None:
+    if lo < hi or (lo == hi and lo_closed and hi_closed):
+        return Interval(lo, hi, lo_closed, hi_closed)
+    return None
 
 
 def build_partition_refined(
@@ -273,7 +214,8 @@ def build_partition_refined(
     point, and the crossing points of all runs become the partition
     endpoints. Runs are followed through the word, the formal extra symbol,
     and the verdict delay; branches that overrun the query gap bound stop
-    contributing, mirroring how replays on concrete points are scored.
+    contributing, mirroring how replays on concrete points are scored. Each
+    run's branch count is held to the endpoint budget.
     """
     if horizon < 1:
         raise ValidationError("horizon must be positive")
@@ -281,11 +223,10 @@ def build_partition_refined(
     wordlist = sorted(set(words), key=lambda w: (len(w), w))
     if not wordlist:
         raise ValidationError("refined construction needs at least one word")
-    rows = _Rows(net)
     pairs: set[HalfLinePair] = set(CORNER_PAIRS)
     for bits0 in _admit_starts(net, starts, len(wordlist), "words"):
         for word in wordlist:
-            _run_symbolic(net, rows, alphabet, bits0, word, pairs)
+            _run_symbolic(net, alphabet, bits0, word, pairs)
     return _finish(net, horizon, pairs, "refined", words=wordlist)
 
 
@@ -304,20 +245,13 @@ def _admit_starts(
     return starts
 
 
-def _run_symbolic(net, rows, alphabet, bits0, word, pairs) -> None:
+def _run_symbolic(net, alphabet, bits0, word, pairs) -> None:
     symbols = [alphabet.index(ch) for ch in word] + [0]
-    stack = [_Branch(_UNIT, tuple(bits0), ZERO, ONE)]
-    while stack:
-        br = stack.pop()
-        if br.fed >= len(symbols):
-            if br.t >= br.horizon_due:
-                continue
-        elif br.t + 1 > br.last_query + net.delta:
-            continue  # query gap exceeded; concrete replays here reject
-        clamp: dict[int, int] = {}
-        if br.bits[net.nxt - 1] == 1 and br.fed < len(symbols):
-            clamp = _clamp(net, symbols[br.fed])
-        _step_symbolic(net, rows, br, clamp, stack, pairs)
+
+    def feed(br: _Branch) -> list[tuple[_Branch, dict[int, int]]]:
+        return [(br, _clamp(net, symbols[br.fed]))]
+
+    _explore(net, _Branch(_UNIT, tuple(bits0), ZERO, ONE), feed, pairs, len(symbols))
 
 
 def _clamp(net: Network, sym: int) -> dict[int, int]:
@@ -336,116 +270,119 @@ def fire_states(net: Network) -> list[tuple[int, ...]]:
     holds every state that some word reaches, and possibly a few more. The
     branch count is held to the endpoint budget.
     """
-    rows = _Rows(net)
-    cut_points: set[HalfLinePair] = set()  # split points are not needed here
-    init = net.initial_configuration()
-    stack = [_Branch(_UNIT, init.binary, init.analog, ZERO)]
     found: set[tuple[int, ...]] = set()
-    branches = 0
-    while stack:
-        br = stack.pop()
-        branches += 1
-        if branches > ENDPOINT_BUDGET:
-            raise ResourceBudgetError(
-                "fire-state search passed %d symbolic branches" % ENDPOINT_BUDGET
-            )
-        if br.t + 1 > br.last_query + net.delta:
-            continue
-        if not br.bits[net.nxt - 1]:
-            _step_symbolic(net, rows, br, {}, stack, cut_points)
-        elif br.bits not in found:
-            found.add(br.bits)
-            for sym in range(len(net.input_units)):
-                fresh = _Branch(_UNIT, br.bits, ZERO, ONE)
-                _step_symbolic(net, rows, fresh, _clamp(net, sym), stack, cut_points)
+
+    def feed(br: _Branch) -> list[tuple[_Branch, dict[int, int]]]:
+        if br.bits in found:
+            return []
+        found.add(br.bits)
+        fresh = _Branch(_UNIT, br.bits, ZERO, ONE)
+        return [(fresh, _clamp(net, sym)) for sym in range(len(net.input_units))]
+
+    init = net.initial_configuration()
+    _explore(net, _Branch(_UNIT, init.binary, init.analog, ZERO), feed, set(), math.inf)
     return sorted(found)
 
 
-def _step_symbolic(net, rows, br: _Branch, clamp, stack, pairs) -> None:
+def _explore(net: Network, root: _Branch, feed, pairs: set[HalfLinePair], length: float) -> None:
+    """Step the branches grown from root depth first until each one ends.
+
+    A branch reads while it has been fed fewer than length symbols: past the
+    query gap bound it ends, since concrete runs raise there, and at a fire
+    instant feed(branch) gives the (branch, clamp) pairs to step on. A branch
+    done reading runs on until the verdict delay of its last symbol is over.
+    Split points go into pairs; more than ENDPOINT_BUDGET branches are refused.
+    """
+    plan = net._plan()
+    analog_w = dict(plan.analog_in)
+    stack = [root]
+    count = 0
+    while stack:
+        br = stack.pop()
+        count += 1
+        if count > ENDPOINT_BUDGET:
+            raise ResourceBudgetError("symbolic run passed %d branches" % ENDPOINT_BUDGET)
+        if br.fed < length:
+            if br.t + 1 > br.last_query + net.delta:
+                continue
+            if br.bits[net.nxt - 1]:
+                for child, clamp in feed(br):
+                    _step_symbolic(net, plan, analog_w, child, clamp, stack, pairs)
+                continue
+        elif br.t >= br.horizon_due:
+            continue
+        _step_symbolic(net, plan, analog_w, br, {}, stack, pairs)
+
+
+def _cut(
+    piece: Interval, line: HalfLinePair, pairs: set[HalfLinePair]
+) -> tuple[Interval | None, Interval | None]:
+    """_split, recording the half-line when it cuts the piece in two."""
+    inside, outside = _split(piece, line)
+    if inside is not None and outside is not None:
+        pairs.add(line)
+    return inside, outside
+
+
+def _step_symbolic(net, plan, analog_w, br: _Branch, clamp, stack, pairs) -> None:
+    """Push the successors of one synchronous step of br, on the network's step plan.
+
+    With br.a = pa/qa and br.b = pb/qb, target j's excitation times L_j is
+    c + d*y with c = n/qa, n = acc_j*qa + a_j*pa (acc_j its binary sum, a_j
+    its analog weight) and d = m/qb, m = a_j*pb. The piece splits on the
+    half-line where a binary unit fires, and on those where the analog unit
+    saturates at 0 (c + d*y <= 0) and at 1 (c + d*y >= L_s).
+    """
     s = net.size
-    forced_zero = set(net.input_units) if not clamp else set()
+    acc = plan.binary_sums(br.bits)
+    pa, qa = br.a.as_integer_ratio()
+    pb, qb = br.b.as_integer_ratio()
     parts: list[tuple[Interval, list[int]]] = [(br.piece, [])]
     for j in range(1, s):
-        if j in clamp:
-            for _, acc in parts:
-                acc.append(clamp[j])
+        if j in net.input_units:
+            for _, bits in parts:
+                bits.append(clamp.get(j, 0))
             continue
-        if j in forced_zero:
-            for _, acc in parts:
-                acc.append(0)
+        w = analog_w.get(j, 0)
+        n, m = acc[j] * qa + w * pa, w * pb
+        if m == 0:
+            for _, bits in parts:
+                bits.append(1 if n >= 0 else 0)
             continue
-        nxt_parts: list[tuple[Interval, list[int]]] = []
-        for piece, acc in parts:
-            a, b = rows.affine(j, br)
-            if b == 0:
-                acc.append(1 if a >= 0 else 0)
-                nxt_parts.append((piece, acc))
-                continue
-            ystar = -a / b
-            if b > 0:
-                on, off, orient = _clip_ge(piece, ystar), _clip_lt(piece, ystar), -1
-            else:
-                on, off, orient = _clip_le(piece, ystar), _clip_gt(piece, ystar), 1
+        fire = HalfLinePair(Fraction(-n * qb, qa * m), -1 if m > 0 else 1)
+        split: list[tuple[Interval, list[int]]] = []
+        for piece, bits in parts:
+            on, off = _cut(piece, fire, pairs)
             if on is not None and off is not None:
-                pairs.add(HalfLinePair(ystar, orient))
-                nxt_parts.append((on, acc + [1]))
-                nxt_parts.append((off, acc + [0]))
-            elif on is not None:
-                acc.append(1)
-                nxt_parts.append((on, acc))
+                split += [(on, bits + [1]), (off, bits + [0])]
             else:
-                acc.append(0)
-                nxt_parts.append((off, acc))
-        parts = nxt_parts
-    for piece, acc in parts:
-        _finish_step(net, rows, br, piece, acc, clamp, stack, pairs)
+                bits.append(1 if on is not None else 0)
+                split.append((piece, bits))
+        parts = split
 
-
-def _finish_step(net, rows, br: _Branch, piece, acc, clamp, stack, pairs) -> None:
-    s = net.size
-    a, b = rows.affine(s, br)
-    if b == 0:
-        sat = ONE if a >= 1 else (a if a > 0 else ZERO)
-        regions = [(piece, sat, ZERO)]
+    w, scale = analog_w[s], plan.analog_scale
+    n, m = acc[s] * qa + w * pa, w * pb
+    t = br.t + 1
+    if clamp:
+        fed, last_query, due = br.fed + 1, t, t + net.output_delay
     else:
-        y0, y1 = -a / b, (1 - a) / b
-        if b > 0:
-            dead = _clip_le(piece, y0)
-            upper = _clip_gt(piece, y0)
-            mid = _clip_lt(upper, y1) if upper is not None else None
-            full = _clip_ge(piece, y1)
-            ordered = [(dead, ZERO, ZERO), (mid, a, b), (full, ONE, ZERO)]
-            cuts = [(y0, 1), (y1, -1)]
+        fed, last_query, due = br.fed, br.last_query, br.horizon_due
+    if m == 0:
+        value = saturation(Fraction(n, qa * scale))
+    else:
+        dead_line = HalfLinePair(Fraction(-n * qb, qa * m), 1 if m > 0 else -1)
+        full_line = HalfLinePair(Fraction((scale * qa - n) * qb, qa * m), -1 if m > 0 else 1)
+        mid_a, mid_b = Fraction(n, qa * scale), Fraction(m, qb * scale)
+    for piece, bits in parts:
+        if m == 0:
+            regions = [(piece, value, ZERO)]
         else:
-            dead = _clip_ge(piece, y0)
-            lower = _clip_lt(piece, y0)
-            mid = _clip_gt(lower, y1) if lower is not None else None
-            full = _clip_le(piece, y1)
-            ordered = [(full, ONE, ZERO), (mid, a, b), (dead, ZERO, ZERO)]
-            cuts = [(y1, 1), (y0, -1)]
-        for k in range(2):
-            if ordered[k][0] is not None and ordered[k + 1][0] is not None:
-                v, orient = cuts[k]
-                pairs.add(HalfLinePair(v, orient))
-        regions = ordered
-    for region, na, nb in regions:
-        if region is None:
-            continue
-        child = _Branch(
-            piece=region,
-            bits=tuple(acc),
-            a=na,
-            b=nb,
-            t=br.t + 1,
-            fed=br.fed,
-            last_query=br.last_query,
-            horizon_due=br.horizon_due,
-        )
-        if clamp:
-            child.fed = br.fed + 1
-            child.last_query = child.t
-            child.horizon_due = child.t + net.output_delay
-        stack.append(child)
+            dead, rest = _cut(piece, dead_line, pairs)
+            full, mid = _cut(rest, full_line, pairs) if rest is not None else (None, None)
+            regions = [(dead, ZERO, ZERO), (mid, mid_a, mid_b), (full, ONE, ZERO)]
+        for region, a, b in regions:
+            if region is not None:
+                stack.append(_Branch(region, tuple(bits), a, b, t, fed, last_query, due))
 
 
 # -- behavior tables over a partition -------------------------------------

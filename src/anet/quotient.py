@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import QueryGapError, ValidationError
-from .network import Network
+from .network import Network, make_network
 from .protocol import Alphabet, RunSession, walk_words
 from .partition import (
     ExtrapolationTable,
@@ -214,18 +214,18 @@ def build_quotient_network(spec: QuotientSpec) -> QuotientBuild:
         any_row - 1,
         report,
     )
-    net = Network(
-        size=analog,
-        input_units=base.input_units,
+    net = make_network(
+        analog,
+        base.input_units,
         nxt=base.nxt,
         out=report,
         delta=base.delta,
+        weights=weights,
         output_delay=OUTPUT_DELAY,
-        weights={(j, i): w for j, i, w in weights if w != 0},
         init_active=base.init_active,
         init_analog=base.init_analog,
         comment=comment,
-    ).require_valid()
+    )
 
     layout = QuotientLayout(
         base_size=s,

@@ -10,11 +10,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import ValidationError
-
-Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 
@@ -157,10 +155,6 @@ class IntervalPartition:
         raise ValidationError("no interval contains %s; partition broken" % (y,))
 
 
-def _dedup_sorted(pairs: Iterable[HalfLinePair]) -> list[HalfLinePair]:
-    return sorted(set(pairs))
-
-
 CORNER_PAIRS = (
     HalfLinePair(ZERO, -1),
     HalfLinePair(ZERO, 1),
@@ -177,7 +171,7 @@ def partition_from_pairs(pairs: Sequence[HalfLinePair]) -> IntervalPartition:
     interval whose openness follows the orientation signs; equal boundary points
     are forced to appear as (a, -1) < (a, +1) and yield the degenerate [a, a].
     """
-    ordered = _dedup_sorted(pairs)
+    ordered = sorted(set(pairs))
     if not ordered:
         raise ValidationError("no boundary pairs given")
     for corner in CORNER_PAIRS:

@@ -25,10 +25,8 @@ from typing import Mapping
 
 from .errors import ValidationError
 from .mealy import MealyMachine
-from .network import Network
+from .network import Network, make_network
 from .protocol import Alphabet
-
-OUTER_ALPHABET = Alphabet.of("01")
 
 INIT, PHASE1, PHASE2, SINK = "init", "zeros", "ones", "sink"
 
@@ -248,13 +246,10 @@ def build_reduction(spec: ReductionSpec) -> ReductionBuild:
     analog = fresh()
 
     one = Fraction(1)
-    weights: dict[tuple[int, int], Fraction] = {}
+    weights: list[tuple[int, int, Fraction]] = []
 
     def w(j: int, i: int, value) -> None:
-        key = (j, i)
-        if key in weights:
-            raise ValidationError("duplicate weight (%d,%d) in glue assembly" % key)
-        weights[key] = Fraction(value)
+        weights.append((j, i, value))
 
     # inner acceptor, analog moved to the top; weights into its former input
     # units are dropped because the queue head drives them now
@@ -365,18 +360,17 @@ def build_reduction(spec: ReductionSpec) -> ReductionBuild:
         "two-letter front end over a %d-unit inner acceptor; words %s; slots %dx%d"
         % (si, ",".join(repr(x) for x in words[:4]), cap, n_planes)
     )
-    net = Network(
-        size=analog,
-        input_units=(in_zero, in_one),
+    net = make_network(
+        analog,
+        (in_zero, in_one),
         nxt=request,
         out=report,
         delta=delta,
-        output_delay=0,
         weights=weights,
-        init_active=tuple(init_active),
+        init_active=init_active,
         init_analog=inner.init_analog,
         comment=comment,
-    ).require_valid()
+    )
 
     layout = ReductionLayout(
         inner_size=si,

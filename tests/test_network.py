@@ -101,6 +101,9 @@ def test_validation_rejects_bad_structure():
         make_network(3, (2,), nxt=1, out=1, delta=0, weights=[])
     with pytest.raises(ValidationError):
         make_network(3, (2,), nxt=1, out=1, delta=1, weights=[(4, 0, Fraction(1))])
+    for first in (Fraction(0), Fraction(1)):  # a zero weight still claims its pair
+        with pytest.raises(ValidationError):
+            make_network(3, (2,), nxt=1, out=1, delta=1, weights=[(3, 0, first), (3, 0, Fraction(1, 2))])
 
 
 # -- reference oracle: every unit's excitation summed directly ---------------

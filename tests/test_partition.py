@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anet.cli import main
 from anet.cutlang import build_cut_acceptor, cut_params
@@ -18,6 +19,7 @@ from anet.partition import (
     probe_verdict,
 )
 from anet.protocol import Alphabet
+from anet.rationals import HalfLinePair, Interval
 from anet.reduction import ReductionSpec, build_reduction
 from conftest import make_skeleton_net
 from test_acceptance import MOD3_TSV
@@ -52,15 +54,33 @@ def test_pivot_solves_threshold_crossing():
     assert pivot(net, 2, (0, 0)) == F(1, 2)
 
 
+def test_pivot_matches_unscaled_weights():
+    rng = random.Random(7)
+    for seed in (11, 22, 33, 44, 55):
+        net = make_skeleton_net(seed)
+        s = net.size
+        for unit in (j for j in range(1, s + 1) if net.weight(j, s) != 0):
+            for _ in range(8):
+                bits = tuple(rng.randint(0, 1) for _ in range(s - 1))
+                acc = net.weight(unit, 0) + sum(net.weight(unit, i) for i in range(1, s) if bits[i - 1])
+                assert pivot(net, unit, bits) == -acc / net.weight(unit, s)
+
+
 @pytest.fixture(scope="module")
 def cut_net():
     return build_cut_acceptor(cut_params(F(27, 8), F(1, 4)))
 
 
-def test_exhaustive_budget_guard(cut_net):
-    # 2^(7*7) candidate bit patterns is far past any sane budget
-    with pytest.raises(ResourceBudgetError):
-        build_partition_exhaustive(cut_net, 7)
+def test_exhaustive_budget_guard(cut_net, tmp_path, capsys):
+    # 2^(7*7) candidate bit patterns is far past any sane budget; 2^(7*10^12)
+    # must be refused without being computed
+    for horizon in (7, 10**12):
+        with pytest.raises(ResourceBudgetError):
+            build_partition_exhaustive(cut_net, horizon)
+    path = tmp_path / "cut.anet"
+    save_network_path(cut_net, str(path))
+    assert main(["partition", str(path), str(10**12), "--method", "exhaustive"]) == 3
+    assert "ResourceBudgetError" in capsys.readouterr().err
 
 
 def test_all_start_states_refused_past_budget(tmp_path, capsys):
@@ -85,6 +105,42 @@ def test_fire_state_search_is_budgeted(cut_net, monkeypatch):
     monkeypatch.setattr(partition, "ENDPOINT_BUDGET", 3)
     with pytest.raises(ResourceBudgetError):
         partition.fire_states(cut_net)
+
+
+def test_refined_run_is_budgeted(cut_net, monkeypatch):
+    start = [cut_net.initial_configuration().binary]
+    build_partition_refined(cut_net, 7, ("0",), starts=start)
+    monkeypatch.setattr(partition, "ENDPOINT_BUDGET", 3)  # admits the one run
+    with pytest.raises(ResourceBudgetError):
+        build_partition_refined(cut_net, 7, ("0",), starts=start)
+
+
+grid = st.integers(-2, 10).map(lambda k: F(k, 8))
+
+
+@st.composite
+def pieces(draw):
+    lo, hi = sorted((draw(grid), draw(grid)))
+    if lo == hi:
+        return Interval(lo, hi, True, True)
+    return Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+@given(pieces(), grid, st.sampled_from((-1, 1)))
+@settings(max_examples=300, deadline=None)
+def test_split_partitions_the_piece(piece, v, orient):
+    line = HalfLinePair(v, orient)
+    inside, outside = partition._split(piece, line)
+    # every boundary sits on the 1/8 grid, so the grid points and the
+    # midpoints between them tell any two of these intervals apart
+    for k in range(-24, 90):
+        y = F(k, 16)
+        in_in = inside is not None and inside.contains(y)
+        in_out = outside is not None and outside.contains(y)
+        assert piece.contains(y) == (in_in or in_out)
+        assert not (in_in and in_out)
+        assert in_in <= line.contains(y)
+        assert in_out <= (not line.contains(y))
 
 
 # endpoints found by the symbolic protocol replay on the probe words 0 and 1;

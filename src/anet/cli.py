@@ -118,18 +118,21 @@ def _cmd_qp(args) -> int:
 
 
 def _cmd_partition(args) -> int:
+    if (args.horizon is None) == (args.method == "exhaustive"):
+        raise UsageError("the exhaustive method needs a horizon, the refined method takes none")
     net = load_network_path(args.net)
     if args.method == "exhaustive":
         result = build_partition_exhaustive(net, args.horizon)
+        covers = "horizon: %d" % result.horizon
     else:
         alpha = _alphabet_for(net, args.alphabet)
         if args.words:
             words = tuple(_read_word(w) for w in args.words.split(","))
         else:
             words = tuple(alpha.symbols)
-        result = build_partition_refined(net, args.horizon, words, alpha)
-    print("method: %s" % result.method)
-    print("horizon: %d" % result.horizon)
+        result = build_partition_refined(net, words, alpha)
+        covers = "words: " + ",".join(map(_show_word, result.words))
+    print("method: %s\n%s" % (result.method, covers))
     print("intervals: %d" % result.interval_count)
     if result.bound is not None:
         print("endpoint bound: %d" % result.bound)
@@ -248,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("partition", _cmd_partition, "build an analog-state interval partition")
     p.add_argument("net")
-    p.add_argument("horizon", type=int)
+    p.add_argument("horizon", type=int, nargs="?", help="steps covered; exhaustive method only")
     p.add_argument("--method", choices=("exhaustive", "refined"), default="refined")
     p.add_argument("--words", help="comma separated probe words for the refined method")
     p.add_argument("--alphabet")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .errors import ValidationError
+from .errors import ResourceBudgetError, ValidationError
 from .network import Network, make_network
 from .rationals import ONE, ZERO, format_rational, rational
 
@@ -163,6 +163,10 @@ UNKNOWN = "unknown"
 
 _DIGIT_SET = (0, 1)
 
+# the growth orbit keeps every remainder, and the k-th one has O(k) bits, so
+# memory grows quadratically in the depth
+QP_DEPTH_LIMIT = 10_000
+
 
 @dataclass(frozen=True)
 class QpOutcome:
@@ -245,6 +249,8 @@ def qp_explore(params: CutParams, depth: int = 64) -> QpOutcome:
     """
     if depth < 1:
         raise ValidationError("depth must be positive")
+    if depth > QP_DEPTH_LIMIT:
+        raise ResourceBudgetError("depth %d exceeds the limit of %d" % (depth, QP_DEPTH_LIMIT))
     prime = _growth_prime(params)
     if prime is not None:
         orbit = _verified_growth_orbit(params, prime, depth)

@@ -11,6 +11,11 @@ over all binary state sequences up to the horizon and is exponential in the
 network size; the refined one simulates the online protocol symbolically for
 a given word set and only splits where a run actually compares the analog
 value against a threshold.
+
+Each result records what it covers, and extrapolation tables admit only
+covered words: a refined result covers exactly the words it replayed, from
+its starts, in its alphabet; an exhaustive one covers every start and every
+word with delta * (len(word) + 1) + output_delay <= horizon.
 """
 
 from __future__ import annotations
@@ -64,12 +69,16 @@ def pivot(net: Network, unit: int, bits: Sequence[int]) -> Fraction:
 
 @dataclass(frozen=True)
 class PartitionResult:
+    """A partition and what it covers, as the module docstring says."""
+
     method: str
-    horizon: int
     partition: IntervalPartition
     pairs: tuple[HalfLinePair, ...]
-    bound: int | None
-    detail: str
+    horizon: int | None = None  # exhaustive only, as is bound
+    bound: int | None = None
+    words: tuple[str, ...] | None = None  # refined only: the replayed words
+    starts: tuple[tuple[int, ...], ...] | None = None  # None: every binary state
+    alphabet: Alphabet | None = None  # None: the network's default
 
     @property
     def interval_count(self) -> int:
@@ -112,7 +121,7 @@ def build_partition_exhaustive(
         for j in fed_binary:
             orient = -_sgn(net.weight(j, s))
             pairs.update(HalfLinePair(_clip(v), orient) for v in pivot_set(j))
-        return _finish(net, horizon, pairs, "exhaustive")
+        return _finish(pairs, "exhaustive", horizon=horizon, bound=endpoint_bound(s, horizon))
 
     analog_pivots = pivot_set(s)
     # level holds endpoint values for the current propagation depth tau
@@ -133,7 +142,7 @@ def build_partition_exhaustive(
             pairs.add(HalfLinePair(_clip(offset + v), -orient))
         if tau + 1 < horizon:
             level = {a + v / w_self for a in analog_pivots for v in level}
-    return _finish(net, horizon, pairs, "exhaustive")
+    return _finish(pairs, "exhaustive", horizon=horizon, bound=endpoint_bound(s, horizon))
 
 
 def _clip(v: Fraction) -> Fraction:
@@ -144,19 +153,8 @@ def _clip(v: Fraction) -> Fraction:
     return v
 
 
-def _finish(net, horizon, pairs, method, words=None) -> PartitionResult:
-    part = partition_from_pairs(pairs)
-    detail = "%s construction, horizon %d" % (method, horizon)
-    if words is not None:
-        detail += ", words " + ",".join(repr(w) for w in words)
-    return PartitionResult(
-        method=method,
-        horizon=horizon,
-        partition=part,
-        pairs=tuple(sorted(pairs)),
-        bound=endpoint_bound(net.size, horizon) if method == "exhaustive" else None,
-        detail=detail,
-    )
+def _finish(pairs: set[HalfLinePair], method: str, **cover) -> PartitionResult:
+    return PartitionResult(method, partition_from_pairs(pairs), tuple(sorted(pairs)), **cover)
 
 
 # -- refined construction -------------------------------------------------
@@ -199,7 +197,6 @@ def _interval(lo: Fraction, lo_closed: bool, hi: Fraction, hi_closed: bool) -> I
 
 def build_partition_refined(
     net: Network,
-    horizon: int,
     words: Iterable[str],
     alphabet: Alphabet | None = None,
     *,
@@ -215,19 +212,19 @@ def build_partition_refined(
     endpoints. Runs are followed through the word, the formal extra symbol,
     and the verdict delay; branches that overrun the query gap bound stop
     contributing, mirroring how replays on concrete points are scored. Each
-    run's branch count is held to the endpoint budget.
+    run's branch count is held to the endpoint budget. The result covers
+    exactly these words from these starts.
     """
-    if horizon < 1:
-        raise ValidationError("horizon must be positive")
     alphabet = alphabet or Alphabet.default_for(net)
-    wordlist = sorted(set(words), key=lambda w: (len(w), w))
+    wordlist = tuple(sorted(set(words), key=lambda w: (len(w), w)))
     if not wordlist:
         raise ValidationError("refined construction needs at least one word")
+    starts = None if starts is None else tuple(map(tuple, starts))
     pairs: set[HalfLinePair] = set(CORNER_PAIRS)
     for bits0 in _admit_starts(net, starts, len(wordlist), "words"):
         for word in wordlist:
             _run_symbolic(net, alphabet, bits0, word, pairs)
-    return _finish(net, horizon, pairs, "refined", words=wordlist)
+    return _finish(pairs, "refined", words=wordlist, starts=starts, alphabet=alphabet)
 
 
 def _admit_starts(
@@ -400,33 +397,30 @@ class ExtrapolationTable:
         return self.rows[(bits, self.partition.index_of(analog))]
 
 
-def extrapolation_table(
-    net: Network,
-    result: PartitionResult,
-    word: str,
-    alphabet: Alphabet | None = None,
-    *,
-    starts: Sequence[tuple[int, ...]] | None = None,
-) -> ExtrapolationTable:
-    """Tabulate the word's verdict from every start binary state and interval.
+def extrapolation_table(net: Network, result: PartitionResult, word: str) -> ExtrapolationTable:
+    """Tabulate the word's verdict from every covered start and every interval.
 
-    starts None means every binary state. Each row replays the online run
-    from a concrete start whose analog value is the interval's representative
-    point. Runs that violate the query gap bound count as rejecting; the
-    partition construction keeps that uniform within an interval.
+    The result must cover the word, or ValidationError is raised: a refined
+    result covers exactly the words it replayed, an exhaustive one every word
+    with delta * (len(word) + 1) + output_delay <= horizon. Rows run over
+    result.starts and read the word in result.alphabet; each replays the
+    online run from the interval's representative point. Runs that violate
+    the query gap bound count as rejecting; the partition construction keeps
+    that uniform within an interval.
     """
-    alphabet = alphabet or Alphabet.default_for(net)
-    if net.delta * (len(word) + 1) > result.horizon:
+    if result.words is not None and word not in result.words:
+        raise ValidationError("word %r is not among the replayed words %r" % (word, result.words))
+    need = net.delta * (len(word) + 1) + net.output_delay
+    if result.words is None and need > result.horizon:
         raise ValidationError(
-            "word %r needs horizon %d, partition was built for horizon %d"
-            % (word, net.delta * (len(word) + 1), result.horizon)
+            "word %r needs horizon %d, partition was built for horizon %d" % (word, need, result.horizon)
         )
     part = result.partition
     reps = [iv.representative() for iv in part.intervals]
     rows: dict[tuple[tuple[int, ...], int], bool] = {}
-    for bits in _admit_starts(net, starts, len(reps), "intervals"):
+    for bits in _admit_starts(net, result.starts, len(reps), "intervals"):
         for idx, rep in enumerate(reps):
-            rows[(bits, idx)] = probe_verdict(net, Configuration(bits, rep), word, alphabet)
+            rows[(bits, idx)] = probe_verdict(net, Configuration(bits, rep), word, result.alphabet)
     return ExtrapolationTable(word=word, partition=part, rows=rows)
 
 

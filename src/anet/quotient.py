@@ -143,16 +143,12 @@ def build_quotient_network(spec: QuotientSpec) -> QuotientBuild:
     state after exactly the consumed prefix.
     """
     base = spec.base.require_valid()
-    alphabet = spec.alphabet or Alphabet.default_for(base)
-    first_word = spec.first
     second_word = spec.second + spec.first
-    horizon = base.delta * (len(second_word) + 1)
-    starts = fire_states(base)
     part = build_partition_refined(
-        base, horizon, [first_word, second_word], alphabet, starts=starts
+        base, [spec.first, second_word], spec.alphabet, starts=fire_states(base)
     )
-    t_first = extrapolation_table(base, part, first_word, alphabet, starts=starts)
-    t_second = extrapolation_table(base, part, second_word, alphabet, starts=starts)
+    t_first = extrapolation_table(base, part, spec.first)
+    t_second = extrapolation_table(base, part, second_word)
     truth = {
         key: combine_verdicts(spec.mode, first, t_second.rows[key])
         for key, first in t_first.rows.items()

@@ -41,7 +41,7 @@ def main() -> int:
     print("run 200: %d rows, %d non-canonical, sha256 %s" % (len(trace.rows), bad, digest(text)))
     words = sorted(anet.enumerate_language(net, 10), key=lambda w: (len(w), w))
     print("enum 10: %d words, sha256 %s" % (len(words), digest("\n".join(words))))
-    part = anet.build_partition_refined(net, 7, ("0", "1"))
+    part = anet.build_partition_refined(net, ("0", "1"))
     intervals = "\n".join(str(iv) for iv in part.partition.intervals)
     print("refined 7: %d intervals, sha256 %s" % (part.interval_count, digest(intervals)))
     parity, _ = anet.compile_mealy(anet.machine_from_tsv(PARITY_TSV))

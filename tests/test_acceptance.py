@@ -199,7 +199,7 @@ def _invariance_sweep(net, intervals, words, rng):
 def test_criterion_5_partition_invariance():
     with criterion(5, "interval partitions are trajectory invariant", 300.0):
         cut_net = build_cut_acceptor(cut_params(F(27, 8), F(1, 4)))
-        res = build_partition_refined(cut_net, 7, ("0", "1"))
+        res = build_partition_refined(cut_net, ("0", "1"))
         assert [str(iv) for iv in res.partition.intervals] == CUT_INTERVALS
         _invariance_sweep(
             cut_net,
@@ -212,7 +212,7 @@ def test_criterion_5_partition_invariance():
             net = make_skeleton_net(seed)
             horizon = max(2, 16 // (net.size - 1))
             word = "0" * (horizon - 1)
-            ref = build_partition_refined(net, horizon, (word,))
+            ref = build_partition_refined(net, (word,))
             rng = random.Random(seed * 17)
             _invariance_sweep(
                 net,

@@ -106,10 +106,10 @@ def test_enum_lists_short_words(tmp_path, capsys):
 
 def test_partition_refined_reports_intervals(cut_path, capsys):
     capsys.readouterr()
-    rc = main(["partition", cut_path, "7", "--words", "0,1"])
+    rc = main(["partition", cut_path, "--words", "0,1"])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
-    assert "method: refined" in lines
+    assert lines[:3] == ["method: refined", "words: 0,1", "intervals: 8"]
     assert "intervals: 8" in lines
     assert lines[-8:] == [
         "[0,0]",
@@ -259,6 +259,22 @@ def test_negative_length_exits_one(cut_path, cmd, capsys):
     assert main([cmd, *nets, "-3"]) == 1
     captured = capsys.readouterr()
     assert "UsageError" in captured.err
+    assert captured.out == ""
+
+
+def test_qp_depth_past_the_limit_exits_three(capsys):
+    assert main(["qp", "27/8", "1/4", "--depth", "10001"]) == 3
+    captured = capsys.readouterr()
+    assert "ResourceBudgetError" in captured.err
+    assert captured.out == ""
+
+
+def test_partition_horizon_goes_with_the_exhaustive_method(cut_path, capsys):
+    capsys.readouterr()
+    assert main(["partition", cut_path, "7"]) == 1
+    assert main(["partition", cut_path, "--method", "exhaustive"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("UsageError") == 2
     assert captured.out == ""
 
 

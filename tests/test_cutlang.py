@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from anet import cutlang
 from anet.cutlang import (
     NO_EXPANSION,
     NOT_QP_WITNESS,
@@ -18,7 +19,7 @@ from anet.cutlang import (
     rational_cbrt,
     reversal_member,
 )
-from anet.errors import ValidationError
+from anet.errors import ResourceBudgetError, ValidationError
 
 
 def test_cut_params_validation():
@@ -187,6 +188,19 @@ def test_orbit_step_and_digit_window():
     assert digit_valid(params, F(1, 2))
     assert not digit_valid(params, F(2, 3))  # above 1/(base-1)
     assert not digit_valid(params, F(-1, 8))
+
+
+def test_qp_depth_past_the_limit_is_refused(monkeypatch):
+    params = cut_params(F(27, 8), F(1, 4))
+    assert cutlang.QP_DEPTH_LIMIT == 10_000
+    # stored remainders grow by about 3 bits a step, so 10^12 would never
+    # finish; the refusal comes before any of it
+    with pytest.raises(ResourceBudgetError):
+        qp_explore(params, depth=10**12)
+    monkeypatch.setattr(cutlang, "QP_DEPTH_LIMIT", 5)
+    assert qp_explore(params, depth=5).explored_depth == 5
+    with pytest.raises(ResourceBudgetError):
+        qp_explore(params, depth=6)
 
 
 def test_qp_witness_for_base_27_8():

@@ -1,8 +1,9 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from anet.cli import main
 from anet.cutlang import build_cut_acceptor, cut_params
@@ -83,20 +84,24 @@ def test_exhaustive_budget_guard(cut_net, tmp_path, capsys):
     assert "ResourceBudgetError" in capsys.readouterr().err
 
 
-def test_all_start_states_refused_past_budget(tmp_path, capsys):
+def test_all_start_states_refused_past_budget(tmp_path, capsys, monkeypatch):
     inner, _ = compile_mealy(machine_from_tsv(MOD3_TSV))
     words = ("aaaa", "aaaa", "bbbb", "bbbb", "bbbb")
     net = build_reduction(ReductionSpec(inner, words, Alphabet.of("ab"))).network
     assert net.size == 113
     with pytest.raises(ResourceBudgetError):
-        build_partition_refined(net, 7, ("0", "1"))
+        build_partition_refined(net, ("0", "1"))
     start = net.initial_configuration().binary
-    part = build_partition_refined(net, 2 * net.delta, ("0",), starts=[start])
+    part = build_partition_refined(net, ("0",), starts=[start])
+    # one start times one word fits this budget, one start times the intervals does not
+    assert part.interval_count > 2
+    monkeypatch.setattr(partition, "ENDPOINT_BUDGET", part.interval_count - 1)
     with pytest.raises(ResourceBudgetError):
         extrapolation_table(net, part, "0")
+    monkeypatch.undo()
     path = tmp_path / "red.anet"
     save_network_path(net, str(path))
-    assert main(["partition", str(path), "7"]) == 3
+    assert main(["partition", str(path)]) == 3
     assert "ResourceBudgetError" in capsys.readouterr().err
 
 
@@ -109,10 +114,10 @@ def test_fire_state_search_is_budgeted(cut_net, monkeypatch):
 
 def test_refined_run_is_budgeted(cut_net, monkeypatch):
     start = [cut_net.initial_configuration().binary]
-    build_partition_refined(cut_net, 7, ("0",), starts=start)
+    build_partition_refined(cut_net, ("0",), starts=start)
     monkeypatch.setattr(partition, "ENDPOINT_BUDGET", 3)  # admits the one run
     with pytest.raises(ResourceBudgetError):
-        build_partition_refined(cut_net, 7, ("0",), starts=start)
+        build_partition_refined(cut_net, ("0",), starts=start)
 
 
 grid = st.integers(-2, 10).map(lambda k: F(k, 8))
@@ -158,7 +163,7 @@ CUT_REFINED_ENDPOINTS = [
 
 
 def test_refined_partition_of_cut_net_frozen(cut_net):
-    res = build_partition_refined(cut_net, 7, ("0", "1"))
+    res = build_partition_refined(cut_net, ("0", "1"))
     assert [str(iv) for iv in res.partition.intervals] == CUT_REFINED_ENDPOINTS
 
 
@@ -172,7 +177,7 @@ def _interval_samples(iv, rng, k):
 
 
 def test_trajectory_invariance_cut_net(cut_net):
-    res = build_partition_refined(cut_net, 7, ("0", "1"))
+    res = build_partition_refined(cut_net, ("0", "1"))
     rng = random.Random(41)
     for iv in res.partition.intervals:
         for _ in range(8):
@@ -192,7 +197,7 @@ def test_exhaustive_and_refined_tables_agree_on_skeletons():
         exh = build_partition_exhaustive(net, horizon)
         assert exh.interval_count <= exh.bound + 1
         word = "0" * (horizon - 1)
-        ref = build_partition_refined(net, horizon, (word,))
+        ref = build_partition_refined(net, (word,))
         t_e = extrapolation_table(net, exh, word)
         t_r = extrapolation_table(net, ref, word)
         rng = random.Random(seed)
@@ -203,9 +208,92 @@ def test_exhaustive_and_refined_tables_agree_on_skeletons():
 
 
 def test_extrapolation_requires_covering_horizon(cut_net):
-    res = build_partition_refined(cut_net, 7, ("0",))
+    res = build_partition_refined(cut_net, ("0",))
     with pytest.raises(ValidationError):
-        extrapolation_table(cut_net, res, "000")  # needs horizon 12 > 7
+        extrapolation_table(cut_net, res, "000")  # never replayed
+    net = make_skeleton_net(11)
+    exh = build_partition_exhaustive(net, 2)
+    extrapolation_table(net, exh, "0")
+    with pytest.raises(ValidationError):
+        extrapolation_table(net, exh, "00")  # needs horizon 3 > 2
+
+
+def _meet(a, b):
+    lo, lo_open = max((a.lo, not a.lo_closed), (b.lo, not b.lo_closed))
+    hi, hi_closed = min((a.hi, a.hi_closed), (b.hi, b.hi_closed))
+    return partition._interval(lo, not lo_open, hi, hi_closed)
+
+
+def _assert_rows_constant(net, res, table, rng):
+    # besides random points and closed ends, probe one point in every piece
+    # the word's own refined partition cuts the interval into
+    fine = build_partition_refined(net, (table.word,)).partition.intervals
+    points = []
+    for iv in res.partition.intervals:
+        pts = _interval_samples(iv, rng, 1) + [iv.lo] * iv.lo_closed + [iv.hi] * iv.hi_closed
+        points.append(pts + [m.representative() for f in fine if (m := _meet(iv, f))])
+    for (bits, idx), verdict in table.rows.items():
+        for y in points[idx]:
+            assert probe_verdict(net, Configuration(bits, y), table.word) == verdict, (bits, idx, y)
+
+
+def test_refined_table_covers_only_replayed_words():
+    # seed 20's partition replayed on 0 alone used to admit the table for 00,
+    # whose row (1,0,0,1,1) on (0,31/147) disagreed with the probe at 9951/49000
+    net = make_skeleton_net(20)
+    res = build_partition_refined(net, ("0",))
+    assert res.words == ("0",) and res.starts is None
+    with pytest.raises(ValidationError):
+        extrapolation_table(net, res, "00")
+    _assert_rows_constant(net, res, extrapolation_table(net, res, "0"), random.Random(20))
+
+
+def test_exhaustive_coverage_counts_the_output_delay():
+    # with delay 1, horizon 2 used to admit 0, and its row (1,0,0,0,1) on
+    # (0,8/21] was not constant
+    net = dataclasses.replace(make_skeleton_net(20), output_delay=1)
+    with pytest.raises(ValidationError):
+        extrapolation_table(net, build_partition_exhaustive(net, 2), "0")
+    res = build_partition_exhaustive(net, 3)
+    _assert_rows_constant(net, res, extrapolation_table(net, res, "0"), random.Random(3))
+
+
+def test_long_replayed_word_is_admitted(cut_net):
+    word = "01" * 8
+    res = build_partition_refined(cut_net, (word,))
+    table = extrapolation_table(cut_net, res, word)
+    assert len(table.rows) == 2 ** (cut_net.size - 1) * res.interval_count
+
+
+@given(
+    seed=st.integers(0, 299),
+    delay=st.integers(0, 2),
+    lengths=st.sets(st.integers(0, 3), min_size=1, max_size=2),
+    horizon=st.integers(1, 3),
+)
+@example(seed=20, delay=0, lengths={1, 2}, horizon=1)  # the refined counterexample
+@example(seed=20, delay=1, lengths={1}, horizon=2)  # the exhaustive one, now refused
+@settings(max_examples=40, deadline=None)
+def test_admitted_table_rows_are_constant(seed, delay, lengths, horizon):
+    net = dataclasses.replace(make_skeleton_net(seed), output_delay=delay)
+    rng = random.Random(seed)
+    words = ["0" * k for k in sorted(lengths)]
+    results = [build_partition_refined(net, words[:1])]
+    try:  # a small budget keeps the tables, and the test, short
+        results.append(build_partition_exhaustive(net, horizon, budget=2**10))
+    except ResourceBudgetError:
+        pass
+    for res in results:
+        for word in words:
+            if res.words is not None:
+                covered = word in res.words
+            else:
+                covered = net.delta * (len(word) + 1) + delay <= horizon
+            if not covered:
+                with pytest.raises(ValidationError):
+                    extrapolation_table(net, res, word)
+                continue
+            _assert_rows_constant(net, res, extrapolation_table(net, res, word), rng)
 
 
 def test_probe_verdict_scores_gap_violations_false():
@@ -223,6 +311,6 @@ def test_probe_verdict_scores_gap_violations_false():
 
 
 def test_refined_partition_respects_word_order_independence(cut_net):
-    a = build_partition_refined(cut_net, 7, ("0", "1"))
-    b = build_partition_refined(cut_net, 7, ("1", "0"))
+    a = build_partition_refined(cut_net, ("0", "1"))
+    b = build_partition_refined(cut_net, ("1", "0"))
     assert a.partition == b.partition

@@ -2,12 +2,14 @@
 
 Every construction and check is a subcommand; all output is deterministic and
 every number is printed in canonical rational text. Exit codes: 0 success,
-1 usage, 2 validation, 3 resource budget, 4 query gap violation.
+1 usage or I/O error (a closed stdout included, with nothing on stderr),
+2 validation, 3 resource budget, 4 query gap violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .cutlang import (
@@ -120,6 +122,8 @@ def _cmd_qp(args) -> int:
 def _cmd_partition(args) -> int:
     if (args.horizon is None) == (args.method == "exhaustive"):
         raise UsageError("the exhaustive method needs a horizon, the refined method takes none")
+    if args.method == "exhaustive" and (args.words is not None or args.alphabet is not None):
+        raise UsageError("--words and --alphabet go with the refined method only")
     net = load_network_path(args.net)
     if args.method == "exhaustive":
         result = build_partition_exhaustive(net, args.horizon)
@@ -148,7 +152,7 @@ def _cmd_quotient(args) -> int:
         first=_read_word(args.first),
         second=_read_word(args.second),
         mode=args.mode.replace("-", "_"),
-        alphabet=Alphabet.of(args.alphabet) if args.alphabet else None,
+        alphabet=_alphabet_for(base, args.alphabet),
     )
     build = build_quotient_network(spec)
     save_network_path(build.network, args.out)
@@ -294,7 +298,13 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here at the latest
+        return code
+    except BrokenPipeError:
+        # the reader is gone; the output still buffered goes nowhere at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except AnetError as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return exc.exit_code

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import QueryGapError, ResourceBudgetError, ValidationError
 from .network import Configuration, Network, saturation
-from .protocol import Alphabet, RunSession
+from .protocol import Alphabet, RunSession, resolve_alphabet
 from .rationals import (
     CORNER_PAIRS,
     ONE,
@@ -168,10 +168,9 @@ class _Branch:
     bits: tuple[int, ...]
     a: Fraction
     b: Fraction
-    t: int = 0
     fed: int = 0
-    last_query: int = 0
-    horizon_due: int = 0  # last instant whose state still matters
+    since: int = 0  # steps since the last query instant, or since the start
+    left: int = 0  # steps until the last fed symbol's verdict is read
 
 
 _UNIT = Interval(ZERO, ONE, True, True)
@@ -215,7 +214,7 @@ def build_partition_refined(
     run's branch count is held to the endpoint budget. The result covers
     exactly these words from these starts.
     """
-    alphabet = alphabet or Alphabet.default_for(net)
+    alphabet = resolve_alphabet(net, alphabet)
     wordlist = tuple(sorted(set(words), key=lambda w: (len(w), w)))
     if not wordlist:
         raise ValidationError("refined construction needs at least one word")
@@ -300,13 +299,13 @@ def _explore(net: Network, root: _Branch, feed, pairs: set[HalfLinePair], length
         if count > ENDPOINT_BUDGET:
             raise ResourceBudgetError("symbolic run passed %d branches" % ENDPOINT_BUDGET)
         if br.fed < length:
-            if br.t + 1 > br.last_query + net.delta:
+            if br.since >= net.delta:
                 continue
             if br.bits[net.nxt - 1]:
                 for child, clamp in feed(br):
                     _step_symbolic(net, plan, analog_w, child, clamp, stack, pairs)
                 continue
-        elif br.t >= br.horizon_due:
+        elif br.left <= 0:
             continue
         _step_symbolic(net, plan, analog_w, br, {}, stack, pairs)
 
@@ -359,11 +358,10 @@ def _step_symbolic(net, plan, analog_w, br: _Branch, clamp, stack, pairs) -> Non
 
     w, scale = analog_w[s], plan.analog_scale
     n, m = acc[s] * qa + w * pa, w * pb
-    t = br.t + 1
     if clamp:
-        fed, last_query, due = br.fed + 1, t, t + net.output_delay
+        clock = (br.fed + 1, 0, net.output_delay)
     else:
-        fed, last_query, due = br.fed, br.last_query, br.horizon_due
+        clock = (br.fed, br.since + 1, br.left - 1)
     if m == 0:
         value = saturation(Fraction(n, qa * scale))
     else:
@@ -379,7 +377,7 @@ def _step_symbolic(net, plan, analog_w, br: _Branch, clamp, stack, pairs) -> Non
             regions = [(dead, ZERO, ZERO), (mid, mid_a, mid_b), (full, ONE, ZERO)]
         for region, a, b in regions:
             if region is not None:
-                stack.append(_Branch(region, tuple(bits), a, b, t, fed, last_query, due))
+                stack.append(_Branch(region, tuple(bits), a, b, *clock))
 
 
 # -- behavior tables over a partition -------------------------------------

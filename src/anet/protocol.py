@@ -14,11 +14,13 @@ compare_languages, accepts and run_online pass the error on (the CLI exits
 with code 4); the brute-force quotient oracle and partition.probe_verdict
 count it as a rejection.
 
-Feeds and drains are memoized per network: the steps taken, the final
-configuration and the verdicts settled depend only on the input unit (none
-for a drain), the configuration, the steps since the last query and the
-pending verdict offsets. The memo holds at most FEED_MEMO_LIMIT entries and
-is cleared when full; trace-mode sessions always step.
+A session keeps the protocol clock relative to now, so its state is its own
+memo key: the final state and the verdicts settled by a feed or a drain
+depend only on the input unit (none for a drain), the configuration, the
+steps since the last query and the steps until each pending verdict. Feeds
+and drains are memoized per network on that key. The memo holds at most
+FEED_MEMO_LIMIT entries and is cleared when full; trace-mode sessions always
+step.
 """
 
 from __future__ import annotations
@@ -78,21 +80,29 @@ class Alphabet:
                 yield prefix + s
 
 
-class RunSession:
-    """Mutable protocol run, cloneable so enumeration can share prefixes."""
+def resolve_alphabet(net: Network, alphabet: Alphabet | None = None) -> Alphabet:
+    """The alphabet a run of net reads: the default when None, else one of matching size."""
+    if alphabet is None:
+        return Alphabet.default_for(net)
+    if len(alphabet.symbols) != len(net.input_units):
+        raise ValidationError(
+            "alphabet size %d does not match %d input units"
+            % (len(alphabet.symbols), len(net.input_units))
+        )
+    return alphabet
 
-    __slots__ = (
-        "net",
-        "alphabet",
-        "cfg",
-        "t",
-        "query_times",
-        "symbols",
-        "_due",
-        "verdicts",
-        "rows",
-        "_trace",
-    )
+
+class RunSession:
+    """Mutable protocol run, cloneable so enumeration can share prefixes.
+
+    The protocol state is kept relative to now: since counts the steps since
+    the last query instant (or since the start), pending the steps until
+    each scheduled verdict is read, oldest first. verdicts[k] is the verdict
+    for the prefix of length k. Trace mode also records every configuration
+    (rows[t] is the one at time t) and the query instants.
+    """
+
+    __slots__ = ("net", "alphabet", "cfg", "since", "pending", "verdicts", "rows", "queries")
 
     def __init__(
         self,
@@ -101,109 +111,77 @@ class RunSession:
         start: Configuration | None = None,
         trace: bool = False,
     ):
-        if alphabet is None:
-            alphabet = Alphabet.default_for(net)
-        if len(alphabet.symbols) != len(net.input_units):
-            raise ValidationError(
-                "alphabet size %d does not match %d input units"
-                % (len(alphabet.symbols), len(net.input_units))
-            )
         self.net = net
-        self.alphabet = alphabet
+        self.alphabet = resolve_alphabet(net, alphabet)
         self.cfg = start if start is not None else net.initial_configuration()
-        self.t = 0
-        self.query_times: list[int] = []
-        self.symbols: list[str] = []
-        self._due: list[tuple[int, int]] = []
-        self.verdicts: dict[int, bool] = {}
-        self._trace = trace
-        self.rows: list[tuple[int, Configuration]] = [(0, self.cfg)] if trace else []
+        self.since = 0
+        self.pending: tuple[int, ...] = ()
+        self.verdicts: list[bool] = []
+        self.rows: list[Configuration] | None = [self.cfg] if trace else None
+        self.queries: list[int] | None = [] if trace else None
 
     def clone(self) -> "RunSession":
         other = RunSession.__new__(RunSession)
         other.net = self.net
         other.alphabet = self.alphabet
         other.cfg = self.cfg
-        other.t = self.t
-        other.query_times = list(self.query_times)
-        other.symbols = list(self.symbols)
-        other._due = list(self._due)
-        other.verdicts = dict(self.verdicts)
-        other._trace = self._trace
-        other.rows = list(self.rows)
+        other.since = self.since
+        other.pending = self.pending
+        other.verdicts = list(self.verdicts)
+        other.rows = None if self.rows is None else list(self.rows)
+        other.queries = None if self.queries is None else list(self.queries)
         return other
-
-    def _advance(self, inputs_next) -> None:
-        self.cfg = self.net.step(self.cfg, inputs_next)
-        self.t += 1
-        if self._trace:
-            self.rows.append((self.t, self.cfg))
-        if self._due and self._due[0][0] == self.t:
-            _, k = self._due.pop(0)
-            self.verdicts[k] = bool(self.cfg.binary[self.net.out - 1])
 
     def feed(self, symbol: str) -> None:
         """Advance to the next query instant and clamp the symbol there."""
-        self._segment(self.net.input_units[self.alphabet.index(symbol)], symbol)
+        self._segment(self.net.input_units[self.alphabet.index(symbol)])
 
     def drain(self) -> None:
         """Run past the last query far enough to settle every scheduled verdict."""
-        if self._due:
-            self._segment(None, None)
+        if self.pending:
+            self._segment(None)
 
-    def _segment(self, unit: int | None, symbol: str | None) -> None:
+    def _segment(self, unit: int | None) -> None:
         """One feed, or the drain when unit is None, replayed from the memo if it is there."""
-        if self._trace:
-            self._steps(unit, symbol)
+        if self.rows is not None:
+            self._steps(unit)
             return
-        t0, n0 = self.t, len(self.symbols)
-        last = self.query_times[-1] if self.query_times else 0
-        due = tuple((d - t0, k - n0) for d, k in self._due)
         # the analog value enters as its integers, which hash and compare in C
-        key = (unit, self.cfg.binary, self.cfg.analog.as_integer_ratio(), last - t0, due)
+        key = (unit, self.cfg.binary, self.cfg.analog.as_integer_ratio(), self.since, self.pending)
         memo = self.net.__dict__.setdefault("_feed_memo", {})  # cached like the step plan
         hit = memo.get(key)
         if hit is None:
-            pending = [k for _, k in self._due] + [n0]
-            self._steps(unit, symbol)  # no entry when this raises
+            settled = len(self.verdicts)
+            self._steps(unit)  # no entry when this raises
             if len(memo) >= FEED_MEMO_LIMIT:
                 memo.clear()
-            settled = tuple((k - n0, self.verdicts[k]) for k in pending if k in self.verdicts)
-            memo[key] = (self.t - t0, self.cfg, settled, tuple((d - t0, k - n0) for d, k in self._due))
+            memo[key] = (self.cfg, self.since, self.pending, tuple(self.verdicts[settled:]))
             return
-        steps, self.cfg, settled, due_after = hit
-        self.t = t0 + steps
-        if symbol is not None:
-            self.query_times.append(self.t)
-            self.symbols.append(symbol)
-        for k, verdict in settled:
-            self.verdicts[n0 + k] = verdict
-        self._due = [(t0 + d, n0 + k) for d, k in due_after]
+        self.cfg, self.since, self.pending, settled = hit
+        self.verdicts.extend(settled)
 
-    def _steps(self, unit: int | None, symbol: str | None) -> None:
-        if unit is None:
-            while self._due:
-                self._advance(None)
-            return
-        deadline = (self.query_times[-1] if self.query_times else 0) + self.net.delta
-        while True:
-            fires = self.cfg.binary[self.net.nxt - 1] == 1
-            if self.t + 1 > deadline:
-                raise QueryGapError(
-                    "no query by t=%d (previous query at t=%d, bound %d)"
-                    % (deadline, deadline - self.net.delta, self.net.delta)
-                )
-            self._advance({unit: 1} if fires else None)
-            if fires:
-                tau = self.t
-                self.query_times.append(tau)
-                self.symbols.append(symbol)
-                k = len(self.symbols) - 1  # verdict for the prefix before this symbol
-                self._due.append((tau + self.net.output_delay, k))
-                if self.net.output_delay == 0:
-                    # due entry for tau itself was appended after the step; settle now
-                    self._due.pop()
-                    self.verdicts[k] = bool(self.cfg.binary[self.net.out - 1])
+    def _steps(self, unit: int | None) -> None:
+        """Step to the next query instant, or until no verdict is pending when unit is None."""
+        net = self.net
+        while unit is not None or self.pending:
+            query = False
+            if unit is not None:
+                if self.since >= net.delta:
+                    raise QueryGapError("no query within %d steps of the previous one" % net.delta)
+                query = self.cfg.binary[net.nxt - 1] == 1
+            self.cfg = net.step(self.cfg, {unit: 1} if query else None)
+            self.since = 0 if query else self.since + 1
+            self.pending = tuple(p - 1 for p in self.pending)
+            if query:
+                self.pending += (net.output_delay,)
+            if self.rows is not None:
+                self.rows.append(self.cfg)
+                if query:
+                    self.queries.append(len(self.rows) - 1)
+            while self.pending and self.pending[0] == 0:
+                self.verdicts.append(bool(self.cfg.binary[net.out - 1]))
+                self.pending = self.pending[1:]
+            if query:
                 return
 
     def verdict_after(self, suffix: str = "") -> bool:
@@ -217,7 +195,7 @@ class RunSession:
             probe.feed(sym)
         probe.feed(self.alphabet.formal_extra)
         probe.drain()
-        return probe.verdicts[len(self.symbols) + len(suffix)]
+        return probe.verdicts[-1]
 
 
 @dataclass(frozen=True)
@@ -240,18 +218,16 @@ def run_online(net: Network, word: str | Sequence[str], alphabet: Alphabet | Non
     net.require_valid()
     session = RunSession(net, alphabet, trace=True)
     word_str = word if isinstance(word, str) else "".join(word)
-    for sym in word_str:
+    symbols = tuple(word_str) + (session.alphabet.formal_extra,)
+    for sym in symbols:
         session.feed(sym)
-    session.feed(session.alphabet.formal_extra)
     session.drain()
-    n = len(word_str)
-    verdicts = tuple(session.verdicts[k] for k in range(n + 1))
     return RunTrace(
         word=word_str,
-        rows=tuple(session.rows),
-        query_times=tuple(session.query_times),
-        symbols=tuple(session.symbols),
-        verdicts=verdicts,
+        rows=tuple(enumerate(session.rows)),
+        query_times=tuple(session.queries),
+        symbols=symbols,
+        verdicts=tuple(session.verdicts),
     )
 
 

@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .errors import QueryGapError, ValidationError
 from .network import Network, make_network
-from .protocol import Alphabet, RunSession, walk_words
+from .protocol import Alphabet, RunSession, resolve_alphabet, walk_words
 from .partition import (
     ExtrapolationTable,
     PartitionResult,
@@ -61,7 +61,7 @@ class QuotientSpec:
             raise ValidationError("mode must be one of %s, got %r" % (_MODES, self.mode))
         if not self.first or not self.second:
             raise ValidationError("both suffix words must be nonempty")
-        alpha = self.alphabet or Alphabet.default_for(self.base)
+        alpha = resolve_alphabet(self.base, self.alphabet)
         for word in (self.first, self.second):
             for ch in word:
                 alpha.index(ch)

@@ -26,7 +26,7 @@ from typing import Mapping
 from .errors import ValidationError
 from .mealy import MealyMachine
 from .network import Network, make_network
-from .protocol import Alphabet
+from .protocol import Alphabet, resolve_alphabet
 
 INIT, PHASE1, PHASE2, SINK = "init", "zeros", "ones", "sink"
 
@@ -183,9 +183,7 @@ def build_reduction(spec: ReductionSpec) -> ReductionBuild:
     delayed request lands before its block runs out.
     """
     inner = spec.inner.require_valid()
-    in_alpha = spec.alphabet or Alphabet.default_for(inner)
-    if len(in_alpha.symbols) != len(inner.input_units):
-        raise ValidationError("inner alphabet does not match the inner input units")
+    in_alpha = resolve_alphabet(inner, spec.alphabet)
 
     words = spec.words
     rounds = 0

@@ -7,9 +7,14 @@ code contract: 0 success, 1 usage, 2 validation, 3 budget, 4 query gap.
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import anet
 from anet.cli import main
 from anet.network import load_network_path, save_network_path
 from anet.protocol import enumerate_language
@@ -273,9 +278,30 @@ def test_partition_horizon_goes_with_the_exhaustive_method(cut_path, capsys):
     capsys.readouterr()
     assert main(["partition", cut_path, "7"]) == 1
     assert main(["partition", cut_path, "--method", "exhaustive"]) == 1
+    for option in (["--words", "0,zz"], ["--alphabet", "q"]):
+        assert main(["partition", cut_path, "2", "--method", "exhaustive", *option]) == 1
     captured = capsys.readouterr()
-    assert captured.err.count("UsageError") == 2
+    assert captured.err.count("UsageError") == 4
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("cmd", ["run", "trace", "enum", "compare", "partition", "quotient"])
+def test_alphabet_size_mismatch_exits_one_before_any_work(cut_path, tmp_path, cmd, capsys):
+    out = tmp_path / "quot.anet"
+    rest = {
+        "run": ["101"],
+        "trace": ["101"],
+        "enum": ["3"],
+        "compare": [cut_path, "3"],
+        "partition": [],
+        "quotient": ["1", "1", str(out), "--mode", "second-minus-first"],
+    }[cmd]
+    capsys.readouterr()
+    assert main([cmd, cut_path, *rest, "--alphabet", "012"]) == 1
+    captured = capsys.readouterr()
+    assert "UsageError" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_budget_error_exits_three(cut_path, capsys):
@@ -292,6 +318,27 @@ def test_gap_error_exits_four(cut_path, tmp_path, capsys):
     rc = main(["run", str(bad), "101"])
     assert rc == 4
     assert "QueryGapError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_len", [4, 12])  # output within and past the stdout buffer
+def test_closed_stdout_exits_one_quietly(cut_path, max_len):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader, before the child writes anything
+    src = str(Path(anet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    entry = "import sys; from anet.cli import main; sys.exit(main())"
+    try:
+        child = subprocess.run(
+            [sys.executable, "-c", entry, "enum", cut_path, str(max_len)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert child.returncode == 1
+    assert child.stderr == b""
 
 
 def test_missing_file_exits_one(tmp_path, capsys):

@@ -237,6 +237,12 @@ def _assert_rows_constant(net, res, table, rng):
             assert probe_verdict(net, Configuration(bits, y), table.word) == verdict, (bits, idx, y)
 
 
+def test_refined_partition_checks_the_alphabet_size(cut_net):
+    # the 2 has no input unit; the replay used to clamp it as no input at all
+    with pytest.raises(ValidationError):
+        build_partition_refined(cut_net, ["2", "0"], Alphabet.of("012"))
+
+
 def test_refined_table_covers_only_replayed_words():
     # seed 20's partition replayed on 0 alone used to admit the table for 00,
     # whose row (1,0,0,1,1) on (0,31/147) disagreed with the probe at 9951/49000

@@ -18,6 +18,7 @@ from anet.protocol import (
     run_online,
     trace_tsv,
 )
+from anet.quotient import SECOND_MINUS_FIRST, QuotientSpec, build_quotient_network
 from anet.reduction import ReductionSpec, build_reduction
 
 # state evolution of the threshold-reversal acceptor for base 27/8 at 1/4 on
@@ -176,15 +177,19 @@ def _mod3_reduction():
 def memo_nets():
     from test_acceptance import PARITY_TSV
 
+    parity = compile_mealy(machine_from_tsv(PARITY_TSV))[0]
+    quotient = QuotientSpec(base=parity, first="1", second="1", mode=SECOND_MINUS_FIRST)
     return {
         "cut": build_cut_acceptor(cut_params(F(27, 8), F(1, 4))),
-        "parity": compile_mealy(machine_from_tsv(PARITY_TSV))[0],
+        "parity": parity,
         "mod3": _mod3_reduction(),
+        # output delay 3: verdicts stay pending across feeds
+        "quotient": build_quotient_network(quotient).network,
     }
 
 
 def _state(session):
-    return (session.cfg, session.t, session.query_times, session.symbols, session.verdicts)
+    return (session.cfg, session.since, session.pending, session.verdicts)
 
 
 def _feed_or_gap(session, sym):
@@ -195,7 +200,7 @@ def _feed_or_gap(session, sym):
     return _state(session)
 
 
-@given(st.sampled_from(("cut", "parity", "mod3")), st.text(alphabet="01", max_size=8))
+@given(st.sampled_from(("cut", "parity", "mod3", "quotient")), st.text(alphabet="01", max_size=8))
 @settings(max_examples=150, deadline=None)
 def test_memoized_feeds_match_stepping(memo_nets, which, word):
     # the networks persist across examples, and the second memoized session

@@ -41,6 +41,9 @@ def test_spec_validation(parity_net):
         QuotientSpec(base=parity_net, first="1", second="1", mode="xor")
     with pytest.raises(ValidationError):
         QuotientSpec(base=parity_net, first="2", second="1", mode=SECOND_MINUS_FIRST)
+    three = Alphabet.of("012")
+    with pytest.raises(ValidationError):
+        QuotientSpec(base=parity_net, first="1", second="1", mode=SECOND_MINUS_FIRST, alphabet=three)
 
 
 def test_difference_oracle_parity(parity_net):

@@ -24,7 +24,6 @@ from .rationals import (
 from .network import (
     Configuration,
     Network,
-    heaviside,
     load_network,
     load_network_path,
     make_network,

@@ -6,15 +6,17 @@ analog unit is always the highest index. Binary units fire by Heaviside
 All states and weights are exact rationals.
 
 Stepping runs on per-target integer-scaled weights (each target's weights
-times the lcm of their denominators); analog values stay canonical Fractions.
+times the lcm of their denominators) and on the analog value's integer pair.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -27,11 +29,6 @@ from .rationals import ZERO, ONE, format_rational, parse_rational
 _coprime = getattr(Fraction, "_from_coprime_ints", None) or partial(Fraction, _normalize=False)
 
 
-def heaviside(xi: Fraction) -> int:
-    """Binary activation: fires exactly when the excitation is nonnegative."""
-    return 1 if xi >= 0 else 0
-
-
 def saturation(xi: Fraction) -> Fraction:
     """Analog activation: identity clipped to [0, 1]."""
     if xi <= 0:
@@ -41,18 +38,35 @@ def saturation(xi: Fraction) -> Fraction:
     return xi
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Network state at one instant: binary vector for units 1..size-1, analog value."""
+class Configuration(tuple):
+    """Network state at one instant: binary vector for units 1..size-1, analog value.
 
-    binary: tuple[int, ...]
-    analog: Fraction
+    The tuple (binary, p, q) holds analog = p/q in lowest terms, q > 0; the
+    Fraction (or int) analog is taken apart on construction and built on read.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, binary: Sequence[int], analog: Fraction | int) -> "Configuration":
+        p, q = analog.as_integer_ratio()
+        return tuple.__new__(cls, (tuple(binary), p, q))
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return self[0], self.analog
+
+    def __repr__(self) -> str:
+        return "Configuration(%r, %r)" % (self[0], self.analog)
+
+    binary = property(itemgetter(0), doc="States of units 1..size-1.")
+
+    @property
+    def analog(self) -> Fraction:
+        """The analog value as a canonical Fraction, built on each read."""
+        return _coprime(self[1], self[2])
 
     def unit(self, j: int):
         """State of unit j (1-based; the analog unit is the last index)."""
-        if j == len(self.binary) + 1:
-            return self.analog
-        return self.binary[j - 1]
+        return self.analog if j == len(self[0]) + 1 else self[0][j - 1]
 
 
 @dataclass(frozen=True)
@@ -80,20 +94,13 @@ class Network:
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
 
-    @property
-    def n_binary(self) -> int:
-        return self.size - 1
-
     def weight(self, j: int, i: int) -> Fraction:
         return self.weights.get((j, i), ZERO)
 
     def initial_configuration(self) -> Configuration:
         """All binary units off except nxt (or the explicit init override), analog at init value."""
         active = self.init_active if self.init_active is not None else (self.nxt,)
-        bits = [0] * self.n_binary
-        for j in active:
-            bits[j - 1] = 1
-        return Configuration(tuple(bits), self.init_analog)
+        return Configuration(tuple(int(j in active) for j in range(1, self.size)), self.init_analog)
 
     # -- stepping ---------------------------------------------------------
 
@@ -105,9 +112,9 @@ class Network:
         listed, or all of them when inputs_next is None, are forced to zero.
         """
         plan = self._plan()
-        acc = plan.binary_sums(cfg.binary)
+        binary, p, q = cfg
+        acc = plan.binary_sums(binary)
         # with analog value p/q, target j's excitation times L_j * q
-        p, q = cfg.analog.as_integer_ratio()
         for j, a in plan.analog_in:
             acc[j] = acc[j] * q + a * p
         s = self.size
@@ -116,12 +123,12 @@ class Network:
         g = gcd(plan.analog_weight, q)  # gcd(p, q) = 1, so gcd(num, q) = gcd(a_s, q)
         num, den, scale = acc[s] // g, q // g, plan.analog_scale
         if num <= 0:
-            analog = ZERO
+            num, den = 0, 1
         elif num >= scale * den:
-            analog = ONE
+            num, den = 1, 1
         else:  # num is now coprime to den, so only the small scale shares factors
             g = gcd(num, scale)
-            analog = _coprime(num // g, scale // g * den)
+            num, den = num // g, scale // g * den
 
         for u in self.input_units:
             bits[u - 1] = 0
@@ -130,7 +137,7 @@ class Network:
                 if u not in self.input_units:
                     raise ValidationError("unit %d is not an input unit" % u)
                 bits[u - 1] = 1 if v else 0
-        return Configuration(tuple(bits), analog)
+        return tuple.__new__(Configuration, (tuple(bits), num, den))
 
     # -- precomputed stepping plan (cached, derived only from weights) ----
 
@@ -281,8 +288,6 @@ def save_network_path(net: Network, path: str) -> None:
 
 
 def network_to_text(net: Network) -> str:
-    import io
-
     buf = io.StringIO()
     save_network(net, buf)
     return buf.getvalue()

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import io
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -13,7 +15,6 @@ from anet.network import (
     NETWORK_SIZE_LIMIT,
     Configuration,
     Network,
-    heaviside,
     load_network,
     make_network,
     network_from_text,
@@ -21,6 +22,13 @@ from anet.network import (
     saturation,
     save_network,
 )
+from anet.partition import probe_verdict
+from anet.protocol import RunSession
+
+
+def heaviside(xi: Fraction) -> int:
+    """Reference binary activation: fires exactly when the excitation is nonnegative."""
+    return 1 if xi >= 0 else 0
 
 
 def test_heaviside_fires_at_zero():
@@ -90,6 +98,50 @@ def test_initial_configuration_defaults():
     cfg = net.initial_configuration()
     assert cfg.binary == (1, 0)  # nxt active by default
     assert cfg.analog == 0
+
+
+# -- Configuration: the tuple (binary, p, q), a Fraction only when read -------
+
+
+def test_constructed_and_stepped_states_are_equal():
+    net = _tiny_net()
+    three_quarters = net.step(Configuration((0, 1), 1))  # 1/2 * 1 + 1/4 * 1
+    zero = net.step(Configuration((0, 0), Fraction(0)))
+    for stepped, built in (
+        (three_quarters, Configuration((1, 0), Fraction(6, 8))),
+        (zero, Configuration([1, 0], 0)),
+    ):
+        assert built == stepped and hash(built) == hash(stepped)
+        assert_canonical(built.analog)
+        assert_canonical(stepped.analog)
+    assert tuple(three_quarters) == ((1, 0), 3, 4)
+    assert zero != three_quarters
+
+
+def test_configuration_reads_units_and_copies():
+    cfg = Configuration((1, 0), Fraction(6, 8))
+    assert cfg.binary == (1, 0)
+    assert cfg.analog == Fraction(3, 4)
+    assert (cfg.unit(1), cfg.unit(2), cfg.unit(3)) == (1, 0, Fraction(3, 4))
+    assert type(cfg.unit(3)) is Fraction
+    for back in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+        assert type(back) is Configuration and back == cfg
+    assert repr(cfg) == "Configuration((1, 0), Fraction(3, 4))"
+
+
+def test_constructed_start_hits_the_stepped_feed_memo():
+    net = build_cut_acceptor(cut_params(Fraction(27, 8), Fraction(1, 4)))
+    session = RunSession(net)
+    for sym in "10":
+        session.feed(sym)
+    stepped = session.cfg
+    want = session.verdict_after("1")  # stores the feeds from the stepped state
+    memo = net.__dict__["_feed_memo"]
+    size = len(memo)
+    start = Configuration(stepped.binary, stepped.analog)
+    assert start is not stepped
+    assert probe_verdict(net, start, "1") is want
+    assert len(memo) == size  # every feed and the drain were replayed
 
 
 def test_validation_rejects_bad_structure():

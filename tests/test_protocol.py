@@ -266,10 +266,8 @@ def test_feed_memo_is_bounded(cut_net, monkeypatch):
     assert 0 < len(net.__dict__["_feed_memo"]) <= 5
 
 
-def test_enumeration_replays_repeated_feed_states(monkeypatch):
-    # the mod-3 reduction visits a few hundred distinct feed states; without
-    # the memo this enumeration takes about 19,500 steps
-    net = _mod3_reduction()
+def _count_steps(monkeypatch) -> list:
+    """A list that gains one entry per Network.step call from here on."""
     step = Network.step
     calls = []
 
@@ -278,5 +276,24 @@ def test_enumeration_replays_repeated_feed_states(monkeypatch):
         return step(self, *args, **kwargs)
 
     monkeypatch.setattr(Network, "step", counting_step)
+    return calls
+
+
+def test_enumeration_replays_repeated_feed_states(monkeypatch):
+    # the mod-3 reduction visits a few hundred distinct feed states; without
+    # the memo this enumeration takes about 19,500 steps
+    net = _mod3_reduction()
+    calls = _count_steps(monkeypatch)
     enumerate_language(net, 12)
     assert len(calls) < 2000
+
+
+def test_enumeration_step_counts_are_pinned(cut_net, monkeypatch):
+    # the walk order and the feed memo fix these counts exactly; fresh
+    # networks start with empty memos
+    calls = _count_steps(monkeypatch)
+    assert len(enumerate_language(dataclasses.replace(cut_net), 13)) == 8192
+    assert len(calls) == 73352
+    calls.clear()
+    assert len(enumerate_language(_mod3_reduction(), 14)) == 30  # 113 units
+    assert len(calls) == 602

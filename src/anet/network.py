@@ -11,7 +11,6 @@ times the lcm of their denominators) and on the analog value's integer pair.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -66,7 +65,9 @@ class Configuration(tuple):
 
     def unit(self, j: int):
         """State of unit j (1-based; the analog unit is the last index)."""
-        return self.analog if j == len(self[0]) + 1 else self[0][j - 1]
+        if j == len(self.binary) + 1:
+            return self.analog
+        return self.binary[j - 1]
 
 
 @dataclass(frozen=True)
@@ -94,13 +95,20 @@ class Network:
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
 
+    @property
+    def n_binary(self) -> int:
+        return self.size - 1
+
     def weight(self, j: int, i: int) -> Fraction:
         return self.weights.get((j, i), ZERO)
 
     def initial_configuration(self) -> Configuration:
         """All binary units off except nxt (or the explicit init override), analog at init value."""
         active = self.init_active if self.init_active is not None else (self.nxt,)
-        return Configuration(tuple(int(j in active) for j in range(1, self.size)), self.init_analog)
+        bits = [0] * self.n_binary
+        for j in active:
+            bits[j - 1] = 1
+        return Configuration(tuple(bits), self.init_analog)
 
     # -- stepping ---------------------------------------------------------
 
@@ -288,6 +296,8 @@ def save_network_path(net: Network, path: str) -> None:
 
 
 def network_to_text(net: Network) -> str:
+    import io
+
     buf = io.StringIO()
     save_network(net, buf)
     return buf.getvalue()

@@ -26,11 +26,11 @@ step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import QueryGapError, ValidationError
 from .network import Configuration, Network
+from .rationals import format_rational
 
 _DIGITS = "0123456789"
 
@@ -72,7 +72,12 @@ class Alphabet:
         return self.symbols[0]
 
     def words(self, length: int) -> Iterable[str]:
-        return map("".join, product(self.symbols, repeat=length))
+        if length == 0:
+            yield ""
+            return
+        for prefix in self.words(length - 1):
+            for s in self.symbols:
+                yield prefix + s
 
 
 def resolve_alphabet(net: Network, alphabet: Alphabet | None = None) -> Alphabet:
@@ -159,24 +164,25 @@ class RunSession:
         net, rows = self.net, self.rows
         cfg, since, pending = self.cfg, self.since, self.pending
         query = False
-        while not query and (unit is not None or pending):
-            if unit is not None and since >= net.delta:
-                self.cfg, self.since, self.pending = cfg, since, pending
-                raise QueryGapError("no query within %d steps of the previous one" % net.delta)
-            query = unit is not None and cfg[0][net.nxt - 1] == 1
-            cfg = net.step(cfg, {unit: 1} if query else None)
-            since = 0 if query else since + 1
-            pending = tuple(p - 1 for p in pending) if pending else ()
-            if query:
-                pending += (net.output_delay,)
-            if rows is not None:
-                rows.append(cfg)
+        try:
+            while not query and (unit is not None or pending):
+                if unit is not None and since >= net.delta:
+                    raise QueryGapError("no query within %d steps of the previous one" % net.delta)
+                query = unit is not None and cfg[0][net.nxt - 1] == 1
+                cfg = net.step(cfg, {unit: 1} if query else None)
+                since = 0 if query else since + 1
+                pending = tuple(p - 1 for p in pending) if pending else ()
                 if query:
-                    self.queries.append(len(rows) - 1)
-            while pending and pending[0] == 0:
-                self.verdicts.append(bool(cfg[0][net.out - 1]))
-                pending = pending[1:]
-        self.cfg, self.since, self.pending = cfg, since, pending
+                    pending += (net.output_delay,)
+                if rows is not None:
+                    rows.append(cfg)
+                    if query:
+                        self.queries.append(len(rows) - 1)
+                while pending and pending[0] == 0:
+                    self.verdicts.append(bool(cfg[0][net.out - 1]))
+                    pending = pending[1:]
+        finally:  # the fields stay in step with the verdicts and rows, whatever raises
+            self.cfg, self.since, self.pending = cfg, since, pending
 
     def verdict_after(self, suffix: str = "") -> bool:
         """Verdict for the consumed prefix followed by suffix; this session is unchanged.
@@ -292,10 +298,10 @@ def trace_tsv(trace: RunTrace, net: Network) -> str:
             )
     header = ["t"] + ["y_%d" % j for j in range(1, net.size + 1)] + ["note"]
     lines = ["\t".join(header)]
-    for t, (bits, p, q) in trace.rows:
+    for t, cfg in trace.rows:
         cells = [str(t)]
-        cells.extend(str(b) for b in bits)
-        cells.append(str(p) if q == 1 else "%s/%s" % (p, q))  # format_rational's text
+        cells.extend(str(b) for b in cfg.binary)
+        cells.append(format_rational(cfg.analog))
         cells.append("; ".join(notes.get(t, [])))
         lines.append("\t".join(cells))
     lines.append("")  # the trailing newline, without a second copy of the whole text

@@ -297,3 +297,22 @@ def test_enumeration_step_counts_are_pinned(cut_net, monkeypatch):
     calls.clear()
     assert len(enumerate_language(_mod3_reduction(), 14)) == 30  # 113 units
     assert len(calls) == 602
+
+
+def test_session_fields_follow_the_last_step_when_a_step_raises(cut_net, monkeypatch):
+    session = RunSession(cut_net, trace=True)
+    calls = _count_steps(monkeypatch)
+    step = Network.step
+
+    def failing_step(self, *args, **kwargs):
+        if len(calls) == 3:
+            raise RuntimeError("step failed")
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "step", failing_step)
+    with pytest.raises(RuntimeError):
+        for sym in "0000":
+            session.feed(sym)
+    assert len(calls) == 3 and session.queries
+    assert session.cfg == session.rows[-1]
+    assert session.since == len(session.rows) - 1 - session.queries[-1]

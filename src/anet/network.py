@@ -7,6 +7,8 @@ All states and weights are exact rationals.
 
 Stepping runs on per-target integer-scaled weights (each target's weights
 times the lcm of their denominators) and on the analog value's integer pair.
+The binary sums of each binary state are computed once, into a cached
+transition row, so a step from a known state only compares the analog value.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ from .rationals import ZERO, ONE, format_rational, parse_rational
 # Fraction from a numerator and a positive denominator already in lowest
 # terms, without the constructor's gcd (the keyword is Python 3.10/3.11's).
 _coprime = getattr(Fraction, "_from_coprime_ints", None) or partial(Fraction, _normalize=False)
+
+# Transition rows kept per network, counted as rows times (size - 1) bits:
+# 16 rows at NETWORK_SIZE_LIMIT units.
+ROW_CACHE_BITS = 2**20
 
 
 def saturation(xi: Fraction) -> Fraction:
@@ -47,7 +53,11 @@ class Configuration(tuple):
     __slots__ = ()
 
     def __new__(cls, binary: Sequence[int], analog: Fraction | int) -> "Configuration":
+        if not isinstance(analog, (int, Fraction)):
+            raise ValidationError("analog value must be an int or a Fraction, not %s" % type(analog).__name__)
         p, q = analog.as_integer_ratio()
+        if not 0 <= p <= q:
+            raise ValidationError("analog value outside [0,1]")
         return tuple.__new__(cls, (tuple(binary), p, q))
 
     def __getnewargs__(self):  # copy and pickle rebuild through __new__
@@ -67,6 +77,8 @@ class Configuration(tuple):
         """State of unit j (1-based; the analog unit is the last index)."""
         if j == len(self.binary) + 1:
             return self.analog
+        if not 1 <= j <= len(self.binary):
+            raise ValidationError("unit %d is not in 1..%d" % (j, len(self.binary) + 1))
         return self.binary[j - 1]
 
 
@@ -77,8 +89,8 @@ class Network:
     weights maps (target, source) to a rational weight; source 0 is the bias.
     input_units are clamped from outside by the run protocol: at a query
     instant they carry the one-hot symbol code, at every other instant zero.
-    The weights are frozen into a read-only copy, since the cached step plan
-    and the protocol's feed memo are derived from them.
+    The weights are frozen into a read-only copy, since the cached step plan,
+    the transition rows and the protocol's feed memo are derived from them.
     """
 
     size: int
@@ -119,17 +131,24 @@ class Network:
         instant (one-hot symbol code at a query instant); input units not
         listed, or all of them when inputs_next is None, are forced to zero.
         """
-        plan = self._plan()
         binary, p, q = cfg
-        acc = plan.binary_sums(binary)
-        # with analog value p/q, target j's excitation times L_j * q
-        for j, a in plan.analog_in:
-            acc[j] = acc[j] * q + a * p
-        s = self.size
-        bits = [1 if x >= 0 else 0 for x in acc[1:s]]
+        try:
+            bits, tests, c_s, a_s, scale = self.__dict__["_rows"][binary]
+        except KeyError:
+            bits, tests, c_s, a_s, scale = self._row(binary)
+        if tests or inputs_next:
+            bits = list(bits)
+            for i, c, a in tests:  # with analog value p/q, excitation times L_j * q
+                bits[i] = 1 if c * q + a * p >= 0 else 0
+            if inputs_next:
+                for u, v in inputs_next.items():
+                    if u not in self.input_units:
+                        raise ValidationError("unit %d is not an input unit" % u)
+                    bits[u - 1] = 1 if v else 0
+            bits = tuple(bits)
 
-        g = gcd(plan.analog_weight, q)  # gcd(p, q) = 1, so gcd(num, q) = gcd(a_s, q)
-        num, den, scale = acc[s] // g, q // g, plan.analog_scale
+        g = gcd(a_s, q)  # gcd(p, q) = 1, so gcd(num, q) = gcd(a_s, q)
+        num, den = (c_s * q + a_s * p) // g, q // g
         if num <= 0:
             num, den = 0, 1
         elif num >= scale * den:
@@ -137,24 +156,33 @@ class Network:
         else:  # num is now coprime to den, so only the small scale shares factors
             g = gcd(num, scale)
             num, den = num // g, scale // g * den
+        return tuple.__new__(Configuration, (bits, num, den))
 
-        for u in self.input_units:
-            bits[u - 1] = 0
-        if inputs_next:
-            for u, v in inputs_next.items():
-                if u not in self.input_units:
-                    raise ValidationError("unit %d is not an input unit" % u)
-                bits[u - 1] = 1 if v else 0
-        return tuple.__new__(Configuration, (tuple(bits), num, den))
+    # -- transition rows and the step plan (cached, derived only from weights)
 
-    # -- precomputed stepping plan (cached, derived only from weights) ----
+    def _row(self, binary: tuple[int, ...]) -> tuple:
+        """The cached transition row (fixed, tests, c_s, a_s, L_s) of a binary state.
 
-    def _plan(self) -> "_StepPlan":
-        plan = self.__dict__.get("_plan_cache")
-        if plan is None:
-            plan = _StepPlan.build(self)
-            object.__setattr__(self, "_plan_cache", plan)
-        return plan
+        fixed holds the next bits, input units zeroed; a binary target j with an
+        analog weight is tested instead: (j - 1, c_j, a_j) in tests, it fires iff
+        c_j + a_j*y >= 0 at analog value y. The analog unit has sum c_s, weight a_s
+        and scale L_s. All rows are cleared when they would pass ROW_CACHE_BITS.
+        """
+        rows = self.__dict__.setdefault("_rows", {})
+        row = rows.get(binary)
+        if row is None:
+            if (len(rows) + 1) * (self.size - 1) > ROW_CACHE_BITS:
+                rows.clear()
+            plan = self.__dict__.get("_plan_cache")
+            if plan is None:
+                plan = self.__dict__["_plan_cache"] = _StepPlan.build(self)
+            acc = plan.binary_sums(binary)
+            fixed = [1 if x >= 0 else 0 for x in acc[1 : self.size]]
+            for u in self.input_units:
+                fixed[u - 1] = 0
+            tests = tuple((j - 1, acc[j], a) for j, a in plan.tested)
+            row = rows[binary] = (tuple(fixed), tests, acc[self.size], plan.analog_weight, plan.analog_scale)
+        return row
 
     # -- validation -------------------------------------------------------
 
@@ -210,14 +238,15 @@ class Network:
 class _StepPlan:
     """Target j's weights times L_j, the lcm of their denominators, as ints.
 
-    analog_in lists every target with an analog weight, and always the analog
-    unit s, whose weight a_s = analog_weight may be 0; analog_scale is L_s.
+    tested lists, by unit, every binary target with an analog weight that is
+    not an input unit; the analog unit's own weight a_s = analog_weight may be
+    0, and analog_scale is L_s.
     """
 
     bias: tuple[int, ...]
     out_edges: Mapping[int, tuple[tuple[int, int], ...]]
     binary_sources: tuple[int, ...]
-    analog_in: tuple[tuple[int, int], ...]
+    tested: tuple[tuple[int, int], ...]
     analog_weight: int
     analog_scale: int
 
@@ -242,7 +271,8 @@ class _StepPlan:
                 out[i].append((j, v))
         sources = tuple(i for i in range(1, s) if out[i])
         edges = {i: tuple(out[i]) for i in sources}
-        return _StepPlan(tuple(bias), edges, sources, tuple(analog_in.items()), analog_in[s], scale[s])
+        tested = tuple(sorted((j, a) for j, a in analog_in.items() if j != s and j not in net.input_units))
+        return _StepPlan(tuple(bias), edges, sources, tested, analog_in[s], scale[s])
 
     def binary_sums(self, bits: Sequence[int]) -> list[int]:
         """Per target j, L_j times its bias plus its weights from the active binary units.

@@ -60,11 +60,16 @@ def pivot(net: Network, unit: int, bits: Sequence[int]) -> Fraction:
     Solves bias + sum_i w(unit,i)*bits_i + w(unit,analog)*y = 0 for y; the
     weight into unit from the analog unit must be nonzero.
     """
-    plan = net._plan()
-    w_an = dict(plan.analog_in).get(unit, 0)
-    if w_an == 0:
+    s = net.size
+    _, tests, c, a, _ = net._row(tuple(bits))  # c_s and a_s, scaled by L_s
+    if unit in net.input_units:  # clamped, so no row tests it
+        c = net.weight(unit, 0) + sum(net.weight(unit, i) for i in range(1, s) if bits[i - 1])
+        a = net.weight(unit, s)
+    elif unit != s:
+        c, a = next(((c_j, a_j) for i, c_j, a_j in tests if i == unit - 1), (0, 0))
+    if a == 0:
         raise ValidationError("unit %d has no weight from the analog unit" % unit)
-    return Fraction(-plan.binary_sums(bits)[unit], w_an)
+    return Fraction(-c, a)
 
 
 @dataclass(frozen=True)
@@ -245,13 +250,9 @@ def _run_symbolic(net, alphabet, bits0, word, pairs) -> None:
     symbols = [alphabet.index(ch) for ch in word] + [0]
 
     def feed(br: _Branch) -> list[tuple[_Branch, dict[int, int]]]:
-        return [(br, _clamp(net, symbols[br.fed]))]
+        return [(br, {net.input_units[symbols[br.fed]]: 1})]
 
     _explore(net, _Branch(_UNIT, tuple(bits0), ZERO, ONE), feed, pairs, len(symbols))
-
-
-def _clamp(net: Network, sym: int) -> dict[int, int]:
-    return {u: (1 if k == sym else 0) for k, u in enumerate(net.input_units)}
 
 
 def fire_states(net: Network) -> list[tuple[int, ...]]:
@@ -273,7 +274,7 @@ def fire_states(net: Network) -> list[tuple[int, ...]]:
             return []
         found.add(br.bits)
         fresh = _Branch(_UNIT, br.bits, ZERO, ONE)
-        return [(fresh, _clamp(net, sym)) for sym in range(len(net.input_units))]
+        return [(fresh, {u: 1}) for u in net.input_units]
 
     init = net.initial_configuration()
     _explore(net, _Branch(_UNIT, init.binary, init.analog, ZERO), feed, set(), math.inf)
@@ -289,8 +290,6 @@ def _explore(net: Network, root: _Branch, feed, pairs: set[HalfLinePair], length
     done reading runs on until the verdict delay of its last symbol is over.
     Split points go into pairs; more than ENDPOINT_BUDGET branches are refused.
     """
-    plan = net._plan()
-    analog_w = dict(plan.analog_in)
     stack = [root]
     count = 0
     while stack:
@@ -303,11 +302,11 @@ def _explore(net: Network, root: _Branch, feed, pairs: set[HalfLinePair], length
                 continue
             if br.bits[net.nxt - 1]:
                 for child, clamp in feed(br):
-                    _step_symbolic(net, plan, analog_w, child, clamp, stack, pairs)
+                    _step_symbolic(net, child, clamp, stack, pairs)
                 continue
         elif br.left <= 0:
             continue
-        _step_symbolic(net, plan, analog_w, br, {}, stack, pairs)
+        _step_symbolic(net, br, {}, stack, pairs)
 
 
 def _cut(
@@ -320,44 +319,42 @@ def _cut(
     return inside, outside
 
 
-def _step_symbolic(net, plan, analog_w, br: _Branch, clamp, stack, pairs) -> None:
-    """Push the successors of one synchronous step of br, on the network's step plan.
+def _step_symbolic(net, br: _Branch, clamp, stack, pairs) -> None:
+    """Push the successors of one synchronous step of br, on the network's transition row.
 
-    With br.a = pa/qa and br.b = pb/qb, target j's excitation times L_j is
-    c + d*y with c = n/qa, n = acc_j*qa + a_j*pa (acc_j its binary sum, a_j
-    its analog weight) and d = m/qb, m = a_j*pb. The piece splits on the
-    half-line where a binary unit fires, and on those where the analog unit
+    With br.a = pa/qa and br.b = pb/qb, a tested target's excitation times
+    L_j is c + d*y with c = n/qa, n = c_j*qa + a_j*pa (c_j its binary sum,
+    a_j its analog weight) and d = m/qb, m = a_j*pb. The piece splits on the
+    half-line where a tested unit fires, and on those where the analog unit
     saturates at 0 (c + d*y <= 0) and at 1 (c + d*y >= L_s).
     """
-    s = net.size
-    acc = plan.binary_sums(br.bits)
+    fixed, tests, c_s, w, scale = net._row(br.bits)
     pa, qa = br.a.as_integer_ratio()
     pb, qb = br.b.as_integer_ratio()
-    parts: list[tuple[Interval, list[int]]] = [(br.piece, [])]
-    for j in range(1, s):
-        if j in net.input_units:
-            for _, bits in parts:
-                bits.append(clamp.get(j, 0))
-            continue
-        w = analog_w.get(j, 0)
-        n, m = acc[j] * qa + w * pa, w * pb
+    first = list(fixed)
+    for u, v in clamp.items():
+        first[u - 1] = v
+    parts: list[tuple[Interval, list[int]]] = [(br.piece, first)]
+    for i, c, a in tests:
+        n, m = c * qa + a * pa, a * pb
         if m == 0:
             for _, bits in parts:
-                bits.append(1 if n >= 0 else 0)
+                bits[i] = 1 if n >= 0 else 0
             continue
         fire = HalfLinePair(Fraction(-n * qb, qa * m), -1 if m > 0 else 1)
         split: list[tuple[Interval, list[int]]] = []
         for piece, bits in parts:
             on, off = _cut(piece, fire, pairs)
             if on is not None and off is not None:
-                split += [(on, bits + [1]), (off, bits + [0])]
+                other = bits.copy()
+                bits[i], other[i] = 1, 0
+                split += [(on, bits), (off, other)]
             else:
-                bits.append(1 if on is not None else 0)
+                bits[i] = 1 if on is not None else 0
                 split.append((piece, bits))
         parts = split
 
-    w, scale = analog_w[s], plan.analog_scale
-    n, m = acc[s] * qa + w * pa, w * pb
+    n, m = c_s * qa + w * pa, w * pb
     if clamp:
         clock = (br.fed + 1, 0, net.output_delay)
     else:

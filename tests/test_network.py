@@ -3,12 +3,14 @@ import dataclasses
 import io
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from anet import network
 from anet.cutlang import build_cut_acceptor, cut_params
 from anet.errors import ResourceBudgetError, ValidationError
 from anet.network import (
@@ -24,6 +26,7 @@ from anet.network import (
 )
 from anet.partition import probe_verdict
 from anet.protocol import RunSession
+from conftest import make_skeleton_net
 
 
 def heaviside(xi: Fraction) -> int:
@@ -76,6 +79,9 @@ def test_input_units_are_forced_to_zero_without_a_clamp():
     assert nxt.unit(2) == 0
     clamped = net.step(cfg, {2: 1})
     assert clamped.unit(2) == 1
+    # an input unit that its weights would fire, the analog one included, stays off
+    fed = make_network(3, (2,), nxt=1, out=1, delta=1, weights=[(2, 0, Fraction(1)), (2, 3, Fraction(1))])
+    assert fed.step(cfg).unit(2) == 0 and fed.step(cfg, {2: 1}).unit(2) == 1
 
 
 def test_analog_unit_integrates_and_clips():
@@ -127,6 +133,21 @@ def test_configuration_reads_units_and_copies():
     for back in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
         assert type(back) is Configuration and back == cfg
     assert repr(cfg) == "Configuration((1, 0), Fraction(3, 4))"
+
+
+def test_configuration_refuses_what_no_state_can_be():
+    for value in (0.1, 0.5, Decimal("0.5"), "1/2", None):
+        with pytest.raises(ValidationError, match="int or a Fraction"):
+            Configuration((1, 0), value)
+    for value in (Fraction(-1, 3), Fraction(4, 3), -1, 2):
+        with pytest.raises(ValidationError, match="outside"):
+            Configuration((1, 0), value)
+    cfg = Configuration((1, 0, 1), Fraction(1, 2))
+    assert [cfg.unit(j) for j in (1, 2, 3, 4)] == [1, 0, 1, Fraction(1, 2)]
+    for j in (0, -1, 5, 9):
+        with pytest.raises(ValidationError, match="not in 1..4"):
+            cfg.unit(j)
+    assert Configuration((0,), 0).analog == 0 and Configuration((0,), True).analog == 1
 
 
 def test_constructed_start_hits_the_stepped_feed_memo():
@@ -228,6 +249,49 @@ def test_sparse_and_dense_steps_agree(case):
     got = net.step(cfg, clamp)
     assert got == step_dense(net, cfg, clamp)
     assert_canonical(got.analog)
+
+
+@given(nets_and_states(), st.lists(st.tuples(st.booleans(), wide_analog), min_size=6, max_size=10))
+@settings(max_examples=100, deadline=None)
+def test_warm_rows_step_like_dense_steps(case, walk):
+    # each step is repeated from the same binary state at another analog
+    # value, which reads the row the first step built
+    net, cfg, clamp = case
+    for clamped, other in walk:
+        got = net.step(cfg, clamp)
+        assert got == step_dense(net, cfg, clamp)
+        assert cfg.binary in net.__dict__["_rows"]
+        again = Configuration(cfg.binary, other)
+        assert net.step(again, clamp) == step_dense(net, again, clamp)
+        cfg, clamp = got, {2: 1} if clamped else None
+    net.step(cfg)
+    for bad in ({1: 1}, {net.size: 1}, {2: 1, 1: 0}):  # a warm row still checks the clamp
+        with pytest.raises(ValidationError, match="not an input unit"):
+            net.step(cfg, bad)
+
+
+@pytest.mark.parametrize(
+    "net",
+    [build_cut_acceptor(cut_params(Fraction(27, 8), Fraction(1, 4))), make_skeleton_net(3)],
+    ids=["cut", "skeleton"],
+)
+def test_row_cache_is_bounded_and_refills(net, monkeypatch):
+    monkeypatch.setattr(network, "ROW_CACHE_BITS", 3 * (net.size - 1))  # three rows
+    net = dataclasses.replace(net)  # no rows yet
+    rng = random.Random(12)
+    cfg, sizes = net.initial_configuration(), []
+    for _ in range(300):
+        if rng.random() < 0.2:  # jump to another state, so that many rows are built
+            bits = [rng.randint(0, 1) for _ in range(net.size - 1)]
+            cfg = Configuration(bits, Fraction(rng.randint(0, 64), 64))
+        clamp = rng.choice([None, {rng.choice(net.input_units): 1}])
+        nxt = net.step(cfg, clamp)
+        assert nxt == step_dense(net, cfg, clamp)
+        sizes.append(len(net.__dict__["_rows"]))
+        assert sizes[-1] * (net.size - 1) <= network.ROW_CACHE_BITS
+        cfg = nxt
+    cleared = [k for k in range(1, len(sizes)) if sizes[k] < sizes[k - 1]]
+    assert cleared and sizes[cleared[0]] == 1 and 3 in sizes[cleared[0]:]
 
 
 def test_analog_value_shares_a_factor_with_the_scale():

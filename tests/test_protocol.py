@@ -299,6 +299,23 @@ def test_enumeration_step_counts_are_pinned(cut_net, monkeypatch):
     assert len(calls) == 602
 
 
+def test_enumeration_builds_few_transition_rows(cut_net, monkeypatch):
+    # Network.step asks _row only when the state has no row yet, so on a
+    # concrete enumeration every call builds one
+    built = []
+    row = Network._row
+
+    def counting_row(self, binary):
+        built.append(binary)
+        return row(self, binary)
+
+    monkeypatch.setattr(Network, "_row", counting_row)
+    calls = _count_steps(monkeypatch)
+    assert len(enumerate_language(dataclasses.replace(cut_net), 13)) == 8192
+    assert len(calls) == 73352
+    assert len(built) <= 8 and len(set(built)) == len(built)
+
+
 def test_session_fields_follow_the_last_step_when_a_step_raises(cut_net, monkeypatch):
     session = RunSession(cut_net, trace=True)
     calls = _count_steps(monkeypatch)

@@ -252,7 +252,7 @@ def test_sparse_and_dense_steps_agree(case):
 
 
 @given(nets_and_states(), st.lists(st.tuples(st.booleans(), wide_analog), min_size=6, max_size=10))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_warm_rows_step_like_dense_steps(case, walk):
     # each step is repeated from the same binary state at another analog
     # value, which reads the row the first step built

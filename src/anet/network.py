@@ -6,9 +6,10 @@ analog unit is always the highest index. Binary units fire by Heaviside
 All states and weights are exact rationals.
 
 Stepping runs on per-target integer-scaled weights (each target's weights
-times the lcm of their denominators) and on the analog value's integer pair.
-The binary sums of each binary state are computed once, into a cached
-transition row, so a step from a known state only compares the analog value.
+times the lcm of their denominators), on the analog value's integer pair and
+on the binary state as one int bitmask. The binary sums of each binary state
+are computed once, into a cached transition row keyed by that mask, so a step
+from a known state only compares the analog value.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -46,8 +46,10 @@ def saturation(xi: Fraction) -> Fraction:
 class Configuration(tuple):
     """Network state at one instant: binary vector for units 1..size-1, analog value.
 
-    The tuple (binary, p, q) holds analog = p/q in lowest terms, q > 0; the
-    Fraction (or int) analog is taken apart on construction and built on read.
+    The tuple (mask, p, q) holds unit j in bit j-1 of mask under a sentinel
+    bit at position size-1, so that states of different lengths differ, and
+    the analog value as p/q in lowest terms, q > 0; .binary and .analog build
+    the bit tuple and the Fraction on each read.
     """
 
     __slots__ = ()
@@ -58,15 +60,15 @@ class Configuration(tuple):
         p, q = analog.as_integer_ratio()
         if not 0 <= p <= q:
             raise ValidationError("analog value outside [0,1]")
-        return tuple.__new__(cls, (tuple(binary), p, q))
+        return tuple.__new__(cls, (pack(binary), p, q))
 
     def __getnewargs__(self):  # copy and pickle rebuild through __new__
-        return self[0], self.analog
+        return self.binary, self.analog
 
     def __repr__(self) -> str:
-        return "Configuration(%r, %r)" % (self[0], self.analog)
+        return "Configuration(%r, %r)" % (self.binary, self.analog)
 
-    binary = property(itemgetter(0), doc="States of units 1..size-1.")
+    binary = property(lambda self: unpack(self[0]), doc="States of units 1..size-1, built on each read.")
 
     @property
     def analog(self) -> Fraction:
@@ -75,11 +77,24 @@ class Configuration(tuple):
 
     def unit(self, j: int):
         """State of unit j (1-based; the analog unit is the last index)."""
-        if j == len(self.binary) + 1:
+        n = self[0].bit_length() - 1
+        if j == n + 1:
             return self.analog
-        if not 1 <= j <= len(self.binary):
-            raise ValidationError("unit %d is not in 1..%d" % (j, len(self.binary) + 1))
-        return self.binary[j - 1]
+        if not 1 <= j <= n:
+            raise ValidationError("unit %d is not in 1..%d" % (j, n + 1))
+        return self[0] >> (j - 1) & 1
+
+
+def pack(bits: Sequence[int]) -> int:
+    """The mask of a binary vector: bit j-1 holds bits[j-1], a sentinel bit sits above."""
+    if not set(bits) <= {0, 1}:
+        raise ValidationError("binary states must be 0 or 1, not %r" % (tuple(bits),))
+    return int("1" + "".join("1" if b else "0" for b in reversed(bits)), 2)
+
+
+def unpack(mask: int) -> tuple[int, ...]:
+    """The binary vector of a mask, below its sentinel bit."""
+    return tuple(map(int, bin(mask)[:2:-1]))
 
 
 @dataclass(frozen=True)
@@ -117,10 +132,7 @@ class Network:
     def initial_configuration(self) -> Configuration:
         """All binary units off except nxt (or the explicit init override), analog at init value."""
         active = self.init_active if self.init_active is not None else (self.nxt,)
-        bits = [0] * self.n_binary
-        for j in active:
-            bits[j - 1] = 1
-        return Configuration(tuple(bits), self.init_analog)
+        return Configuration([j in active for j in range(1, self.size)], self.init_analog)
 
     # -- stepping ---------------------------------------------------------
 
@@ -131,21 +143,20 @@ class Network:
         instant (one-hot symbol code at a query instant); input units not
         listed, or all of them when inputs_next is None, are forced to zero.
         """
-        binary, p, q = cfg
+        state, p, q = cfg
         try:
-            bits, tests, c_s, a_s, scale = self.__dict__["_rows"][binary]
+            mask, tests, c_s, a_s, scale = self.__dict__["_rows"][state]
         except KeyError:
-            bits, tests, c_s, a_s, scale = self._row(binary)
-        if tests or inputs_next:
-            bits = list(bits)
-            for i, c, a in tests:  # with analog value p/q, excitation times L_j * q
-                bits[i] = 1 if c * q + a * p >= 0 else 0
-            if inputs_next:
-                for u, v in inputs_next.items():
-                    if u not in self.input_units:
-                        raise ValidationError("unit %d is not an input unit" % u)
-                    bits[u - 1] = 1 if v else 0
-            bits = tuple(bits)
+            mask, tests, c_s, a_s, scale = self._row(state)
+        for bit, c, a in tests:  # with analog value p/q, excitation times L_j * q
+            if c * q + a * p >= 0:
+                mask |= bit
+        if inputs_next:
+            for u, v in inputs_next.items():
+                if u not in self.input_units:
+                    raise ValidationError("unit %d is not an input unit" % u)
+                if v:
+                    mask |= 1 << (u - 1)
 
         g = gcd(a_s, q)  # gcd(p, q) = 1, so gcd(num, q) = gcd(a_s, q)
         num, den = (c_s * q + a_s * p) // g, q // g
@@ -156,32 +167,34 @@ class Network:
         else:  # num is now coprime to den, so only the small scale shares factors
             g = gcd(num, scale)
             num, den = num // g, scale // g * den
-        return tuple.__new__(Configuration, (bits, num, den))
+        return tuple.__new__(Configuration, (mask, num, den))
 
     # -- transition rows and the step plan (cached, derived only from weights)
 
-    def _row(self, binary: tuple[int, ...]) -> tuple:
-        """The cached transition row (fixed, tests, c_s, a_s, L_s) of a binary state.
+    def _row(self, mask: int) -> tuple:
+        """The cached transition row (fixed, tests, c_s, a_s, L_s) of a binary state mask.
 
-        fixed holds the next bits, input units zeroed; a binary target j with an
-        analog weight is tested instead: (j - 1, c_j, a_j) in tests, it fires iff
-        c_j + a_j*y >= 0 at analog value y. The analog unit has sum c_s, weight a_s
-        and scale L_s. All rows are cleared when they would pass ROW_CACHE_BITS.
+        fixed is the next state's mask with the tested bits and the input units
+        cleared; a binary target j with an analog weight is tested instead:
+        (1 << j-1, c_j, a_j) in tests, it fires iff c_j + a_j*y >= 0 at analog
+        value y. The analog unit has sum c_s, weight a_s and scale L_s. All rows
+        are cleared when they would pass ROW_CACHE_BITS.
         """
         rows = self.__dict__.setdefault("_rows", {})
-        row = rows.get(binary)
+        row = rows.get(mask)
         if row is None:
+            if mask >> (self.size - 1) != 1:
+                raise ValidationError("binary state %r does not have %d units" % (unpack(mask), self.size - 1))
             if (len(rows) + 1) * (self.size - 1) > ROW_CACHE_BITS:
                 rows.clear()
             plan = self.__dict__.get("_plan_cache")
             if plan is None:
                 plan = self.__dict__["_plan_cache"] = _StepPlan.build(self)
-            acc = plan.binary_sums(binary)
-            fixed = [1 if x >= 0 else 0 for x in acc[1 : self.size]]
-            for u in self.input_units:
-                fixed[u - 1] = 0
-            tests = tuple((j - 1, acc[j], a) for j, a in plan.tested)
-            row = rows[binary] = (tuple(fixed), tests, acc[self.size], plan.analog_weight, plan.analog_scale)
+            acc = plan.binary_sums(mask)
+            skip = set(self.input_units).union(j for j, _ in plan.tested)
+            fixed = pack([acc[j] >= 0 and j not in skip for j in range(1, self.size)])
+            tests = tuple((1 << (j - 1), acc[j], a) for j, a in plan.tested)
+            row = rows[mask] = (fixed, tests, acc[self.size], plan.analog_weight, plan.analog_scale)
         return row
 
     # -- validation -------------------------------------------------------
@@ -274,14 +287,14 @@ class _StepPlan:
         tested = tuple(sorted((j, a) for j, a in analog_in.items() if j != s and j not in net.input_units))
         return _StepPlan(tuple(bias), edges, sources, tested, analog_in[s], scale[s])
 
-    def binary_sums(self, bits: Sequence[int]) -> list[int]:
+    def binary_sums(self, mask: int) -> list[int]:
         """Per target j, L_j times its bias plus its weights from the active binary units.
 
-        bits holds the states of units 1..size-1; the analog term is the caller's.
+        mask holds the states of units 1..size-1; the analog term is the caller's.
         """
         acc = list(self.bias)
         for i in self.binary_sources:
-            if bits[i - 1]:
+            if mask >> (i - 1) & 1:
                 for j, w in self.out_edges[i]:
                     acc[j] += w
         return acc

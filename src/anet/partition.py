@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import QueryGapError, ResourceBudgetError, ValidationError
-from .network import Configuration, Network, saturation
+from .network import Configuration, Network, pack, saturation, unpack
 from .protocol import Alphabet, RunSession, resolve_alphabet
 from .rationals import (
     CORNER_PAIRS,
@@ -61,12 +61,12 @@ def pivot(net: Network, unit: int, bits: Sequence[int]) -> Fraction:
     weight into unit from the analog unit must be nonzero.
     """
     s = net.size
-    _, tests, c, a, _ = net._row(tuple(bits))  # c_s and a_s, scaled by L_s
+    _, tests, c, a, _ = net._row(pack(bits))  # c_s and a_s, scaled by L_s
     if unit in net.input_units:  # clamped, so no row tests it
         c = net.weight(unit, 0) + sum(net.weight(unit, i) for i in range(1, s) if bits[i - 1])
         a = net.weight(unit, s)
     elif unit != s:
-        c, a = next(((c_j, a_j) for i, c_j, a_j in tests if i == unit - 1), (0, 0))
+        c, a = next(((c_j, a_j) for bit, c_j, a_j in tests if bit == 1 << (unit - 1)), (0, 0))
     if a == 0:
         raise ValidationError("unit %d has no weight from the analog unit" % unit)
     return Fraction(-c, a)
@@ -96,11 +96,11 @@ def build_partition_exhaustive(
     """Endpoint enumeration over all binary state sequences up to the horizon.
 
     Candidate endpoints fall into three families: comparison points of binary
-    units fed by the analog unit, propagated backwards through up to horizon
-    steps of the analog recurrence, and the crossing points of the analog
-    saturation at 0 and at 1, propagated the same way. Each endpoint carries
-    an orientation saying on which side of the point the firing region is
-    closed.
+    units fed by the analog unit (input units are clamped, so none of theirs),
+    propagated backwards through up to horizon steps of the analog recurrence,
+    and the crossing points of the analog saturation at 0 and at 1,
+    propagated the same way. Each endpoint carries an orientation saying on
+    which side of the point the firing region is closed.
 
     Cost grows like 2**((size-1)*horizon); runs past the budget are refused.
     """
@@ -120,7 +120,7 @@ def build_partition_exhaustive(
         return {pivot(net, unit, bits) for bits in all_bits}
 
     pairs: set[HalfLinePair] = set(CORNER_PAIRS)
-    fed_binary = [j for j in range(1, s) if net.weight(j, s) != 0]
+    fed_binary = [j for j in range(1, s) if net.weight(j, s) != 0 and j not in net.input_units]
     if w_self == 0:
         # analog history beyond one step is erased, only direct comparisons remain
         for j in fed_binary:
@@ -167,10 +167,10 @@ def _finish(pairs: set[HalfLinePair], method: str, **cover) -> PartitionResult:
 
 @dataclass
 class _Branch:
-    """One piece of a symbolic run: concrete bits, analog value a + b*y."""
+    """One piece of a symbolic run: concrete bits as a state mask, analog value a + b*y."""
 
     piece: Interval
-    bits: tuple[int, ...]
+    bits: int
     a: Fraction
     b: Fraction
     fed: int = 0
@@ -252,7 +252,7 @@ def _run_symbolic(net, alphabet, bits0, word, pairs) -> None:
     def feed(br: _Branch) -> list[tuple[_Branch, dict[int, int]]]:
         return [(br, {net.input_units[symbols[br.fed]]: 1})]
 
-    _explore(net, _Branch(_UNIT, tuple(bits0), ZERO, ONE), feed, pairs, len(symbols))
+    _explore(net, _Branch(_UNIT, pack(bits0), ZERO, ONE), feed, pairs, len(symbols))
 
 
 def fire_states(net: Network) -> list[tuple[int, ...]]:
@@ -267,7 +267,7 @@ def fire_states(net: Network) -> list[tuple[int, ...]]:
     holds every state that some word reaches, and possibly a few more. The
     branch count is held to the endpoint budget.
     """
-    found: set[tuple[int, ...]] = set()
+    found: set[int] = set()
 
     def feed(br: _Branch) -> list[tuple[_Branch, dict[int, int]]]:
         if br.bits in found:
@@ -277,8 +277,8 @@ def fire_states(net: Network) -> list[tuple[int, ...]]:
         return [(fresh, {u: 1}) for u in net.input_units]
 
     init = net.initial_configuration()
-    _explore(net, _Branch(_UNIT, init.binary, init.analog, ZERO), feed, set(), math.inf)
-    return sorted(found)
+    _explore(net, _Branch(_UNIT, init[0], init.analog, ZERO), feed, set(), math.inf)
+    return sorted(map(unpack, found))
 
 
 def _explore(net: Network, root: _Branch, feed, pairs: set[HalfLinePair], length: float) -> None:
@@ -300,7 +300,7 @@ def _explore(net: Network, root: _Branch, feed, pairs: set[HalfLinePair], length
         if br.fed < length:
             if br.since >= net.delta:
                 continue
-            if br.bits[net.nxt - 1]:
+            if br.bits >> (net.nxt - 1) & 1:
                 for child, clamp in feed(br):
                     _step_symbolic(net, child, clamp, stack, pairs)
                 continue
@@ -331,27 +331,23 @@ def _step_symbolic(net, br: _Branch, clamp, stack, pairs) -> None:
     fixed, tests, c_s, w, scale = net._row(br.bits)
     pa, qa = br.a.as_integer_ratio()
     pb, qb = br.b.as_integer_ratio()
-    first = list(fixed)
     for u, v in clamp.items():
-        first[u - 1] = v
-    parts: list[tuple[Interval, list[int]]] = [(br.piece, first)]
-    for i, c, a in tests:
+        fixed |= v << (u - 1)
+    parts: list[tuple[Interval, int]] = [(br.piece, fixed)]
+    for bit, c, a in tests:
         n, m = c * qa + a * pa, a * pb
         if m == 0:
-            for _, bits in parts:
-                bits[i] = 1 if n >= 0 else 0
+            if n >= 0:
+                parts = [(piece, bits | bit) for piece, bits in parts]
             continue
         fire = HalfLinePair(Fraction(-n * qb, qa * m), -1 if m > 0 else 1)
-        split: list[tuple[Interval, list[int]]] = []
+        split: list[tuple[Interval, int]] = []
         for piece, bits in parts:
             on, off = _cut(piece, fire, pairs)
             if on is not None and off is not None:
-                other = bits.copy()
-                bits[i], other[i] = 1, 0
-                split += [(on, bits), (off, other)]
+                split += [(on, bits | bit), (off, bits)]
             else:
-                bits[i] = 1 if on is not None else 0
-                split.append((piece, bits))
+                split.append((piece, bits | bit if on is not None else bits))
         parts = split
 
     n, m = c_s * qa + w * pa, w * pb
@@ -374,7 +370,7 @@ def _step_symbolic(net, br: _Branch, clamp, stack, pairs) -> None:
             regions = [(dead, ZERO, ZERO), (mid, mid_a, mid_b), (full, ONE, ZERO)]
         for region, a, b in regions:
             if region is not None:
-                stack.append(_Branch(region, tuple(bits), a, b, *clock))
+                stack.append(_Branch(region, bits, a, b, *clock))
 
 
 # -- behavior tables over a partition -------------------------------------

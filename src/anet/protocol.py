@@ -146,7 +146,7 @@ class RunSession:
         if self.rows is not None:
             self._steps(unit)
             return
-        key = (unit, self.cfg, self.since, self.pending)  # all tuples and ints, hashed in C
+        key = (unit, self.cfg, self.since, self.pending)  # ints and tuples of ints, hashed in C
         memo = self.net.__dict__.setdefault("_feed_memo", {})  # cached like the step plan
         hit = memo.get(key)
         if hit is None:
@@ -163,12 +163,13 @@ class RunSession:
         """Step to the next query instant, or until no verdict is pending when unit is None."""
         net, rows = self.net, self.rows
         cfg, since, pending = self.cfg, self.since, self.pending
+        nxt, out = net.nxt - 1, net.out - 1
         query = False
         try:
             while not query and (unit is not None or pending):
                 if unit is not None and since >= net.delta:
                     raise QueryGapError("no query within %d steps of the previous one" % net.delta)
-                query = unit is not None and cfg[0][net.nxt - 1] == 1
+                query = unit is not None and cfg[0] >> nxt & 1
                 cfg = net.step(cfg, {unit: 1} if query else None)
                 since = 0 if query else since + 1
                 pending = tuple(p - 1 for p in pending) if pending else ()
@@ -179,7 +180,7 @@ class RunSession:
                     if query:
                         self.queries.append(len(rows) - 1)
                 while pending and pending[0] == 0:
-                    self.verdicts.append(bool(cfg[0][net.out - 1]))
+                    self.verdicts.append(bool(cfg[0] >> out & 1))
                     pending = pending[1:]
         finally:  # the fields stay in step with the verdicts and rows, whatever raises
             self.cfg, self.since, self.pending = cfg, since, pending

@@ -120,7 +120,7 @@ def test_constructed_and_stepped_states_are_equal():
         assert built == stepped and hash(built) == hash(stepped)
         assert_canonical(built.analog)
         assert_canonical(stepped.analog)
-    assert tuple(three_quarters) == ((1, 0), 3, 4)
+    assert tuple(three_quarters) == (0b101, 3, 4)  # unit 1 on, unit 2 off, the sentinel
     assert zero != three_quarters
 
 
@@ -148,6 +148,42 @@ def test_configuration_refuses_what_no_state_can_be():
         with pytest.raises(ValidationError, match="not in 1..4"):
             cfg.unit(j)
     assert Configuration((0,), 0).analog == 0 and Configuration((0,), True).analog == 1
+
+
+def test_binary_state_is_a_sentinel_topped_mask():
+    # bit j-1 holds unit j and the sentinel fixes the length, so states of
+    # different lengths differ and an all-zero state keeps its width
+    assert Configuration((0, 0), 0) != Configuration((0, 0, 0), 0)
+    zero = Configuration((0, 0, 0), 0)
+    assert tuple(zero) == (0b1000, 0, 1) and zero.binary == (0, 0, 0)
+    off = make_network(3, (2,), nxt=1, out=1, delta=1, weights=[(1, 0, Fraction(-1))])
+    stepped = off.step(Configuration((1, 1), Fraction(1, 2)))
+    assert stepped.binary == (0, 0) and stepped == Configuration([0, 0], 0)
+    wide = tuple(j % 3 == 0 for j in range(118))
+    long = Configuration(wide, Fraction(5, 7))
+    assert long.binary == tuple(map(int, wide)) and long.unit(117) == 0 and long.unit(118) == 1
+    for cfg in (zero, stepped, long, Configuration((1, 0, 1), Fraction(1, 2))):
+        for back in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+            assert type(back) is Configuration and back == cfg and hash(back) == hash(cfg)
+            assert back.binary == cfg.binary and back.analog == cfg.analog
+
+
+def test_malformed_binary_vectors_are_refused():
+    net = build_cut_acceptor(cut_params(Fraction(27, 8), Fraction(1, 4)))
+    assert net.size == 8
+    net.step(net.initial_configuration())  # a warm row does not admit other lengths
+    short = Configuration((1,), 0)
+    for run in (
+        lambda: net.step(short),
+        lambda: RunSession(net, start=short).verdict_after("1"),
+        lambda: net.step(Configuration((0,) * 9, 0)),
+        lambda: probe_verdict(net, Configuration((1,) * 6, 0), "1"),
+    ):
+        with pytest.raises(ValidationError, match="does not have 7 units"):
+            run()
+    for bits in ((2, 0, 1, 0, 0, 0, 0), (0, -1), (Fraction(1, 2),), "01"):
+        with pytest.raises(ValidationError, match="must be 0 or 1"):
+            Configuration(bits, 0)
 
 
 def test_constructed_start_hits_the_stepped_feed_memo():
@@ -260,7 +296,7 @@ def test_warm_rows_step_like_dense_steps(case, walk):
     for clamped, other in walk:
         got = net.step(cfg, clamp)
         assert got == step_dense(net, cfg, clamp)
-        assert cfg.binary in net.__dict__["_rows"]
+        assert cfg[0] in net.__dict__["_rows"]
         again = Configuration(cfg.binary, other)
         assert net.step(again, clamp) == step_dense(net, again, clamp)
         cfg, clamp = got, {2: 1} if clamped else None

@@ -112,6 +112,25 @@ def test_fire_state_search_is_budgeted(cut_net, monkeypatch):
         partition.fire_states(cut_net)
 
 
+def test_fire_states_are_sorted_bit_tuples(cut_net):
+    assert partition.fire_states(cut_net) == [(0, 0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 1, 0)]
+    mod3, _ = compile_mealy(machine_from_tsv(MOD3_TSV))
+    active = [(3, 13, 31), (3, 12), (3, 11, 30), (3, 10, 30), (3, 9), (3, 8), (3, 8, 31), (3, 7), (3, 7, 31), (3, 6)]
+    assert partition.fire_states(mod3) == [tuple(int(j in on) for j in range(1, mod3.size)) for on in active]
+
+
+def test_exhaustive_partition_ignores_clamped_input_units():
+    # input unit 2 crosses at y = 1/2, but it is clamped, so no run compares it
+    base = [(3, 0, F(-1)), (3, 4, F(3)), (4, 4, F(1, 2)), (4, 2, F(1, 2))]
+    plain = make_network(4, (2,), nxt=1, out=3, delta=1, weights=base)
+    fed = make_network(4, (2,), nxt=1, out=3, delta=1, weights=base + [(2, 0, F(-1, 4)), (2, 4, F(1, 2))])
+    for horizon in (1, 2, 3):
+        want = build_partition_exhaustive(plain, horizon)
+        assert build_partition_exhaustive(fed, horizon).pairs == want.pairs
+    intervals = build_partition_exhaustive(fed, 1).partition.intervals
+    assert [str(iv) for iv in intervals] == ["[0,0]", "(0,1/3)", "[1/3,1)", "[1,1]"]
+
+
 def test_refined_run_is_budgeted(cut_net, monkeypatch):
     start = [cut_net.initial_configuration().binary]
     build_partition_refined(cut_net, ("0",), starts=start)

@@ -8,7 +8,7 @@ from anet import protocol
 from anet.cutlang import build_cut_acceptor, cut_params
 from anet.errors import QueryGapError, ValidationError
 from anet.mealy import compile_mealy, machine_from_tsv
-from anet.network import Network, make_network
+from anet.network import Configuration, Network, make_network
 from anet.protocol import (
     Alphabet,
     RunSession,
@@ -314,6 +314,15 @@ def test_enumeration_builds_few_transition_rows(cut_net, monkeypatch):
     assert len(enumerate_language(dataclasses.replace(cut_net), 13)) == 8192
     assert len(calls) == 73352
     assert len(built) <= 8 and len(set(built)) == len(built)
+
+
+def test_feed_memo_keys_hold_no_bit_tuples(cut_net):
+    for net in (dataclasses.replace(cut_net), _mod3_reduction()):
+        enumerate_language(net, 6)
+        assert net.__dict__["_feed_memo"]
+        for unit, cfg, since, pending in net.__dict__["_feed_memo"]:
+            assert type(cfg) is Configuration and all(type(x) is int for x in cfg)
+        assert all(type(mask) is int for mask in net.__dict__["_rows"])
 
 
 def test_session_fields_follow_the_last_step_when_a_step_raises(cut_net, monkeypatch):

@@ -60,7 +60,7 @@ class Configuration(tuple):
         p, q = analog.as_integer_ratio()
         if not 0 <= p <= q:
             raise ValidationError("analog value outside [0,1]")
-        return tuple.__new__(cls, (pack(binary), p, q))
+        return tuple.__new__(cls, (pack(tuple(binary)), p, q))
 
     def __getnewargs__(self):  # copy and pickle rebuild through __new__
         return self.binary, self.analog
@@ -94,7 +94,7 @@ def pack(bits: Sequence[int]) -> int:
 
 def unpack(mask: int) -> tuple[int, ...]:
     """The binary vector of a mask, below its sentinel bit."""
-    return tuple(map(int, bin(mask)[:2:-1]))
+    return tuple(map(int, bin(mask)[:2:-1]))  # bin() gives "0b1" and the bits, highest first
 
 
 @dataclass(frozen=True)

@@ -158,7 +158,7 @@ def test_binary_state_is_a_sentinel_topped_mask():
     assert tuple(zero) == (0b1000, 0, 1) and zero.binary == (0, 0, 0)
     off = make_network(3, (2,), nxt=1, out=1, delta=1, weights=[(1, 0, Fraction(-1))])
     stepped = off.step(Configuration((1, 1), Fraction(1, 2)))
-    assert stepped.binary == (0, 0) and stepped == Configuration([0, 0], 0)
+    assert stepped.binary == (0, 0) and stepped == Configuration([0, 0], 0) == Configuration(iter((0, 0)), 0)
     wide = tuple(j % 3 == 0 for j in range(118))
     long = Configuration(wide, Fraction(5, 7))
     assert long.binary == tuple(map(int, wide)) and long.unit(117) == 0 and long.unit(118) == 1

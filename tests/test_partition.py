@@ -115,7 +115,8 @@ def test_fire_state_search_is_budgeted(cut_net, monkeypatch):
 def test_fire_states_are_sorted_bit_tuples(cut_net):
     assert partition.fire_states(cut_net) == [(0, 0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 1, 0)]
     mod3, _ = compile_mealy(machine_from_tsv(MOD3_TSV))
-    active = [(3, 13, 31), (3, 12), (3, 11, 30), (3, 10, 30), (3, 9), (3, 8), (3, 8, 31), (3, 7), (3, 7, 31), (3, 6)]
+    active = [(3, 13, 31), (3, 12), (3, 11, 30), (3, 10, 30), (3, 9)]
+    active += [(3, 8), (3, 8, 31), (3, 7), (3, 7, 31), (3, 6)]
     assert partition.fire_states(mod3) == [tuple(int(j in on) for j in range(1, mod3.size)) for on in active]
 
 

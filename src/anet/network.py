@@ -89,7 +89,7 @@ def pack(bits: Sequence[int]) -> int:
     """The mask of a binary vector: bit j-1 holds bits[j-1], a sentinel bit sits above."""
     if not set(bits) <= {0, 1}:
         raise ValidationError("binary states must be 0 or 1, not %r" % (tuple(bits),))
-    return int("1" + "".join("1" if b else "0" for b in reversed(bits)), 2)
+    return int("1" + "".join(["1" if b else "0" for b in reversed(bits)]), 2)
 
 
 def unpack(mask: int) -> tuple[int, ...]:
@@ -191,8 +191,9 @@ class Network:
             if plan is None:
                 plan = self.__dict__["_plan_cache"] = _StepPlan.build(self)
             acc = plan.binary_sums(mask)
-            skip = set(self.input_units).union(j for j, _ in plan.tested)
-            fixed = pack([acc[j] >= 0 and j not in skip for j in range(1, self.size)])
+            fixed = int("1" + "".join(["1" if x >= 0 else "0" for x in reversed(acc[1 : self.size])]), 2)
+            for u in (*self.input_units, *(j for j, _ in plan.tested)):
+                fixed &= ~(1 << (u - 1))
             tests = tuple((1 << (j - 1), acc[j], a) for j, a in plan.tested)
             row = rows[mask] = (fixed, tests, acc[self.size], plan.analog_weight, plan.analog_scale)
         return row
@@ -258,7 +259,6 @@ class _StepPlan:
 
     bias: tuple[int, ...]
     out_edges: Mapping[int, tuple[tuple[int, int], ...]]
-    binary_sources: tuple[int, ...]
     tested: tuple[tuple[int, int], ...]
     analog_weight: int
     analog_scale: int
@@ -282,21 +282,21 @@ class _StepPlan:
                 analog_in[j] = v
             else:
                 out[i].append((j, v))
-        sources = tuple(i for i in range(1, s) if out[i])
-        edges = {i: tuple(out[i]) for i in sources}
+        edges = {i: tuple(v) for i, v in out.items() if v}
         tested = tuple(sorted((j, a) for j, a in analog_in.items() if j != s and j not in net.input_units))
-        return _StepPlan(tuple(bias), edges, sources, tested, analog_in[s], scale[s])
+        return _StepPlan(tuple(bias), edges, tested, analog_in[s], scale[s])
 
     def binary_sums(self, mask: int) -> list[int]:
         """Per target j, L_j times its bias plus its weights from the active binary units.
 
         mask holds the states of units 1..size-1; the analog term is the caller's.
         """
-        acc = list(self.bias)
-        for i in self.binary_sources:
-            if mask >> (i - 1) & 1:
-                for j, w in self.out_edges[i]:
-                    acc[j] += w
+        acc, rest = list(self.bias), mask ^ 1 << (mask.bit_length() - 1)  # set bits, no sentinel
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for j, w in self.out_edges.get(low.bit_length(), ()):
+                acc[j] += w
         return acc
 
 

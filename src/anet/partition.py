@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import QueryGapError, ResourceBudgetError, ValidationError
 from .network import Configuration, Network, pack, saturation, unpack
-from .protocol import Alphabet, RunSession, resolve_alphabet
+from .protocol import Alphabet, resolve_alphabet, verdict
 from .rationals import (
     CORNER_PAIRS,
     ONE,
@@ -420,6 +420,6 @@ def probe_verdict(
 ) -> bool:
     """Online verdict of word from an arbitrary start; gap violations reject."""
     try:
-        return RunSession(net, alphabet, start=start).verdict_after(word)
+        return verdict(net, (start, 0, ()), word, resolve_alphabet(net, alphabet))
     except QueryGapError:
         return False

@@ -7,20 +7,21 @@ for the prefix consumed so far appears on the out unit output_delay steps
 after the next query instant. One formal extra symbol (the first letter of the
 alphabet) is appended so the verdict of the full word can be read.
 
-Query gaps have one rule. A feed that finds no query instant within the
-declared bound of the previous one raises QueryGapError; whether it raises
-depends only on the session state, never on the symbol. enumerate_language,
-compare_languages, accepts and run_online pass the error on (the CLI exits
-with code 4); the brute-force quotient oracle and partition.probe_verdict
-count it as a rejection.
+A protocol state is the value (cfg, since, pending): the configuration, the
+steps since the last query (or the start) and the steps until each pending
+verdict is read, oldest first. advance(net, state, unit) is the one
+transition, a feed of unit or the drain when unit is None. verdict(net,
+state, suffix) feeds the suffix and the formal extra symbol, drains and reads
+the last settled verdict. walk_words walks the word tree over states. Both
+are memoized per network, advance on (unit, state) and verdicts on the state,
+each memo holding at most FEED_MEMO_LIMIT entries and cleared when full.
 
-A session keeps the protocol clock relative to now, so its state is its own
-memo key: the final state and the verdicts settled by a feed or a drain
-depend only on the input unit (none for a drain), the configuration, the
-steps since the last query and the steps until each pending verdict. Feeds
-and drains are memoized per network on that key. The memo holds at most
-FEED_MEMO_LIMIT entries and is cleared when full; trace-mode sessions always
-step.
+Query gaps have one rule. A feed that finds no query instant within the
+declared bound of the previous one raises QueryGapError and stores nothing;
+whether it raises depends only on the state, never on the symbol.
+enumerate_language, compare_languages, accepts and run_online pass the error
+on (the CLI exits with code 4); the brute-force quotient oracle and
+partition.probe_verdict count it as a rejection.
 """
 
 from __future__ import annotations
@@ -92,17 +93,85 @@ def resolve_alphabet(net: Network, alphabet: Alphabet | None = None) -> Alphabet
     return alphabet
 
 
-class RunSession:
-    """Mutable protocol run, cloneable so enumeration can share prefixes.
+State = tuple  # (cfg, since, pending): a Configuration, an int and a tuple of ints
 
-    The protocol state is kept relative to now: since counts the steps since
-    the last query instant (or since the start), pending the steps until
-    each scheduled verdict is read, oldest first. verdicts[k] is the verdict
-    for the prefix of length k. Trace mode also records every configuration
-    (rows[t] is the one at time t) and the query instants.
+
+def advance(net: Network, state: State, unit: int | None) -> tuple[State, tuple[bool, ...]]:
+    """One feed of unit, or the drain when unit is None: the new state and the verdicts it settled."""
+    memo = net.__dict__.setdefault("_feed_memo", {})  # cached like the step plan
+    hit = memo.get((unit, state))  # ints and tuples of ints, hashed in C
+    if hit is None:
+        hit = _steps(net, state, unit)  # no entry when this raises
+        if len(memo) >= FEED_MEMO_LIMIT:
+            memo.clear()
+        memo[unit, state] = hit
+    return hit
+
+
+def _steps(net: Network, state: State, unit: int | None, trace: "RunSession | None" = None):
+    """Step to the next query instant, or until no verdict is pending when unit is None.
+
+    A trace session records each row, query and verdict; its state follows every step.
+    """
+    cfg, since, pending = state
+    nxt, out = net.nxt - 1, net.out - 1
+    settled: list[bool] = []
+    query = False
+    try:
+        while not query and (unit is not None or pending):
+            if unit is not None and since >= net.delta:
+                raise QueryGapError("no query within %d steps of the previous one" % net.delta)
+            query = unit is not None and cfg[0] >> nxt & 1
+            cfg = net.step(cfg, {unit: 1} if query else None)
+            since = 0 if query else since + 1
+            pending = tuple(p - 1 for p in pending) if pending else ()
+            if query:
+                pending += (net.output_delay,)
+            if trace is not None:
+                trace.rows.append(cfg)
+                if query:
+                    trace.queries.append(len(trace.rows) - 1)
+            while pending and pending[0] == 0:
+                settled.append(bool(cfg[0] >> out & 1))
+                pending = pending[1:]
+    finally:
+        if trace is not None:
+            trace.state = (cfg, since, pending)
+            trace.verdicts.extend(settled)
+    return (cfg, since, pending), tuple(settled)
+
+
+def verdict(net: Network, state: State, suffix: str = "", alphabet: Alphabet | None = None) -> bool:
+    """Verdict for the word that led to state followed by suffix; QueryGapError passes through.
+
+    The suffix and the formal extra symbol are fed, then the run is drained;
+    the formal symbol's verdict is the last one settled. Verdicts are
+    memoized on the state the suffix leads to.
+    """
+    alphabet = resolve_alphabet(net, alphabet) if suffix else alphabet
+    for sym in suffix:
+        state = advance(net, state, net.input_units[alphabet.index(sym)])[0]
+    memo = net.__dict__.setdefault("_verdict_memo", {})
+    hit = memo.get(state)
+    if hit is None:
+        end, settled = advance(net, state, net.input_units[0])
+        if end[2]:
+            settled = advance(net, end, None)[1]
+        hit = settled[-1]
+        if len(memo) >= FEED_MEMO_LIMIT:
+            memo.clear()
+        memo[state] = hit
+    return hit
+
+
+class RunSession:
+    """Mutable protocol run: its state and verdicts[k], the verdict for the prefix of length k.
+
+    Feeds and drains go through advance. Trace mode steps every instant instead
+    and records every configuration (rows[t] is the one at time t) and query instant.
     """
 
-    __slots__ = ("net", "alphabet", "cfg", "since", "pending", "verdicts", "rows", "queries")
+    __slots__ = ("net", "alphabet", "state", "verdicts", "rows", "queries")
 
     def __init__(
         self,
@@ -113,24 +182,11 @@ class RunSession:
     ):
         self.net = net
         self.alphabet = resolve_alphabet(net, alphabet)
-        self.cfg = start if start is not None else net.initial_configuration()
-        self.since = 0
-        self.pending: tuple[int, ...] = ()
+        cfg = start if start is not None else net.initial_configuration()
+        self.state: State = (cfg, 0, ())
         self.verdicts: list[bool] = []
-        self.rows: list[Configuration] | None = [self.cfg] if trace else None
+        self.rows: list[Configuration] | None = [cfg] if trace else None
         self.queries: list[int] | None = [] if trace else None
-
-    def clone(self) -> "RunSession":
-        other = RunSession.__new__(RunSession)
-        other.net = self.net
-        other.alphabet = self.alphabet
-        other.cfg = self.cfg
-        other.since = self.since
-        other.pending = self.pending
-        other.verdicts = list(self.verdicts)
-        other.rows = None if self.rows is None else list(self.rows)
-        other.queries = None if self.queries is None else list(self.queries)
-        return other
 
     def feed(self, symbol: str) -> None:
         """Advance to the next query instant and clamp the symbol there."""
@@ -138,65 +194,19 @@ class RunSession:
 
     def drain(self) -> None:
         """Run past the last query far enough to settle every scheduled verdict."""
-        if self.pending:
+        if self.state[2]:
             self._segment(None)
 
     def _segment(self, unit: int | None) -> None:
-        """One feed, or the drain when unit is None, replayed from the memo if it is there."""
-        if self.rows is not None:
-            self._steps(unit)
-            return
-        key = (unit, self.cfg, self.since, self.pending)  # ints and tuples of ints, hashed in C
-        memo = self.net.__dict__.setdefault("_feed_memo", {})  # cached like the step plan
-        hit = memo.get(key)
-        if hit is None:
-            settled = len(self.verdicts)
-            self._steps(unit)  # no entry when this raises
-            if len(memo) >= FEED_MEMO_LIMIT:
-                memo.clear()
-            memo[key] = (self.cfg, self.since, self.pending, tuple(self.verdicts[settled:]))
-            return
-        self.cfg, self.since, self.pending, settled = hit
-        self.verdicts.extend(settled)
-
-    def _steps(self, unit: int | None) -> None:
-        """Step to the next query instant, or until no verdict is pending when unit is None."""
-        net, rows = self.net, self.rows
-        cfg, since, pending = self.cfg, self.since, self.pending
-        nxt, out = net.nxt - 1, net.out - 1
-        query = False
-        try:
-            while not query and (unit is not None or pending):
-                if unit is not None and since >= net.delta:
-                    raise QueryGapError("no query within %d steps of the previous one" % net.delta)
-                query = unit is not None and cfg[0] >> nxt & 1
-                cfg = net.step(cfg, {unit: 1} if query else None)
-                since = 0 if query else since + 1
-                pending = tuple(p - 1 for p in pending) if pending else ()
-                if query:
-                    pending += (net.output_delay,)
-                if rows is not None:
-                    rows.append(cfg)
-                    if query:
-                        self.queries.append(len(rows) - 1)
-                while pending and pending[0] == 0:
-                    self.verdicts.append(bool(cfg[0] >> out & 1))
-                    pending = pending[1:]
-        finally:  # the fields stay in step with the verdicts and rows, whatever raises
-            self.cfg, self.since, self.pending = cfg, since, pending
+        if self.rows is None:
+            self.state, settled = advance(self.net, self.state, unit)
+            self.verdicts.extend(settled)
+        else:
+            _steps(self.net, self.state, unit, self)
 
     def verdict_after(self, suffix: str = "") -> bool:
-        """Verdict for the consumed prefix followed by suffix; this session is unchanged.
-
-        A clone is fed the suffix and the formal extra symbol, then drained.
-        QueryGapError passes through.
-        """
-        probe = self.clone()
-        for sym in suffix:
-            probe.feed(sym)
-        probe.feed(self.alphabet.formal_extra)
-        probe.drain()
-        return probe.verdicts[-1]
+        """Verdict for the consumed prefix followed by suffix; this session is unchanged."""
+        return verdict(self.net, self.state, suffix, self.alphabet)
 
 
 @dataclass(frozen=True)
@@ -235,36 +245,34 @@ def run_online(net: Network, word: str | Sequence[str], alphabet: Alphabet | Non
 def accepts(net: Network, word: str | Sequence[str], alphabet: Alphabet | None = None) -> bool:
     """Final verdict for the whole word."""
     net.require_valid()
-    word_str = word if isinstance(word, str) else "".join(word)
-    return RunSession(net, alphabet).verdict_after(word_str)
+    return verdict(net, (net.initial_configuration(), 0, ()), "".join(word), resolve_alphabet(net, alphabet))
 
 
-def walk_words(root: RunSession, max_len: int) -> Iterator[tuple[str, RunSession]]:
-    """Every word of length at most max_len, depth first, with a session that consumed it.
+def walk_words(net: Network, alphabet: Alphabet, max_len: int) -> Iterator[tuple[str, State]]:
+    """Every word of length at most max_len, depth first, with the state that consumed it.
 
-    Children are cloned from their parent's session, one feed per tree node.
-    A feed raises QueryGapError for every symbol or for none, and the node's
-    own verdict probe meets the error first; such a node gets no children.
+    A child's state is one advance from its parent's. A feed raises
+    QueryGapError for every symbol or for none, and the node's own verdict
+    probe meets the error first; such a node gets no children.
     """
-    stack: list[tuple[RunSession, str]] = [(root, "")]
+    steps = [(sym, net.input_units[k]) for k, sym in enumerate(alphabet.symbols)]
+    stack: list[tuple[str, State]] = [("", (net.initial_configuration(), 0, ()))]
     while stack:
-        session, word = stack.pop()
-        yield word, session
+        word, state = stack.pop()
+        yield word, state
         if len(word) < max_len:
-            for sym in root.alphabet.symbols:
-                child = session.clone()
+            for sym, unit in steps:
                 try:
-                    child.feed(sym)
+                    stack.append((word + sym, advance(net, state, unit)[0]))
                 except QueryGapError:
                     break
-                stack.append((child, word + sym))
 
 
 def enumerate_language(net: Network, max_len: int, alphabet: Alphabet | None = None) -> set[str]:
     """All accepted words of length at most max_len; QueryGapError passes through."""
     net.require_valid()
-    walk = walk_words(RunSession(net, alphabet), max_len)
-    return {word for word, session in walk if session.verdict_after()}
+    walk = walk_words(net, resolve_alphabet(net, alphabet), max_len)
+    return {word for word, state in walk if verdict(net, state)}
 
 
 def compare_languages(

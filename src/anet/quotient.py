@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .errors import QueryGapError, ValidationError
 from .network import Network, make_network
-from .protocol import Alphabet, RunSession, resolve_alphabet, walk_words
+from .protocol import Alphabet, State, resolve_alphabet, verdict, walk_words
 from .partition import (
     ExtrapolationTable,
     PartitionResult,
@@ -111,23 +111,24 @@ def quotient_difference_language(
 ) -> set[str]:
     """Brute-force reference: probe x+first and x+second+first for every x.
 
-    Prefixes share one session each, so the cost is two probe runs per word
+    Prefixes share one state each, so the cost is two probe runs per word
     tree node. Probes that break the query gap bound count as rejecting.
     """
     if mode not in _MODES:
         raise ValidationError("mode must be one of %s" % (_MODES,))
     base.require_valid()
+    alphabet = resolve_alphabet(base, alphabet)
 
-    def probe(sess: RunSession, suffix: str) -> bool:
+    def probe(state: State, suffix: str) -> bool:
         try:
-            return sess.verdict_after(suffix)
+            return verdict(base, state, suffix, alphabet)
         except QueryGapError:
             return False
 
     return {
         word
-        for word, sess in walk_words(RunSession(base, alphabet), max_len)
-        if combine_verdicts(mode, probe(sess, first), probe(sess, second + first))
+        for word, state in walk_words(base, alphabet, max_len)
+        if combine_verdicts(mode, probe(state, first), probe(state, second + first))
     }
 
 

@@ -191,7 +191,7 @@ def test_constructed_start_hits_the_stepped_feed_memo():
     session = RunSession(net)
     for sym in "10":
         session.feed(sym)
-    stepped = session.cfg
+    stepped = session.state[0]
     want = session.verdict_after("1")  # stores the feeds from the stepped state
     memo = net.__dict__["_feed_memo"]
     size = len(memo)

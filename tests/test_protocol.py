@@ -18,7 +18,14 @@ from anet.protocol import (
     run_online,
     trace_tsv,
 )
-from anet.quotient import SECOND_MINUS_FIRST, QuotientSpec, build_quotient_network
+from anet.quotient import (
+    FIRST_MINUS_SECOND,
+    SECOND_MINUS_FIRST,
+    QuotientSpec,
+    build_quotient_network,
+    combine_verdicts,
+    quotient_difference_language,
+)
 from anet.reduction import ReductionSpec, build_reduction
 
 # state evolution of the threshold-reversal acceptor for base 27/8 at 1/4 on
@@ -185,11 +192,14 @@ def memo_nets():
         "mod3": _mod3_reduction(),
         # output delay 3: verdicts stay pending across feeds
         "quotient": build_quotient_network(quotient).network,
+        # a query every step and a verdict two steps later from an out unit
+        # that toggles: a drain settles two different verdicts
+        "toggle": make_network(5, (2, 4), nxt=1, out=3, delta=1, weights=[(3, 3, -1)], output_delay=2),
     }
 
 
 def _state(session):
-    return (session.cfg, session.since, session.pending, session.verdicts)
+    return session.state, list(session.verdicts)
 
 
 def _feed_or_gap(session, sym):
@@ -200,7 +210,7 @@ def _feed_or_gap(session, sym):
     return _state(session)
 
 
-@given(st.sampled_from(("cut", "parity", "mod3", "quotient")), st.text(alphabet="01", max_size=8))
+@given(st.sampled_from(("cut", "parity", "mod3", "quotient", "toggle")), st.text(alphabet="01", max_size=8))
 @settings(max_examples=150, deadline=None)
 def test_memoized_feeds_match_stepping(memo_nets, which, word):
     # the networks persist across examples, and the second memoized session
@@ -219,13 +229,53 @@ def test_memoized_feeds_match_stepping(memo_nets, which, word):
         assert _state(m) == _state(stepped)
 
 
+@pytest.mark.parametrize("which", ("cut", "parity", "mod3", "quotient", "toggle"))
+def test_state_walks_match_stepping(memo_nets, which, monkeypatch):
+    # the walks over states against one trace-mode run per word, on the warm
+    # shared network and on a fresh copy with empty memos
+    net = memo_nets[which]
+    words = [w for n in range(7) for w in Alphabet.of("01").words(n)]
+
+    def stepped(word):
+        try:
+            return run_online(net, word).accepted
+        except QueryGapError:
+            return False
+
+    accepted = {w for w in words if stepped(w)}
+    for first, second, mode in (("1", "1", SECOND_MINUS_FIRST), ("0", "1", FIRST_MINUS_SECOND)):
+        want = {w for w in words if combine_verdicts(mode, stepped(w + first), stepped(w + second + first))}
+        with monkeypatch.context() as m:
+            m.setattr(RunSession, "__init__", None)  # the walks create no session
+            for run in (net, dataclasses.replace(net)):
+                assert enumerate_language(run, 6) == accepted
+                assert quotient_difference_language(run, first, second, mode, 6) == want
+
+
 def test_gap_violating_feed_raises_again(cut_net):
     tight = dataclasses.replace(cut_net, delta=2)
     session = RunSession(tight)
     session.feed("1")
     for sym in "0011":
         with pytest.raises(QueryGapError):
-            session.clone().feed(sym)
+            protocol.advance(tight, session.state, tight.input_units[int(sym)])
+
+
+def test_gap_violating_calls_store_nothing(cut_net):
+    tight = dataclasses.replace(cut_net, delta=2)
+    session = RunSession(tight)
+    session.feed("1")
+    memos = [tight.__dict__.setdefault(name, {}) for name in ("_feed_memo", "_verdict_memo")]
+    sizes = [len(memo) for memo in memos]
+    for run in (
+        lambda: protocol.advance(tight, session.state, tight.input_units[0]),
+        lambda: protocol.advance(tight, session.state, tight.input_units[1]),
+        lambda: protocol.verdict(tight, session.state),
+        lambda: protocol.verdict(tight, session.state, "10"),
+    ):
+        with pytest.raises(QueryGapError):
+            run()
+    assert [len(memo) for memo in memos] == sizes
 
 
 def _every_step_net():
@@ -240,7 +290,7 @@ def test_feed_memo_keys_on_steps_since_last_query():
     drained = RunSession(net)
     drained.feed("0")
     drained.drain()
-    RunSession(net, start=drained.cfg).feed("0")
+    RunSession(net, start=drained.state[0]).feed("0")
     with pytest.raises(QueryGapError):
         drained.feed("0")
 
@@ -252,18 +302,25 @@ def test_feed_memo_keys_on_pending_verdicts():
     stepped = RunSession(net, trace=True)
     for run in (session, stepped):
         run.feed("0")
-    RunSession(net, start=session.cfg).feed("0")
+    RunSession(net, start=session.state[0]).feed("0")
     for run in (session, stepped):
         run.feed("0")
         run.drain()
     assert _state(session) == _state(stepped)
 
 
+def _memos(net):
+    return [net.__dict__[name] for name in ("_feed_memo", "_verdict_memo")]
+
+
 def test_feed_memo_is_bounded(cut_net, monkeypatch):
+    net = dataclasses.replace(cut_net)  # a fresh network starts with empty memos
+    assert len(enumerate_language(net, 13)) == 8192
+    assert all(0 < len(memo) <= protocol.FEED_MEMO_LIMIT for memo in _memos(net))
     monkeypatch.setattr(protocol, "FEED_MEMO_LIMIT", 5)
-    net = dataclasses.replace(cut_net)  # a fresh network starts with an empty memo
+    net = dataclasses.replace(cut_net)
     assert enumerate_language(net, 7) == enumerate_language(cut_net, 7)
-    assert 0 < len(net.__dict__["_feed_memo"]) <= 5
+    assert all(0 < len(memo) <= 5 for memo in _memos(net))
 
 
 def _count_steps(monkeypatch) -> list:
@@ -293,7 +350,7 @@ def test_enumeration_step_counts_are_pinned(cut_net, monkeypatch):
     # networks start with empty memos
     calls = _count_steps(monkeypatch)
     assert len(enumerate_language(dataclasses.replace(cut_net), 13)) == 8192
-    assert len(calls) == 73352
+    assert len(calls) == 72842
     calls.clear()
     assert len(enumerate_language(_mod3_reduction(), 14)) == 30  # 113 units
     assert len(calls) == 602
@@ -312,16 +369,20 @@ def test_enumeration_builds_few_transition_rows(cut_net, monkeypatch):
     monkeypatch.setattr(Network, "_row", counting_row)
     calls = _count_steps(monkeypatch)
     assert len(enumerate_language(dataclasses.replace(cut_net), 13)) == 8192
-    assert len(calls) == 73352
+    assert len(calls) == 72842
     assert len(built) <= 8 and len(set(built)) == len(built)
 
 
 def test_feed_memo_keys_hold_no_bit_tuples(cut_net):
     for net in (dataclasses.replace(cut_net), _mod3_reduction()):
         enumerate_language(net, 6)
-        assert net.__dict__["_feed_memo"]
-        for unit, cfg, since, pending in net.__dict__["_feed_memo"]:
+        feeds, verdicts = _memos(net)
+        assert feeds and verdicts
+        assert all(unit is None or type(unit) is int for unit, _ in feeds)  # None: a drain
+        for cfg, since, pending in [state for _, state in feeds] + list(verdicts):
             assert type(cfg) is Configuration and all(type(x) is int for x in cfg)
+            assert type(since) is int and type(pending) is tuple
+            assert all(type(p) is int for p in pending)
         assert all(type(mask) is int for mask in net.__dict__["_rows"])
 
 
@@ -340,5 +401,5 @@ def test_session_fields_follow_the_last_step_when_a_step_raises(cut_net, monkeyp
         for sym in "0000":
             session.feed(sym)
     assert len(calls) == 3 and session.queries
-    assert session.cfg == session.rows[-1]
-    assert session.since == len(session.rows) - 1 - session.queries[-1]
+    assert session.state[0] == session.rows[-1]
+    assert session.state[1] == len(session.rows) - 1 - session.queries[-1]

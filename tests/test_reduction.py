@@ -1,8 +1,10 @@
 import dataclasses
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from anet.cutlang import beta_value, build_cut_acceptor, cut_params, reversal_member
 from anet.errors import ValidationError
 from anet.mealy import compile_mealy, machine_from_tsv
 from anet.protocol import Alphabet, accepts, enumerate_language, run_online
@@ -129,6 +131,28 @@ def test_contract_depends_on_inner(accept_all_build):
     assert got == expect
     # ones(scheme) = 2m + 3n + 1: membership should depend on n's parity
     assert outer_word(1, 1) in got and outer_word(1, 2) not in got
+
+
+@pytest.mark.parametrize("base, threshold", [(F(27, 8), F(1, 4)), (F(27), F(1, 28)), (F(8), F(1, 7))])
+def test_contract_around_a_live_analog_inner(base, threshold):
+    # the inner cut acceptor's analog unit holds the value of the word read so
+    # far, so the reduction's states repeat little and the walk steps most
+    # feeds; next to the named threshold, one at the reversed value of the
+    # m = n = 2 scheme word makes the verdict depend on m and n
+    rng = random.Random("live analog %s" % base)
+    for _ in range(4):
+        words = tuple("".join(rng.choice("01") for _ in range(4)) for _ in range(5))
+        mid = beta_value(word_scheme(words, 2, 2), cut_params(base, threshold), reverse=True)
+        for params in (cut_params(base, threshold), cut_params(base, mid)):
+            build = build_reduction(ReductionSpec(inner=build_cut_acceptor(params), words=words))
+            assert build.spec.words == words  # no padding, so the oracle reads the same words
+            want = {
+                outer_word(m, n)
+                for m in range(1, 10)
+                for n in range(1, 11 - m)
+                if reversal_member(word_scheme(words, m, n), params)
+            }
+            assert enumerate_language(build.network, 10) == want, (words, params)
 
 
 def _instants(trace):

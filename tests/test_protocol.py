@@ -253,28 +253,18 @@ def test_state_walks_match_stepping(memo_nets, which, monkeypatch):
 
 
 def test_gap_violating_feed_raises_again(cut_net):
-    tight = dataclasses.replace(cut_net, delta=2)
-    session = RunSession(tight)
-    session.feed("1")
-    for sym in "0011":
-        with pytest.raises(QueryGapError):
-            protocol.advance(tight, session.state, tight.input_units[int(sym)])
-
-
-def test_gap_violating_calls_store_nothing(cut_net):
+    # every time, and a call that raises stores nothing in either memo
     tight = dataclasses.replace(cut_net, delta=2)
     session = RunSession(tight)
     session.feed("1")
     memos = [tight.__dict__.setdefault(name, {}) for name in ("_feed_memo", "_verdict_memo")]
     sizes = [len(memo) for memo in memos]
-    for run in (
-        lambda: protocol.advance(tight, session.state, tight.input_units[0]),
-        lambda: protocol.advance(tight, session.state, tight.input_units[1]),
-        lambda: protocol.verdict(tight, session.state),
-        lambda: protocol.verdict(tight, session.state, "10"),
-    ):
+    for sym in "0011":
         with pytest.raises(QueryGapError):
-            run()
+            protocol.advance(tight, session.state, tight.input_units[int(sym)])
+    for suffix in ("", "10"):
+        with pytest.raises(QueryGapError):
+            protocol.verdict(tight, session.state, suffix)
     assert [len(memo) for memo in memos] == sizes
 
 

@@ -1,7 +1,8 @@
 """Exact-arithmetic laboratory for threshold networks with one analog unit.
 
-Everything runs on Fractions: network simulation, the online word protocol,
-the threshold-reversal acceptors, analog-state interval partitions, quotient
+Every number is an exact rational, held as a Fraction or as an integer pair,
+never a float: network simulation, the online word protocol, the
+threshold-reversal acceptors, analog-state interval partitions, quotient
 networks, compiled transition tables, and the two-letter reduction front end.
 """
 
@@ -35,7 +36,6 @@ from .network import (
 )
 from .protocol import (
     Alphabet,
-    RunSession,
     RunTrace,
     accepts,
     compare_languages,

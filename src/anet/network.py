@@ -122,10 +122,6 @@ class Network:
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
 
-    @property
-    def n_binary(self) -> int:
-        return self.size - 1
-
     def weight(self, j: int, i: int) -> Fraction:
         return self.weights.get((j, i), ZERO)
 
@@ -191,7 +187,7 @@ class Network:
             if plan is None:
                 plan = self.__dict__["_plan_cache"] = _StepPlan.build(self)
             acc = plan.binary_sums(mask)
-            fixed = int("1" + "".join(["1" if x >= 0 else "0" for x in reversed(acc[1 : self.size])]), 2)
+            fixed = pack([x >= 0 for x in acc[1 : self.size]])
             for u in (*self.input_units, *(j for j, _ in plan.tested)):
                 fixed &= ~(1 << (u - 1))
             tests = tuple((1 << (j - 1), acc[j], a) for j, a in plan.tested)

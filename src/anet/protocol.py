@@ -15,6 +15,8 @@ state, suffix) feeds the suffix and the formal extra symbol, drains and reads
 the last settled verdict. walk_words walks the word tree over states. Both
 are memoized per network, advance on (unit, state) and verdicts on the state,
 each memo holding at most FEED_MEMO_LIMIT entries and cleared when full.
+run_online steps every instant past the memos and records every
+configuration, query instant and verdict.
 
 Query gaps have one rule. A feed that finds no query instant within the
 declared bound of the previous one raises QueryGapError and stores nothing;
@@ -37,6 +39,9 @@ _DIGITS = "0123456789"
 
 # Entries kept in one network's feed memo before it is cleared.
 FEED_MEMO_LIMIT = 256
+
+# Differing words compare_languages reports, shortest first.
+MAX_WITNESSES = 10
 
 
 @dataclass(frozen=True)
@@ -72,14 +77,6 @@ class Alphabet:
     def formal_extra(self) -> str:
         return self.symbols[0]
 
-    def words(self, length: int) -> Iterable[str]:
-        if length == 0:
-            yield ""
-            return
-        for prefix in self.words(length - 1):
-            for s in self.symbols:
-                yield prefix + s
-
 
 def resolve_alphabet(net: Network, alphabet: Alphabet | None = None) -> Alphabet:
     """The alphabet a run of net reads: the default when None, else one of matching size."""
@@ -108,36 +105,29 @@ def advance(net: Network, state: State, unit: int | None) -> tuple[State, tuple[
     return hit
 
 
-def _steps(net: Network, state: State, unit: int | None, trace: "RunSession | None" = None):
+def _steps(net: Network, state: State, unit: int | None, rows: list | None = None):
     """Step to the next query instant, or until no verdict is pending when unit is None.
 
-    A trace session records each row, query and verdict; its state follows every step.
+    Each configuration is appended to rows when rows is given.
     """
     cfg, since, pending = state
     nxt, out = net.nxt - 1, net.out - 1
     settled: list[bool] = []
     query = False
-    try:
-        while not query and (unit is not None or pending):
-            if unit is not None and since >= net.delta:
-                raise QueryGapError("no query within %d steps of the previous one" % net.delta)
-            query = unit is not None and cfg[0] >> nxt & 1
-            cfg = net.step(cfg, {unit: 1} if query else None)
-            since = 0 if query else since + 1
-            pending = tuple(p - 1 for p in pending) if pending else ()
-            if query:
-                pending += (net.output_delay,)
-            if trace is not None:
-                trace.rows.append(cfg)
-                if query:
-                    trace.queries.append(len(trace.rows) - 1)
-            while pending and pending[0] == 0:
-                settled.append(bool(cfg[0] >> out & 1))
-                pending = pending[1:]
-    finally:
-        if trace is not None:
-            trace.state = (cfg, since, pending)
-            trace.verdicts.extend(settled)
+    while not query and (unit is not None or pending):
+        if unit is not None and since >= net.delta:
+            raise QueryGapError("no query within %d steps of the previous one" % net.delta)
+        query = unit is not None and cfg[0] >> nxt & 1
+        cfg = net.step(cfg, {unit: 1} if query else None)
+        since = 0 if query else since + 1
+        pending = tuple(p - 1 for p in pending) if pending else ()
+        if query:
+            pending += (net.output_delay,)
+        if rows is not None:
+            rows.append(cfg)
+        while pending and pending[0] == 0:
+            settled.append(bool(cfg[0] >> out & 1))
+            pending = pending[1:]
     return (cfg, since, pending), tuple(settled)
 
 
@@ -164,51 +154,6 @@ def verdict(net: Network, state: State, suffix: str = "", alphabet: Alphabet | N
     return hit
 
 
-class RunSession:
-    """Mutable protocol run: its state and verdicts[k], the verdict for the prefix of length k.
-
-    Feeds and drains go through advance. Trace mode steps every instant instead
-    and records every configuration (rows[t] is the one at time t) and query instant.
-    """
-
-    __slots__ = ("net", "alphabet", "state", "verdicts", "rows", "queries")
-
-    def __init__(
-        self,
-        net: Network,
-        alphabet: Alphabet | None = None,
-        start: Configuration | None = None,
-        trace: bool = False,
-    ):
-        self.net = net
-        self.alphabet = resolve_alphabet(net, alphabet)
-        cfg = start if start is not None else net.initial_configuration()
-        self.state: State = (cfg, 0, ())
-        self.verdicts: list[bool] = []
-        self.rows: list[Configuration] | None = [cfg] if trace else None
-        self.queries: list[int] | None = [] if trace else None
-
-    def feed(self, symbol: str) -> None:
-        """Advance to the next query instant and clamp the symbol there."""
-        self._segment(self.net.input_units[self.alphabet.index(symbol)])
-
-    def drain(self) -> None:
-        """Run past the last query far enough to settle every scheduled verdict."""
-        if self.state[2]:
-            self._segment(None)
-
-    def _segment(self, unit: int | None) -> None:
-        if self.rows is None:
-            self.state, settled = advance(self.net, self.state, unit)
-            self.verdicts.extend(settled)
-        else:
-            _steps(self.net, self.state, unit, self)
-
-    def verdict_after(self, suffix: str = "") -> bool:
-        """Verdict for the consumed prefix followed by suffix; this session is unchanged."""
-        return verdict(self.net, self.state, suffix, self.alphabet)
-
-
 @dataclass(frozen=True)
 class RunTrace:
     """Complete record of one protocol run."""
@@ -225,20 +170,24 @@ class RunTrace:
 
 
 def run_online(net: Network, word: str | Sequence[str], alphabet: Alphabet | None = None) -> RunTrace:
-    """Run the full protocol on word, append the formal extra symbol, settle verdicts."""
+    """Step word and the formal extra symbol past the memos, then drain; rows[t] is time t."""
     net.require_valid()
-    session = RunSession(net, alphabet, trace=True)
+    alphabet = resolve_alphabet(net, alphabet)
     word_str = word if isinstance(word, str) else "".join(word)
-    symbols = tuple(word_str) + (session.alphabet.formal_extra,)
+    symbols = tuple(word_str) + (alphabet.formal_extra,)
+    state: State = (net.initial_configuration(), 0, ())
+    rows, queries, verdicts = [state[0]], [], []
     for sym in symbols:
-        session.feed(sym)
-    session.drain()
+        state, settled = _steps(net, state, net.input_units[alphabet.index(sym)], rows)
+        queries.append(len(rows) - 1)  # a feed ends at its query instant
+        verdicts.extend(settled)
+    verdicts.extend(_steps(net, state, None, rows)[1])
     return RunTrace(
         word=word_str,
-        rows=tuple(enumerate(session.rows)),
-        query_times=tuple(session.queries),
+        rows=tuple(enumerate(rows)),
+        query_times=tuple(queries),
         symbols=symbols,
-        verdicts=tuple(session.verdicts),
+        verdicts=tuple(verdicts),
     )
 
 
@@ -280,7 +229,6 @@ def compare_languages(
     net_b: Network,
     max_len: int,
     alphabet: Alphabet | None = None,
-    max_witnesses: int = 10,
 ) -> tuple[bool, list[str]]:
     """Set equality of the two accepted languages up to max_len, with witnesses."""
     la = enumerate_language(net_a, max_len, alphabet)
@@ -288,7 +236,7 @@ def compare_languages(
     if la == lb:
         return True, []
     diff = sorted(la ^ lb, key=lambda w: (len(w), w))
-    return False, diff[:max_witnesses]
+    return False, diff[:MAX_WITNESSES]
 
 
 def trace_tsv(trace: RunTrace, net: Network) -> str:

@@ -1,8 +1,9 @@
 """Exact rational scalars, half-line boundary pairs, and interval partitions of [0, 1].
 
-All numeric state in this package is `fractions.Fraction`. Floats are never
-accepted: they would silently destroy the bit-exactness contract that every
-simulation and every serialized artifact relies on.
+All numeric state in this package is an exact rational, held as a
+`fractions.Fraction` or as an integer pair. Floats are never accepted: they
+would silently destroy the bit-exactness contract that every simulation and
+every serialized artifact relies on.
 """
 
 from __future__ import annotations

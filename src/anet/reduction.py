@@ -93,16 +93,6 @@ class BufferController:
     initial_buffer: str
     capacity: int
 
-    def stream(self, bits: str) -> str:
-        from .mealy import run_mealy
-
-        return self.initial_buffer + run_mealy(self.machine, bits).emitted
-
-    def well_formed(self, bits: str) -> bool:
-        from .mealy import run_mealy
-
-        return run_mealy(self.machine, bits).final_state == PHASE2
-
 
 def build_buffer_controller(spec: ReductionSpec) -> BufferController:
     v1, v2, v3, v4, _ = spec.words

@@ -1,9 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from anet.network import Network, make_network
+
+
+def all_words(symbols, length: int) -> list[str]:
+    """Every word of the given length over symbols, in the order of the symbols."""
+    return ["".join(w) for w in itertools.product(symbols, repeat=length)]
 
 
 def make_skeleton_net(seed: int, max_size: int = 6) -> Network:

@@ -10,6 +10,7 @@ from anet.mealy import (
     run_mealy,
 )
 from anet.protocol import Alphabet, enumerate_language
+from conftest import all_words
 
 PARITY_TSV = "e\t0\te\t-\t1\ne\t1\to\t-\t1\no\t0\to\t-\t0\no\t1\te\t-\t0\n"
 
@@ -77,7 +78,7 @@ def test_compiled_network_equals_machine_language():
     assert net.delta == 3
     lang = enumerate_language(net, 7)
     alpha = Alphabet.of("01")
-    expect = {w for n in range(8) for w in alpha.words(n) if accepts_word(m, w)}
+    expect = {w for n in range(8) for w in all_words(alpha.symbols, n) if accepts_word(m, w)}
     assert lang == expect
 
 
@@ -86,7 +87,7 @@ def test_compiled_network_two_symbol_alphabet():
     net, layout = compile_mealy(m)
     alpha = Alphabet.of("ab")
     lang = enumerate_language(net, 6, alpha)
-    expect = {w for n in range(7) for w in alpha.words(n) if accepts_word(m, w)}
+    expect = {w for n in range(7) for w in all_words(alpha.symbols, n) if accepts_word(m, w)}
     assert lang == expect
 
 

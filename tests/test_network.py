@@ -10,7 +10,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anet import network
+from anet import network, protocol
 from anet.cutlang import build_cut_acceptor, cut_params
 from anet.errors import ResourceBudgetError, ValidationError
 from anet.network import (
@@ -25,7 +25,6 @@ from anet.network import (
     save_network,
 )
 from anet.partition import probe_verdict
-from anet.protocol import RunSession
 from conftest import make_skeleton_net
 
 
@@ -175,7 +174,7 @@ def test_malformed_binary_vectors_are_refused():
     short = Configuration((1,), 0)
     for run in (
         lambda: net.step(short),
-        lambda: RunSession(net, start=short).verdict_after("1"),
+        lambda: protocol.verdict(net, (short, 0, ()), "1"),
         lambda: net.step(Configuration((0,) * 9, 0)),
         lambda: probe_verdict(net, Configuration((1,) * 6, 0), "1"),
     ):
@@ -188,11 +187,11 @@ def test_malformed_binary_vectors_are_refused():
 
 def test_constructed_start_hits_the_stepped_feed_memo():
     net = build_cut_acceptor(cut_params(Fraction(27, 8), Fraction(1, 4)))
-    session = RunSession(net)
+    state = (net.initial_configuration(), 0, ())
     for sym in "10":
-        session.feed(sym)
-    stepped = session.state[0]
-    want = session.verdict_after("1")  # stores the feeds from the stepped state
+        state = protocol.advance(net, state, net.input_units[int(sym)])[0]
+    stepped = state[0]
+    want = protocol.verdict(net, state, "1")  # stores the feeds from the stepped state
     memo = net.__dict__["_feed_memo"]
     size = len(memo)
     start = Configuration(stepped.binary, stepped.analog)

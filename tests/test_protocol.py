@@ -11,7 +11,6 @@ from anet.mealy import compile_mealy, machine_from_tsv
 from anet.network import Configuration, Network, make_network
 from anet.protocol import (
     Alphabet,
-    RunSession,
     accepts,
     compare_languages,
     enumerate_language,
@@ -27,6 +26,7 @@ from anet.quotient import (
     quotient_difference_language,
 )
 from anet.reduction import ReductionSpec, build_reduction
+from conftest import all_words
 
 # state evolution of the threshold-reversal acceptor for base 27/8 at 1/4 on
 # the word 101, frozen from an independent hand simulation; columns y_1..y_8.
@@ -58,7 +58,7 @@ def test_alphabet_defaults_and_indexing():
     assert a.formal_extra == "0"
     with pytest.raises(ValidationError):
         a.index("2")
-    assert sorted(a.words(2)) == ["00", "01", "10", "11"]
+    assert all_words(a.symbols, 2) == ["00", "01", "10", "11"]
 
 
 def test_golden_trace_states(cut_net):
@@ -131,7 +131,7 @@ def test_enumerate_language_small(cut_net):
     expected = {
         w
         for n in range(4)
-        for w in Alphabet.of("01").words(n)
+        for w in all_words("01", n)
         if reversal_member(w, params)
     }
     assert lang == expected
@@ -158,15 +158,24 @@ def test_unknown_symbol_rejected(cut_net):
         run_online(cut_net, "102")
 
 
+def _start(net):
+    return (net.initial_configuration(), 0, ())
+
+
+def _fed(net, word):
+    """The state after feeding word from the start, through the memo."""
+    state = _start(net)
+    for sym in word:
+        state = protocol.advance(net, state, net.input_units[int(sym)])[0]
+    return state
+
+
 def test_verdict_after_leaves_the_session_unchanged(cut_net):
+    # the verdict of a prefix's state with the rest of the word as suffix
     for word in ("", "1", "10", "0110", "1101"):
         for k in range(len(word) + 1):
-            session = RunSession(cut_net)
-            for sym in word[:k]:
-                session.feed(sym)
-            before = _state(session)
-            assert session.verdict_after(word[k:]) == accepts(cut_net, word)
-            assert _state(session) == before
+            state = _fed(cut_net, word[:k])
+            assert protocol.verdict(cut_net, state, word[k:]) == accepts(cut_net, word)
 
 
 # -- the feed memo -------------------------------------------------------------
@@ -198,43 +207,44 @@ def memo_nets():
     }
 
 
-def _state(session):
-    return session.state, list(session.verdicts)
+def _run(feed, net, word):
+    """(state, settled) after each feed of word and the formal symbol, and after the drain.
 
-
-def _feed_or_gap(session, sym):
-    try:
-        session.feed(sym)
-    except QueryGapError:
-        return "gap"
-    return _state(session)
+    A QueryGapError ends the list with "gap".
+    """
+    state, run = _start(net), []
+    for unit in [net.input_units[int(sym)] for sym in word + "0"] + [None]:
+        try:
+            state, settled = feed(net, state, unit)
+        except QueryGapError:
+            return run + ["gap"]
+        run.append((state, settled))
+    return run
 
 
 @given(st.sampled_from(("cut", "parity", "mod3", "quotient", "toggle")), st.text(alphabet="01", max_size=8))
 @settings(max_examples=150, deadline=None)
 def test_memoized_feeds_match_stepping(memo_nets, which, word):
-    # the networks persist across examples, and the second memoized session
+    # the networks persist across examples, and the second memoized run
     # repeats the first one's feeds, so both memo misses and hits are compared
     net = memo_nets[which]
-    stepped = RunSession(net, trace=True)
-    memoized = [RunSession(net), RunSession(net)]
-    for sym in word + stepped.alphabet.formal_extra:
-        want = _feed_or_gap(stepped, sym)
-        assert [_feed_or_gap(m, sym) for m in memoized] == [want, want]
-        if want == "gap":
-            return
-    stepped.drain()
-    for m in memoized:
-        m.drain()
-        assert _state(m) == _state(stepped)
+    stepped = _run(protocol._steps, net, word)
+    assert [_run(protocol.advance, net, word) for _ in range(2)] == [stepped, stepped]
+    if stepped[-1] == "gap":
+        with pytest.raises(QueryGapError):
+            run_online(net, word)
+        return
+    trace = run_online(net, word)
+    assert trace.verdicts == tuple(v for _, settled in stepped for v in settled)
+    assert trace.rows[-1][1] == stepped[-1][0][0]
 
 
 @pytest.mark.parametrize("which", ("cut", "parity", "mod3", "quotient", "toggle"))
-def test_state_walks_match_stepping(memo_nets, which, monkeypatch):
-    # the walks over states against one trace-mode run per word, on the warm
+def test_state_walks_match_stepping(memo_nets, which):
+    # the walks over states against one run_online per word, on the warm
     # shared network and on a fresh copy with empty memos
     net = memo_nets[which]
-    words = [w for n in range(7) for w in Alphabet.of("01").words(n)]
+    words = [w for n in range(7) for w in all_words("01", n)]
 
     def stepped(word):
         try:
@@ -245,26 +255,23 @@ def test_state_walks_match_stepping(memo_nets, which, monkeypatch):
     accepted = {w for w in words if stepped(w)}
     for first, second, mode in (("1", "1", SECOND_MINUS_FIRST), ("0", "1", FIRST_MINUS_SECOND)):
         want = {w for w in words if combine_verdicts(mode, stepped(w + first), stepped(w + second + first))}
-        with monkeypatch.context() as m:
-            m.setattr(RunSession, "__init__", None)  # the walks create no session
-            for run in (net, dataclasses.replace(net)):
-                assert enumerate_language(run, 6) == accepted
-                assert quotient_difference_language(run, first, second, mode, 6) == want
+        for run in (net, dataclasses.replace(net)):
+            assert enumerate_language(run, 6) == accepted
+            assert quotient_difference_language(run, first, second, mode, 6) == want
 
 
 def test_gap_violating_feed_raises_again(cut_net):
     # every time, and a call that raises stores nothing in either memo
     tight = dataclasses.replace(cut_net, delta=2)
-    session = RunSession(tight)
-    session.feed("1")
+    state = _fed(tight, "1")
     memos = [tight.__dict__.setdefault(name, {}) for name in ("_feed_memo", "_verdict_memo")]
     sizes = [len(memo) for memo in memos]
     for sym in "0011":
         with pytest.raises(QueryGapError):
-            protocol.advance(tight, session.state, tight.input_units[int(sym)])
+            protocol.advance(tight, state, tight.input_units[int(sym)])
     for suffix in ("", "10"):
         with pytest.raises(QueryGapError):
-            protocol.verdict(tight, session.state, suffix)
+            protocol.verdict(tight, state, suffix)
     assert [len(memo) for memo in memos] == sizes
 
 
@@ -274,29 +281,23 @@ def _every_step_net():
 
 
 def test_feed_memo_keys_on_steps_since_last_query():
-    # a drained session is past its query deadline, while a session started
-    # in the same configuration is not
+    # a drained state is past its query deadline, while a run started in the
+    # same configuration is not
     net = _every_step_net()
-    drained = RunSession(net)
-    drained.feed("0")
-    drained.drain()
-    RunSession(net, start=drained.state[0]).feed("0")
+    unit = net.input_units[0]
+    drained = protocol.advance(net, _fed(net, "0"), None)[0]
+    protocol.advance(net, (drained[0], 0, ()), unit)
     with pytest.raises(QueryGapError):
-        drained.feed("0")
+        protocol.advance(net, drained, unit)
 
 
 def test_feed_memo_keys_on_pending_verdicts():
     # the same configuration with and without a verdict still to settle
     net = _every_step_net()
-    session = RunSession(net)
-    stepped = RunSession(net, trace=True)
-    for run in (session, stepped):
-        run.feed("0")
-    RunSession(net, start=session.state[0]).feed("0")
-    for run in (session, stepped):
-        run.feed("0")
-        run.drain()
-    assert _state(session) == _state(stepped)
+    fed = protocol._steps(net, _start(net), net.input_units[0])[0]
+    assert fed[2]
+    protocol.advance(net, (fed[0], 0, ()), net.input_units[0])
+    assert _run(protocol.advance, net, "0") == _run(protocol._steps, net, "0")
 
 
 def _memos(net):
@@ -374,22 +375,3 @@ def test_feed_memo_keys_hold_no_bit_tuples(cut_net):
             assert type(since) is int and type(pending) is tuple
             assert all(type(p) is int for p in pending)
         assert all(type(mask) is int for mask in net.__dict__["_rows"])
-
-
-def test_session_fields_follow_the_last_step_when_a_step_raises(cut_net, monkeypatch):
-    session = RunSession(cut_net, trace=True)
-    calls = _count_steps(monkeypatch)
-    step = Network.step
-
-    def failing_step(self, *args, **kwargs):
-        if len(calls) == 3:
-            raise RuntimeError("step failed")
-        return step(self, *args, **kwargs)
-
-    monkeypatch.setattr(Network, "step", failing_step)
-    with pytest.raises(RuntimeError):
-        for sym in "0000":
-            session.feed(sym)
-    assert len(calls) == 3 and session.queries
-    assert session.state[0] == session.rows[-1]
-    assert session.state[1] == len(session.rows) - 1 - session.queries[-1]

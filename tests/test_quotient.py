@@ -16,6 +16,7 @@ from anet.quotient import (
     combine_verdicts,
     quotient_difference_language,
 )
+from conftest import all_words
 
 PARITY_TSV = "e\t0\te\t-\t1\ne\t1\to\t-\t1\no\t0\to\t-\t0\no\t1\te\t-\t0\n"
 
@@ -51,7 +52,7 @@ def test_difference_oracle_parity(parity_net):
     # "x has an even count", the reverse difference is the odd count
     even = quotient_difference_language(parity_net, "1", "1", SECOND_MINUS_FIRST, 5)
     odd = quotient_difference_language(parity_net, "1", "1", FIRST_MINUS_SECOND, 5)
-    words = [w for n in range(6) for w in Alphabet.of("01").words(n)]
+    words = [w for n in range(6) for w in all_words("01", n)]
     assert even == {w for w in words if w.count("1") % 2 == 0}
     assert odd == {w for w in words if w.count("1") % 2 == 1}
 
@@ -102,7 +103,7 @@ def test_fire_states_cover_concrete_runs(parity_net, which):
     found = set(fire_states(base))
     seen = set()
     for n in range(9):
-        for word in Alphabet.default_for(base).words(n):
+        for word in all_words(Alphabet.default_for(base).symbols, n):
             trace = run_online(base, word)
             rows = dict(trace.rows)
             seen.update(rows[tau - 1].binary for tau in trace.query_times)

@@ -6,9 +6,10 @@ import pytest
 
 from anet.cutlang import beta_value, build_cut_acceptor, cut_params, reversal_member
 from anet.errors import ValidationError
-from anet.mealy import compile_mealy, machine_from_tsv
+from anet.mealy import compile_mealy, machine_from_tsv, run_mealy
 from anet.protocol import Alphabet, accepts, enumerate_language, run_online
 from anet.reduction import (
+    PHASE2,
     ReductionSpec,
     SINK,
     build_buffer_controller,
@@ -57,20 +58,30 @@ def test_outer_word():
     assert outer_word(2, 3) == "00111"
 
 
+def controller_stream(ctrl, bits: str) -> str:
+    """The inner word the controller has preloaded and emitted after reading bits."""
+    return ctrl.initial_buffer + run_mealy(ctrl.machine, bits).emitted
+
+
+def controller_well_formed(ctrl, bits: str) -> bool:
+    """Whether bits is a run of zeros then ones, both nonempty."""
+    return run_mealy(ctrl.machine, bits).final_state == PHASE2
+
+
 def test_controller_stream_matches_scheme():
     spec = ReductionSpec(inner=accept_all_net(), words=("0000", "0011", "0101", "0110", "1111"))
     ctrl = build_buffer_controller(spec)
     for m in range(1, 4):
         for n in range(1, 4):
             bits = outer_word(m, n)
-            stream = ctrl.stream(bits)
+            stream = controller_stream(ctrl, bits)
             scheme = word_scheme(spec.words, m, n)
             # the stream runs one emission block past the scheme prefix
             assert stream.startswith(scheme)
-            assert ctrl.well_formed(bits)
-    assert not ctrl.well_formed("")
-    assert not ctrl.well_formed("10")
-    assert not ctrl.well_formed("0110")
+            assert controller_well_formed(ctrl, bits)
+    assert not controller_well_formed(ctrl, "")
+    assert not controller_well_formed(ctrl, "10")
+    assert not controller_well_formed(ctrl, "0110")
     assert ctrl.capacity == max(4, 4, 8, 4)
 
 

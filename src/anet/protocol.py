@@ -12,10 +12,12 @@ steps since the last query (or the start) and the steps until each pending
 verdict is read, oldest first. advance(net, state, unit) is the one
 transition, a feed of unit or the drain when unit is None. verdict(net,
 state, suffix) feeds the suffix and the formal extra symbol, drains and reads
-the last settled verdict. walk_words walks the word tree over states. Both
-are memoized per network, advance on (unit, state) and verdicts on the state,
-each memo holding at most FEED_MEMO_LIMIT entries and cleared when full.
-run_online steps every instant past the memos and records every
+the last settled verdict. Both are memoized per network, advance on (unit,
+state) and verdicts on the state, each memo holding at most FEED_MEMO_LIMIT
+entries and cleared when full. select_words walks the word tree over states
+and keeps the words whose state passes a test; within one walk, nodes with
+the same state and remaining length share one subtree walk, under the same
+bound. run_online steps every instant past the memos and records every
 configuration, query instant and verdict.
 
 Query gaps have one rule. A feed that finds no query instant within the
@@ -29,7 +31,8 @@ partition.probe_verdict count it as a rejection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from .errors import QueryGapError, ValidationError
 from .network import Configuration, Network
@@ -197,31 +200,58 @@ def accepts(net: Network, word: str | Sequence[str], alphabet: Alphabet | None =
     return verdict(net, (net.initial_configuration(), 0, ()), "".join(word), resolve_alphabet(net, alphabet))
 
 
-def walk_words(net: Network, alphabet: Alphabet, max_len: int) -> Iterator[tuple[str, State]]:
-    """Every word of length at most max_len, depth first, with the state that consumed it.
+def select_words(net: Network, alphabet: Alphabet, max_len: int, keep: Callable[[State], bool]) -> list[str]:
+    """Every word of length at most max_len whose state passes keep, depth first.
 
     A child's state is one advance from its parent's. A feed raises
-    QueryGapError for every symbol or for none, and the node's own verdict
-    probe meets the error first; such a node gets no children.
+    QueryGapError for every symbol or for none, and keep meets the error
+    first if it feeds; such a node gets no children. A node's words depend
+    only on its state and remaining length, so the walk records where each
+    finished subtree's words sit in its output, at most FEED_MEMO_LIMIT
+    subtrees at a time, and a node that meets a recorded pair copies them
+    under its own prefix instead of walking the subtree again. A subtree
+    whose walk raised is never recorded.
     """
+    if max_len < 0:
+        raise ValidationError("length bound must be nonnegative, got %d" % max_len)
     steps = [(sym, net.input_units[k]) for k, sym in enumerate(alphabet.symbols)]
-    stack: list[tuple[str, State]] = [("", (net.initial_configuration(), 0, ()))]
+    out: list[str] = []
+    spans: dict[tuple[State, int], tuple[int, int]] = {}
+    # (remaining, word, state) is a node; (None, key, start) closes the subtree of
+    # key = (state, remaining), whose words were appended from out[start] on
+    stack: list[tuple] = [(max_len, "", (net.initial_configuration(), 0, ()))]
     while stack:
-        word, state = stack.pop()
-        yield word, state
-        if len(word) < max_len:
-            for sym, unit in steps:
-                try:
-                    stack.append((word + sym, advance(net, state, unit)[0]))
-                except QueryGapError:
-                    break
+        remaining, word, state = stack.pop()
+        if remaining is None:
+            if len(spans) >= FEED_MEMO_LIMIT:
+                spans.clear()
+            spans[word] = (state, len(out))
+            continue
+        if remaining <= 0:  # not recorded: sharing a leaf saves one keep call and crowds the record
+            if keep(state):
+                out.append(word)
+            continue
+        key = (state, remaining)
+        span = spans.get(key)
+        if span is not None:
+            n = len(word)  # the recorded words' prefix has the same length
+            out.extend([word + w[n:] for w in out[span[0] : span[1]]])
+            continue
+        stack.append((None, key, len(out)))
+        if keep(state):
+            out.append(word)
+        for sym, unit in steps:
+            try:
+                stack.append((remaining - 1, word + sym, advance(net, state, unit)[0]))
+            except QueryGapError:
+                break
+    return out
 
 
 def enumerate_language(net: Network, max_len: int, alphabet: Alphabet | None = None) -> set[str]:
     """All accepted words of length at most max_len; QueryGapError passes through."""
     net.require_valid()
-    walk = walk_words(net, resolve_alphabet(net, alphabet), max_len)
-    return {word for word, state in walk if verdict(net, state)}
+    return set(select_words(net, resolve_alphabet(net, alphabet), max_len, partial(verdict, net)))
 
 
 def compare_languages(

@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .errors import QueryGapError, ValidationError
 from .network import Network, make_network
-from .protocol import Alphabet, State, resolve_alphabet, verdict, walk_words
+from .protocol import Alphabet, State, resolve_alphabet, select_words, verdict
 from .partition import (
     ExtrapolationTable,
     PartitionResult,
@@ -111,8 +111,10 @@ def quotient_difference_language(
 ) -> set[str]:
     """Brute-force reference: probe x+first and x+second+first for every x.
 
-    Prefixes share one state each, so the cost is two probe runs per word
-    tree node. Probes that break the query gap bound count as rejecting.
+    Prefixes share one state each, and nodes with the same state and
+    remaining length share one subtree walk, so the cost is two probe runs
+    per distinct node. Probes that break the query gap bound count as
+    rejecting.
     """
     if mode not in _MODES:
         raise ValidationError("mode must be one of %s" % (_MODES,))
@@ -125,11 +127,10 @@ def quotient_difference_language(
         except QueryGapError:
             return False
 
-    return {
-        word
-        for word, state in walk_words(base, alphabet, max_len)
-        if combine_verdicts(mode, probe(state, first), probe(state, second + first))
-    }
+    def keep(state: State) -> bool:
+        return combine_verdicts(mode, probe(state, first), probe(state, second + first))
+
+    return set(select_words(base, alphabet, max_len, keep))
 
 
 def build_quotient_network(spec: QuotientSpec) -> QuotientBuild:

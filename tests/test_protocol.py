@@ -204,6 +204,16 @@ def memo_nets():
         # a query every step and a verdict two steps later from an out unit
         # that toggles: a drain settles two different verdicts
         "toggle": make_network(5, (2, 4), nxt=1, out=3, delta=1, weights=[(3, 3, -1)], output_delay=2),
+        # the analog unit counts 1s in eighths and the query unit falls silent
+        # at three of them, so words with three 1s early end in a query gap
+        "gap": make_network(
+            5,
+            (2, 3),
+            nxt=1,
+            out=4,
+            delta=1,
+            weights=[(5, 5, 1), (5, 3, F(1, 8)), (1, 0, F(5, 16)), (1, 5, -1), (4, 5, 1), (4, 0, F(-1, 8))],
+        ),
     }
 
 
@@ -222,7 +232,10 @@ def _run(feed, net, word):
     return run
 
 
-@given(st.sampled_from(("cut", "parity", "mod3", "quotient", "toggle")), st.text(alphabet="01", max_size=8))
+MEMO_NETS = ("cut", "parity", "mod3", "quotient", "toggle", "gap")
+
+
+@given(st.sampled_from(MEMO_NETS), st.text(alphabet="01", max_size=8))
 @settings(max_examples=150, deadline=None)
 def test_memoized_feeds_match_stepping(memo_nets, which, word):
     # the networks persist across examples, and the second memoized run
@@ -239,25 +252,80 @@ def test_memoized_feeds_match_stepping(memo_nets, which, word):
     assert trace.rows[-1][1] == stepped[-1][0][0]
 
 
-@pytest.mark.parametrize("which", ("cut", "parity", "mod3", "quotient", "toggle"))
-def test_state_walks_match_stepping(memo_nets, which):
-    # the walks over states against one run_online per word, on the warm
-    # shared network and on a fresh copy with empty memos
+PROBES = (("1", "1", SECOND_MINUS_FIRST), ("0", "1", FIRST_MINUS_SECOND))
+
+
+def _reference_walk(net, max_len):
+    """(word, state) for every word of length at most max_len, depth first.
+
+    The reference for the shared walks: no memo and no sharing, a child's
+    state is one unmemoized feed from its parent's, and a query gap cuts
+    every child of a node or none.
+    """
+    stack = [("", _start(net))]
+    while stack:
+        word, state = stack.pop()
+        yield word, state
+        if len(word) < max_len:
+            try:
+                children = [protocol._steps(net, state, unit)[0] for unit in net.input_units]
+            except QueryGapError:
+                continue
+            stack.extend(zip([word + "0", word + "1"], children))
+
+
+def _probe(net, state, suffix=""):
+    """The verdict of state followed by suffix, None when a feed breaks the query gap."""
+    try:
+        return protocol.verdict(net, state, suffix)
+    except QueryGapError:
+        return None
+
+
+@pytest.mark.parametrize("which", MEMO_NETS)
+def test_state_walks_match_stepping(memo_nets, monkeypatch, which):
+    # the reference walk against one run_online per word up to length 6, then
+    # the shared walks against the reference up to length 9, on the warm
+    # shared network and on a fresh copy, with both memos and the walk's
+    # subtree record holding at most one entry, at most three, and at most
+    # the real limit, so that they are cleared in the middle of a walk
     net = memo_nets[which]
-    words = [w for n in range(7) for w in all_words("01", n)]
+    nodes = list(_reference_walk(net, 9))
 
     def stepped(word):
         try:
             return run_online(net, word).accepted
         except QueryGapError:
-            return False
+            return None
 
-    accepted = {w for w in words if stepped(w)}
-    for first, second, mode in (("1", "1", SECOND_MINUS_FIRST), ("0", "1", FIRST_MINUS_SECOND)):
-        want = {w for w in words if combine_verdicts(mode, stepped(w + first), stepped(w + second + first))}
+    for word, state in nodes:
+        if len(word) <= 6:
+            for suffix in ("", "0", "1", "10", "11"):
+                assert _probe(net, state, suffix) == stepped(word + suffix)
+
+    verdicts = [(word, _probe(net, state)) for word, state in nodes]
+    quotients = [
+        {
+            w
+            for w, s in nodes
+            if combine_verdicts(mode, bool(_probe(net, s, first)), bool(_probe(net, s, second + first)))
+        }
+        for first, second, mode in PROBES
+    ]
+    for limit in (1, 3, protocol.FEED_MEMO_LIMIT):
+        monkeypatch.setattr(protocol, "FEED_MEMO_LIMIT", limit)
         for run in (net, dataclasses.replace(net)):
-            assert enumerate_language(run, 6) == accepted
-            assert quotient_difference_language(run, first, second, mode, 6) == want
+            for n in range(10):
+                short = [(w, v) for w, v in verdicts if len(w) <= n]
+                if any(v is None for _, v in short):  # the reference's verdict raises
+                    with pytest.raises(QueryGapError):
+                        enumerate_language(run, n)
+                else:
+                    assert enumerate_language(run, n) == {w for w, v in short if v}
+            for (first, second, mode), want in zip(PROBES, quotients):
+                assert quotient_difference_language(run, first, second, mode, 9) == want
+    if which == "gap":  # the gaps cut the tree below length 9
+        assert len(nodes) < 2**10 - 1 and any(v is None for _, v in verdicts)
 
 
 def test_gap_violating_feed_raises_again(cut_net):
@@ -314,16 +382,16 @@ def test_feed_memo_is_bounded(cut_net, monkeypatch):
     assert all(0 < len(memo) <= 5 for memo in _memos(net))
 
 
-def _count_steps(monkeypatch) -> list:
-    """A list that gains one entry per Network.step call from here on."""
-    step = Network.step
+def _count_calls(monkeypatch, owner, name) -> list:
+    """A list that gains one entry per call of owner.name from here on."""
+    fn = getattr(owner, name)
     calls = []
 
-    def counting_step(self, *args, **kwargs):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return step(self, *args, **kwargs)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(Network, "step", counting_step)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
@@ -331,20 +399,39 @@ def test_enumeration_replays_repeated_feed_states(monkeypatch):
     # the mod-3 reduction visits a few hundred distinct feed states; without
     # the memo this enumeration takes about 19,500 steps
     net = _mod3_reduction()
-    calls = _count_steps(monkeypatch)
+    calls = _count_calls(monkeypatch, Network, "step")
     enumerate_language(net, 12)
     assert len(calls) < 2000
 
 
 def test_enumeration_step_counts_are_pinned(cut_net, monkeypatch):
-    # the walk order and the feed memo fix these counts exactly; fresh
-    # networks start with empty memos
-    calls = _count_steps(monkeypatch)
+    # the walk order, the feed memo and the walk's shared subtrees fix these
+    # counts exactly; fresh networks start with empty memos. No state repeats
+    # on the cut acceptor, so its walk shares no subtree
+    calls = _count_calls(monkeypatch, Network, "step")
+    advances = _count_calls(monkeypatch, protocol, "advance")
     assert len(enumerate_language(dataclasses.replace(cut_net), 13)) == 8192
-    assert len(calls) == 72842
+    assert (len(calls), len(advances)) == (72842, 32510)
+    net = _mod3_reduction()  # 113 units
     calls.clear()
-    assert len(enumerate_language(_mod3_reduction(), 14)) == 30  # 113 units
-    assert len(calls) == 602
+    advances.clear()
+    assert len(enumerate_language(net, 14)) == 30
+    assert (len(calls), len(advances)) == (602, 1161)
+
+
+@pytest.mark.parametrize(
+    "walk",
+    (
+        lambda net: enumerate_language(net, -1),
+        lambda net: compare_languages(net, net, -1),
+        lambda net: quotient_difference_language(net, "1", "1", SECOND_MINUS_FIRST, -1),
+    ),
+    ids=("enumerate_language", "compare_languages", "quotient_difference_language"),
+)
+def test_walks_refuse_a_negative_length_bound(cut_net, walk):
+    # the empty word is longer than the bound
+    with pytest.raises(ValidationError):
+        walk(cut_net)
 
 
 def test_enumeration_builds_few_transition_rows(cut_net, monkeypatch):
@@ -358,7 +445,7 @@ def test_enumeration_builds_few_transition_rows(cut_net, monkeypatch):
         return row(self, binary)
 
     monkeypatch.setattr(Network, "_row", counting_row)
-    calls = _count_steps(monkeypatch)
+    calls = _count_calls(monkeypatch, Network, "step")
     assert len(enumerate_language(dataclasses.replace(cut_net), 13)) == 8192
     assert len(calls) == 72842
     assert len(built) <= 8 and len(set(built)) == len(built)

@@ -6,6 +6,8 @@ threshold-reversal acceptors, analog-state interval partitions, quotient
 networks, compiled transition tables, and the two-letter reduction front end.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AnetError,
     QueryGapError,
@@ -46,7 +48,6 @@ from .protocol import (
 from .cutlang import (
     CutParams,
     QpOutcome,
-    beta_value,
     build_cut_acceptor,
     cut_member,
     cut_params,
@@ -78,19 +79,15 @@ from .mealy import (
     compile_mealy,
     load_machine_path,
     machine_from_tsv,
-    machine_to_tsv,
     run_mealy,
 )
 from .reduction import (
-    BufferController,
     ReductionBuild,
     ReductionSpec,
-    build_buffer_controller,
     build_reduction,
     load_reduction_spec,
-    outer_word,
     pad_words,
     word_scheme,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _ModuleType)]

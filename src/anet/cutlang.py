@@ -58,11 +58,6 @@ def _scaled_value(word: str, params: CutParams) -> tuple[int, int]:
     return num, a ** len(word)
 
 
-def beta_value(word: str, params: CutParams, reverse: bool = False) -> Fraction:
-    """Positional value sum_k x_k base^-k; reverse=True indexes from the word's end."""
-    return Fraction(*_scaled_value(word[::-1] if reverse else word, params))
-
-
 def cut_member(word: str, params: CutParams) -> bool:
     """Membership in the threshold language (value strictly below the threshold)."""
     num, den = _scaled_value(word, params)

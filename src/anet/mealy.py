@@ -154,18 +154,6 @@ def machine_from_tsv(text: str) -> MealyMachine:
     return machine.require_valid()
 
 
-def machine_to_tsv(machine: MealyMachine) -> str:
-    machine.require_valid()
-    lines = []
-    ordered = [machine.initial] + [s for s in machine.states if s != machine.initial]
-    for st in ordered:
-        for sym in machine.input_symbols:
-            emit = machine.emissions[(st, sym)] or EMPTY_MARK
-            acc = "1" if st in machine.accepting else "0"
-            lines.append("\t".join((st, sym, machine.transitions[(st, sym)], emit, acc)))
-    return "\n".join(lines) + "\n"
-
-
 def load_machine_path(path: str) -> MealyMachine:
     with open(path, "r", encoding="utf-8") as fp:
         return machine_from_tsv(fp.read())

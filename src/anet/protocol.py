@@ -10,14 +10,14 @@ alphabet) is appended so the verdict of the full word can be read.
 A protocol state is the value (cfg, since, pending): the configuration, the
 steps since the last query (or the start) and the steps until each pending
 verdict is read, oldest first. advance(net, state, unit) is the one
-transition, a feed of unit or the drain when unit is None. verdict(net,
-state, suffix) feeds the suffix and the formal extra symbol, drains and reads
-the last settled verdict. Both are memoized per network, advance on (unit,
-state) and verdicts on the state, each memo holding at most FEED_MEMO_LIMIT
-entries and cleared when full. select_words walks the word tree over states
-and keeps the words whose state passes a test; within one walk, nodes with
-the same state and remaining length share one subtree walk, under the same
-bound. run_online steps every instant past the memos and records every
+transition, a feed of unit or the drain when unit is None. It is memoized per
+network on (unit, state), the protocol layer's one cache, which holds at most
+FEED_MEMO_LIMIT entries and is cleared when full. verdict(net, state, suffix)
+feeds the suffix and the formal extra symbol, drains and reads the last
+settled verdict, all through advance. select_words walks the word tree over
+states and keeps the words whose state passes a test; within one walk, nodes
+with the same state and remaining length share one subtree walk, under the
+same bound. run_online steps every instant past the memo and records every
 configuration, query instant and verdict.
 
 Query gaps have one rule. A feed that finds no query instant within the
@@ -138,23 +138,16 @@ def verdict(net: Network, state: State, suffix: str = "", alphabet: Alphabet | N
     """Verdict for the word that led to state followed by suffix; QueryGapError passes through.
 
     The suffix and the formal extra symbol are fed, then the run is drained;
-    the formal symbol's verdict is the last one settled. Verdicts are
-    memoized on the state the suffix leads to.
+    the formal symbol's verdict is the last one settled. Every feed and the
+    drain go through advance, so a verdict keeps no memo of its own.
     """
     alphabet = resolve_alphabet(net, alphabet) if suffix else alphabet
     for sym in suffix:
         state = advance(net, state, net.input_units[alphabet.index(sym)])[0]
-    memo = net.__dict__.setdefault("_verdict_memo", {})
-    hit = memo.get(state)
-    if hit is None:
-        end, settled = advance(net, state, net.input_units[0])
-        if end[2]:
-            settled = advance(net, end, None)[1]
-        hit = settled[-1]
-        if len(memo) >= FEED_MEMO_LIMIT:
-            memo.clear()
-        memo[state] = hit
-    return hit
+    end, settled = advance(net, state, net.input_units[0])
+    if end[2]:
+        settled = advance(net, end, None)[1]
+    return settled[-1]
 
 
 @dataclass(frozen=True)
@@ -173,7 +166,7 @@ class RunTrace:
 
 
 def run_online(net: Network, word: str | Sequence[str], alphabet: Alphabet | None = None) -> RunTrace:
-    """Step word and the formal extra symbol past the memos, then drain; rows[t] is time t."""
+    """Step word and the formal extra symbol past the memo, then drain; rows[t] is time t."""
     net.require_valid()
     alphabet = resolve_alphabet(net, alphabet)
     word_str = word if isinstance(word, str) else "".join(word)

@@ -68,29 +68,11 @@ class QuotientSpec:
 
 
 @dataclass(frozen=True)
-class QuotientLayout:
-    """Unit index blocks of the built network, for inspection and tests."""
-
-    base_size: int
-    detector_lo: int  # half-line detector bank start
-    detector_count: int
-    state_copy_lo: int  # delayed copies of the base binary units
-    row_lo: int  # one unit per accepted table row
-    row_count: int
-    any_row: int
-    report: int
-    analog: int
-
-
-@dataclass(frozen=True)
 class QuotientBuild:
     network: Network
-    spec: QuotientSpec
     partition: PartitionResult
-    first_table: ExtrapolationTable
-    second_table: ExtrapolationTable
+    first_table: ExtrapolationTable  # perfbench/tracer.py reads its rows
     truth: Mapping[tuple[tuple[int, ...], int], bool]
-    layout: QuotientLayout
 
 
 def combine_verdicts(mode: str, first: bool, second: bool) -> bool:
@@ -225,24 +207,4 @@ def build_quotient_network(spec: QuotientSpec) -> QuotientBuild:
         comment=comment,
     )
 
-    layout = QuotientLayout(
-        base_size=s,
-        detector_lo=det_lo,
-        detector_count=n_pairs,
-        state_copy_lo=copy_lo,
-        row_lo=row_lo,
-        row_count=len(true_rows),
-        any_row=any_row,
-        report=report,
-        analog=analog,
-    )
-    return QuotientBuild(
-        network=net,
-        spec=spec,
-        partition=part,
-        first_table=t_first,
-        second_table=t_second,
-        truth=truth,
-        layout=layout,
-    )
-
+    return QuotientBuild(network=net, partition=part, first_table=t_first, truth=truth)

@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import ValidationError
-from .mealy import MealyMachine
 from .network import Network, make_network
 from .protocol import Alphabet, resolve_alphabet
 
@@ -81,53 +80,6 @@ def word_scheme(words: tuple[str, ...], zeros: int, ones: int) -> str:
     return v1 + v2 * zeros + v3 + v4 * (ones - 1)
 
 
-def outer_word(zeros: int, ones: int) -> str:
-    return "0" * zeros + "1" * ones
-
-
-@dataclass(frozen=True)
-class BufferController:
-    """Abstract view of the translation: a transducer plus the preloaded word."""
-
-    machine: MealyMachine
-    initial_buffer: str
-    capacity: int
-
-
-def build_buffer_controller(spec: ReductionSpec) -> BufferController:
-    v1, v2, v3, v4, _ = spec.words
-    transitions = {
-        (INIT, "0"): PHASE1,
-        (INIT, "1"): SINK,
-        (PHASE1, "0"): PHASE1,
-        (PHASE1, "1"): PHASE2,
-        (PHASE2, "1"): PHASE2,
-        (PHASE2, "0"): SINK,
-        (SINK, "0"): SINK,
-        (SINK, "1"): SINK,
-    }
-    emissions = {
-        (INIT, "0"): v2,
-        (INIT, "1"): "",
-        (PHASE1, "0"): v2,
-        (PHASE1, "1"): v3 + v4,
-        (PHASE2, "1"): v4,
-        (PHASE2, "0"): "",
-        (SINK, "0"): "",
-        (SINK, "1"): "",
-    }
-    machine = MealyMachine(
-        states=(INIT, PHASE1, PHASE2, SINK),
-        input_symbols=("0", "1"),
-        transitions=transitions,
-        emissions=emissions,
-        initial=INIT,
-        accepting=frozenset((PHASE2,)),
-    ).require_valid()
-    capacity = max(len(v1), len(v2), len(v3) + len(v4), len(v4))
-    return BufferController(machine=machine, initial_buffer=v1, capacity=capacity)
-
-
 @dataclass(frozen=True)
 class ReductionLayout:
     """Unit indices of the glue, keyed by role, for tests and trace audits."""
@@ -158,7 +110,6 @@ class ReductionLayout:
 class ReductionBuild:
     network: Network
     spec: ReductionSpec  # with padded words
-    controller: BufferController
     layout: ReductionLayout
 
 
@@ -194,12 +145,11 @@ def build_reduction(spec: ReductionSpec) -> ReductionBuild:
             % (d_in, len(words[3]))
         )
     padded = ReductionSpec(inner=inner, words=words, alphabet=spec.alphabet)
-    controller = build_buffer_controller(padded)
 
     v1, v2, v3, v4, _ = words
     blocks = {"v2": v2, "v34": v3 + v4, "v4": v4}
     mark_pos = {"v2": 0, "v34": len(v3), "v4": 0}
-    cap = controller.capacity
+    cap = max(len(v1), len(v2), len(v3) + len(v4), len(v4))  # the longest word the queue holds
     q = len(in_alpha.symbols)
     n_planes = q + 1  # symbol planes then the mark plane
 
@@ -382,10 +332,12 @@ def build_reduction(spec: ReductionSpec) -> ReductionBuild:
         report=report,
         analog=analog,
     )
-    return ReductionBuild(network=net, spec=padded, controller=controller, layout=layout)
+    return ReductionBuild(network=net, spec=padded, layout=layout)
 
 
 # -- plain-text spec files -------------------------------------------------
+
+_SPEC_KEYS = ("inner", "v1", "v2", "v3", "v4", "v5", "alphabet")  # all but alphabet required
 
 
 def load_reduction_spec(path: str) -> ReductionSpec:
@@ -406,8 +358,13 @@ def load_reduction_spec(path: str) -> ReductionSpec:
             key, eq, value = line.partition("=")
             if not eq:
                 raise ValidationError("%s:%d: expected key=value" % (path, lineno))
-            fields[key.strip()] = value.strip()
-    missing = [k for k in ("inner", "v1", "v2", "v3", "v4", "v5") if k not in fields]
+            key = key.strip()
+            if key not in _SPEC_KEYS:
+                raise ValidationError("%s:%d: unknown key %r" % (path, lineno, key[:40]))
+            if key in fields:
+                raise ValidationError("%s:%d: duplicate key %r" % (path, lineno, key))
+            fields[key] = value.strip()
+    missing = [k for k in _SPEC_KEYS[:-1] if k not in fields]
     if missing:
         raise ValidationError("%s: missing keys %s" % (path, ", ".join(missing)))
     inner_path = fields["inner"]

@@ -7,6 +7,7 @@ code contract: 0 success, 1 usage, 2 validation, 3 budget, 4 query gap.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -345,3 +346,8 @@ def test_missing_file_exits_one(tmp_path, capsys):
     rc = main(["enum", str(tmp_path / "nope.anet"), "2"])
     assert rc == 1
     assert "OSError" in capsys.readouterr().err
+
+
+def test_exports_are_names_not_submodules():
+    assert "enumerate_language" in anet.__all__
+    assert [n for n in anet.__all__ if inspect.ismodule(getattr(anet, n))] == []

@@ -9,7 +9,6 @@ from anet.cutlang import (
     NOT_QP_WITNESS,
     QP_CERTIFICATE,
     _padic,
-    beta_value,
     build_cut_acceptor,
     cut_member,
     cut_params,
@@ -101,6 +100,11 @@ FROZEN_VALUES = [
     ("", F(27, 8), F(0)),
     ("110", F(27), F(28, 19683)),
 ]
+
+
+def beta_value(word: str, params, reverse: bool = False) -> F:
+    """Positional value sum_k x_k base^-k by the oracles' integer kernel; reverse reads the word backwards."""
+    return F(*cutlang._scaled_value(word[::-1] if reverse else word, params))
 
 
 @pytest.mark.parametrize("word,base,value", FROZEN_VALUES)

@@ -6,7 +6,6 @@ from anet.mealy import (
     accepts_word,
     compile_mealy,
     machine_from_tsv,
-    machine_to_tsv,
     run_mealy,
 )
 from anet.protocol import Alphabet, enumerate_language
@@ -20,6 +19,19 @@ p\tb\tq\t-\t0
 q\ta\tp\tz\t1
 q\tb\tq\t-\t1
 """
+
+
+def machine_to_tsv(machine: MealyMachine) -> str:
+    """Reference writer for the parser: one line per transition, start state first."""
+    machine.require_valid()
+    lines = []
+    ordered = [machine.initial] + [s for s in machine.states if s != machine.initial]
+    for st in ordered:
+        for sym in machine.input_symbols:
+            emit = machine.emissions[(st, sym)] or "-"
+            acc = "1" if st in machine.accepting else "0"
+            lines.append("\t".join((st, sym, machine.transitions[(st, sym)], emit, acc)))
+    return "\n".join(lines) + "\n"
 
 
 def test_round_trip_parity():

@@ -9,6 +9,7 @@ from anet.cutlang import build_cut_acceptor, cut_params
 from anet.errors import QueryGapError, ValidationError
 from anet.mealy import compile_mealy, machine_from_tsv
 from anet.network import Configuration, Network, make_network
+from anet.partition import probe_verdict
 from anet.protocol import (
     Alphabet,
     accepts,
@@ -286,7 +287,7 @@ def _probe(net, state, suffix=""):
 def test_state_walks_match_stepping(memo_nets, monkeypatch, which):
     # the reference walk against one run_online per word up to length 6, then
     # the shared walks against the reference up to length 9, on the warm
-    # shared network and on a fresh copy, with both memos and the walk's
+    # shared network and on a fresh copy, with the feed memo and the walk's
     # subtree record holding at most one entry, at most three, and at most
     # the real limit, so that they are cleared in the middle of a walk
     net = memo_nets[which]
@@ -329,18 +330,18 @@ def test_state_walks_match_stepping(memo_nets, monkeypatch, which):
 
 
 def test_gap_violating_feed_raises_again(cut_net):
-    # every time, and a call that raises stores nothing in either memo
+    # every time, and a call that raises stores nothing in the memo
     tight = dataclasses.replace(cut_net, delta=2)
     state = _fed(tight, "1")
-    memos = [tight.__dict__.setdefault(name, {}) for name in ("_feed_memo", "_verdict_memo")]
-    sizes = [len(memo) for memo in memos]
+    memo = tight.__dict__["_feed_memo"]
+    size = len(memo)
     for sym in "0011":
         with pytest.raises(QueryGapError):
             protocol.advance(tight, state, tight.input_units[int(sym)])
     for suffix in ("", "10"):
         with pytest.raises(QueryGapError):
             protocol.verdict(tight, state, suffix)
-    assert [len(memo) for memo in memos] == sizes
+    assert len(memo) == size
 
 
 def _every_step_net():
@@ -368,18 +369,14 @@ def test_feed_memo_keys_on_pending_verdicts():
     assert _run(protocol.advance, net, "0") == _run(protocol._steps, net, "0")
 
 
-def _memos(net):
-    return [net.__dict__[name] for name in ("_feed_memo", "_verdict_memo")]
-
-
 def test_feed_memo_is_bounded(cut_net, monkeypatch):
-    net = dataclasses.replace(cut_net)  # a fresh network starts with empty memos
+    net = dataclasses.replace(cut_net)  # a fresh network starts with an empty memo
     assert len(enumerate_language(net, 13)) == 8192
-    assert all(0 < len(memo) <= protocol.FEED_MEMO_LIMIT for memo in _memos(net))
+    assert 0 < len(net.__dict__["_feed_memo"]) <= protocol.FEED_MEMO_LIMIT
     monkeypatch.setattr(protocol, "FEED_MEMO_LIMIT", 5)
     net = dataclasses.replace(cut_net)
     assert enumerate_language(net, 7) == enumerate_language(cut_net, 7)
-    assert all(0 < len(memo) <= 5 for memo in _memos(net))
+    assert 0 < len(net.__dict__["_feed_memo"]) <= 5
 
 
 def _count_calls(monkeypatch, owner, name) -> list:
@@ -406,17 +403,21 @@ def test_enumeration_replays_repeated_feed_states(monkeypatch):
 
 def test_enumeration_step_counts_are_pinned(cut_net, monkeypatch):
     # the walk order, the feed memo and the walk's shared subtrees fix these
-    # counts exactly; fresh networks start with empty memos. No state repeats
-    # on the cut acceptor, so its walk shares no subtree
+    # counts exactly; fresh networks start with an empty memo. No state
+    # repeats on the cut acceptor, so its walk shares no subtree. A verdict's
+    # feed and drain go through the feed memo, so one whose entries were
+    # cleared is stepped again (73,352 steps, not 72,842), and the mod-3
+    # reduction's verdicts add feed-memo hits but no steps (1,786 advance
+    # calls, not 1,161)
     calls = _count_calls(monkeypatch, Network, "step")
     advances = _count_calls(monkeypatch, protocol, "advance")
     assert len(enumerate_language(dataclasses.replace(cut_net), 13)) == 8192
-    assert (len(calls), len(advances)) == (72842, 32510)
+    assert (len(calls), len(advances)) == (73352, 32765)
     net = _mod3_reduction()  # 113 units
     calls.clear()
     advances.clear()
     assert len(enumerate_language(net, 14)) == 30
-    assert (len(calls), len(advances)) == (602, 1161)
+    assert (len(calls), len(advances)) == (602, 1786)
 
 
 @pytest.mark.parametrize(
@@ -447,17 +448,29 @@ def test_enumeration_builds_few_transition_rows(cut_net, monkeypatch):
     monkeypatch.setattr(Network, "_row", counting_row)
     calls = _count_calls(monkeypatch, Network, "step")
     assert len(enumerate_language(dataclasses.replace(cut_net), 13)) == 8192
-    assert len(calls) == 72842
+    assert len(calls) == 73352  # pinned with the reason above
     assert len(built) <= 8 and len(set(built)) == len(built)
+
+
+def test_walks_and_probes_keep_one_protocol_memo(cut_net):
+    # besides the step plan and the transition rows, the feed memo is the
+    # only cache a network holds after the walks and probes that read verdicts
+    for net in (dataclasses.replace(cut_net), _mod3_reduction()):
+        enumerate_language(net, 6)
+        quotient_difference_language(net, "1", "1", SECOND_MINUS_FIRST, 6)
+        accepts(net, "0110")
+        probe_verdict(net, net.initial_configuration(), "10")
+        cached = sorted(key for key in net.__dict__ if key.startswith("_"))
+        assert cached == ["_feed_memo", "_plan_cache", "_rows"]
 
 
 def test_feed_memo_keys_hold_no_bit_tuples(cut_net):
     for net in (dataclasses.replace(cut_net), _mod3_reduction()):
         enumerate_language(net, 6)
-        feeds, verdicts = _memos(net)
-        assert feeds and verdicts
+        feeds = net.__dict__["_feed_memo"]
+        assert feeds
         assert all(unit is None or type(unit) is int for unit, _ in feeds)  # None: a drain
-        for cfg, since, pending in [state for _, state in feeds] + list(verdicts):
+        for _, (cfg, since, pending) in feeds:
             assert type(cfg) is Configuration and all(type(x) is int for x in cfg)
             assert type(since) is int and type(pending) is tuple
             assert all(type(p) is int for p in pending)

@@ -4,21 +4,22 @@ from fractions import Fraction as F
 
 import pytest
 
-from anet.cutlang import beta_value, build_cut_acceptor, cut_params, reversal_member
+from anet.cutlang import build_cut_acceptor, cut_params, reversal_member
 from anet.errors import ValidationError
-from anet.mealy import compile_mealy, machine_from_tsv, run_mealy
+from anet.mealy import MealyMachine, compile_mealy, machine_from_tsv, run_mealy
 from anet.protocol import Alphabet, accepts, enumerate_language, run_online
 from anet.reduction import (
+    INIT,
+    PHASE1,
     PHASE2,
     ReductionSpec,
     SINK,
-    build_buffer_controller,
     build_reduction,
     load_reduction_spec,
-    outer_word,
     pad_words,
     word_scheme,
 )
+from test_cutlang import beta_value_by_fractions
 
 ALL_TSV = "A\t0\tA\t-\t1\nA\t1\tA\t-\t1\n"
 PARITY_TSV = "e\t0\te\t-\t1\ne\t1\to\t-\t1\no\t0\to\t-\t0\no\t1\te\t-\t0\n"
@@ -54,35 +55,56 @@ def test_word_scheme():
         word_scheme(words, 1, 0)
 
 
-def test_outer_word():
-    assert outer_word(2, 3) == "00111"
+def outer_word(zeros: int, ones: int) -> str:
+    return "0" * zeros + "1" * ones
 
 
-def controller_stream(ctrl, bits: str) -> str:
-    """The inner word the controller has preloaded and emitted after reading bits."""
-    return ctrl.initial_buffer + run_mealy(ctrl.machine, bits).emitted
-
-
-def controller_well_formed(ctrl, bits: str) -> bool:
-    """Whether bits is a run of zeros then ones, both nonempty."""
-    return run_mealy(ctrl.machine, bits).final_state == PHASE2
+def controller_machine(words) -> MealyMachine:
+    """The translation as a transducer: the phase latches' states, emitting the blocks."""
+    _, v2, v3, v4, _ = words
+    return MealyMachine(
+        states=(INIT, PHASE1, PHASE2, SINK),
+        input_symbols=("0", "1"),
+        transitions={
+            (INIT, "0"): PHASE1,
+            (INIT, "1"): SINK,
+            (PHASE1, "0"): PHASE1,
+            (PHASE1, "1"): PHASE2,
+            (PHASE2, "1"): PHASE2,
+            (PHASE2, "0"): SINK,
+            (SINK, "0"): SINK,
+            (SINK, "1"): SINK,
+        },
+        emissions={
+            (INIT, "0"): v2,
+            (INIT, "1"): "",
+            (PHASE1, "0"): v2,
+            (PHASE1, "1"): v3 + v4,
+            (PHASE2, "1"): v4,
+            (PHASE2, "0"): "",
+            (SINK, "0"): "",
+            (SINK, "1"): "",
+        },
+        initial=INIT,
+        accepting=frozenset((PHASE2,)),
+    ).require_valid()
 
 
 def test_controller_stream_matches_scheme():
-    spec = ReductionSpec(inner=accept_all_net(), words=("0000", "0011", "0101", "0110", "1111"))
-    ctrl = build_buffer_controller(spec)
+    # the preloaded v1 and the blocks the transducer emits spell the scheme
+    # word, and the transducer ends in phase two exactly on 0^m 1^n
+    words = ("0000", "0011", "0101", "0110", "1111")
+    machine = controller_machine(words)
     for m in range(1, 4):
         for n in range(1, 4):
-            bits = outer_word(m, n)
-            stream = controller_stream(ctrl, bits)
-            scheme = word_scheme(spec.words, m, n)
+            run = run_mealy(machine, outer_word(m, n))
             # the stream runs one emission block past the scheme prefix
-            assert stream.startswith(scheme)
-            assert controller_well_formed(ctrl, bits)
-    assert not controller_well_formed(ctrl, "")
-    assert not controller_well_formed(ctrl, "10")
-    assert not controller_well_formed(ctrl, "0110")
-    assert ctrl.capacity == max(4, 4, 8, 4)
+            assert (words[0] + run.emitted).startswith(word_scheme(words, m, n))
+            assert run.final_state == PHASE2
+    for bits in ("", "10", "0110"):
+        assert run_mealy(machine, bits).final_state != PHASE2
+    build = build_reduction(ReductionSpec(inner=accept_all_net(), words=words))
+    assert build.layout.n_slots == max(4, 4, 8, 4)
 
 
 def test_short_words_are_padded_to_timing_minimum():
@@ -153,7 +175,7 @@ def test_contract_around_a_live_analog_inner(base, threshold):
     rng = random.Random("live analog %s" % base)
     for _ in range(4):
         words = tuple("".join(rng.choice("01") for _ in range(4)) for _ in range(5))
-        mid = beta_value(word_scheme(words, 2, 2), cut_params(base, threshold), reverse=True)
+        mid = beta_value_by_fractions(word_scheme(words, 2, 2), base, reverse=True)
         for params in (cut_params(base, threshold), cut_params(base, mid)):
             build = build_reduction(ReductionSpec(inner=build_cut_acceptor(params), words=words))
             assert build.spec.words == words  # no padding, so the oracle reads the same words
@@ -234,3 +256,41 @@ def test_spec_file_missing_keys(tmp_path):
     p.write_text("inner = x.anet\nv1 = 0\n")
     with pytest.raises(ValidationError):
         load_reduction_spec(str(p))
+
+
+_SPEC_WORDS = "v1 = 0000\nv2 = 0000\nv3 = 0000\nv4 = 0000\nv5 = 0000\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, key",
+    (
+        ("inner = inner.anet\n" + _SPEC_WORDS + "alphabt = 10\n", 7, "alphabt"),
+        ("inner = inner.anet\n" + _SPEC_WORDS + "v1 = 1111\n", 7, "v1"),
+    ),
+    ids=("unknown", "duplicate"),
+)
+def test_spec_file_refuses_unknown_and_duplicate_keys(tmp_path, text, line, key):
+    # before, the unknown key was dropped and the repeated one's last value won
+    from anet.network import save_network_path
+
+    save_network_path(accept_all_net(), str(tmp_path / "inner.anet"))
+    p = tmp_path / "bad.spec"
+    p.write_text(text)
+    with pytest.raises(ValidationError, match="bad.spec:%d: .*%r" % (line, key)):
+        load_reduction_spec(str(p))
+
+
+def test_readme_spec_example_loads(tmp_path):
+    from pathlib import Path
+
+    from anet.network import save_network_path
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    intro = readme.index("A reduction spec is a small key-value file:")
+    start = readme.index("```\n", intro) + 4
+    example = readme[start : readme.index("```", start)]
+    save_network_path(accept_all_net(), str(tmp_path / "inner.anet"))
+    p = tmp_path / "readme.spec"
+    p.write_text(example)
+    spec = load_reduction_spec(str(p))
+    assert spec.words == ("0000",) * 5 and spec.alphabet == Alphabet.of("01")

@@ -20,7 +20,6 @@ from typing import Iterable, Mapping
 
 from .errors import ValidationError
 from .network import Network, make_network
-from .protocol import Alphabet
 
 EMPTY_MARK = "-"
 
@@ -63,10 +62,6 @@ class MealyMachine:
         if bad:
             raise ValidationError("invalid machine: " + "; ".join(bad))
         return self
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return Alphabet(self.input_symbols)
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,10 @@ network on (unit, state), the protocol layer's one cache, which holds at most
 FEED_MEMO_LIMIT entries and is cleared when full. verdict(net, state, suffix)
 feeds the suffix and the formal extra symbol, drains and reads the last
 settled verdict, all through advance. select_words walks the word tree over
-states and keeps the words whose state passes a test; within one walk, nodes
-with the same state and remaining length share one subtree walk, under the
-same bound. run_online steps every instant past the memo and records every
-configuration, query instant and verdict.
+states and keeps the words whose state passes a test; within one walk, a
+node copies the words below an earlier node of the same state at the same
+or a smaller depth, under the same bound. run_online steps every instant
+past the memo and records every configuration, query instant and verdict.
 
 Query gaps have one rule. A feed that finds no query instant within the
 declared bound of the previous one raises QueryGapError and stores nothing;
@@ -58,6 +58,8 @@ class Alphabet:
             raise ValidationError("alphabet must be nonempty")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValidationError("alphabet symbols must be distinct")
+        if any(not isinstance(sym, str) or len(sym) != 1 for sym in self.symbols):
+            raise ValidationError("alphabet symbols must be single characters, got %r" % (self.symbols,))
 
     @staticmethod
     def of(symbols: Iterable[str] | str) -> "Alphabet":
@@ -199,38 +201,40 @@ def select_words(net: Network, alphabet: Alphabet, max_len: int, keep: Callable[
     A child's state is one advance from its parent's. A feed raises
     QueryGapError for every symbol or for none, and keep meets the error
     first if it feeds; such a node gets no children. A node's words depend
-    only on its state and remaining length, so the walk records where each
-    finished subtree's words sit in its output, at most FEED_MEMO_LIMIT
-    subtrees at a time, and a node that meets a recorded pair copies them
-    under its own prefix instead of walking the subtree again. A subtree
-    whose walk raised is never recorded.
+    only on its state and remaining length, and a subtree walked to a smaller
+    remaining length is the larger one's preorder with the longer words
+    dropped. So the walk records, per state, the remaining length, prefix
+    length and span in its output of the last finished subtree, at most
+    FEED_MEMO_LIMIT states at a time, and a node that meets its state
+    recorded with at least its own remaining length copies those words under
+    its own prefix, longer ones dropped, instead of walking the subtree again.
+    A subtree whose walk raised is never recorded.
     """
     if max_len < 0:
         raise ValidationError("length bound must be nonnegative, got %d" % max_len)
     steps = [(sym, net.input_units[k]) for k, sym in enumerate(alphabet.symbols)]
     out: list[str] = []
-    spans: dict[tuple[State, int], tuple[int, int]] = {}
-    # (remaining, word, state) is a node; (None, key, start) closes the subtree of
-    # key = (state, remaining), whose words were appended from out[start] on
+    spans: dict[State, tuple[int, int, int, int]] = {}
+    # (remaining, word, state) is a node; (None, (remaining, len(word), start),
+    # state) closes its subtree, whose words were appended from out[start] on
     stack: list[tuple] = [(max_len, "", (net.initial_configuration(), 0, ()))]
     while stack:
         remaining, word, state = stack.pop()
-        if remaining is None:
+        if remaining is None:  # any entry of this state has a smaller remaining length
             if len(spans) >= FEED_MEMO_LIMIT:
                 spans.clear()
-            spans[word] = (state, len(out))
+            spans[state] = word + (len(out),)
             continue
         if remaining <= 0:  # not recorded: sharing a leaf saves one keep call and crowds the record
             if keep(state):
                 out.append(word)
             continue
-        key = (state, remaining)
-        span = spans.get(key)
-        if span is not None:
-            n = len(word)  # the recorded words' prefix has the same length
-            out.extend([word + w[n:] for w in out[span[0] : span[1]]])
+        span = spans.get(state)
+        if span is not None and span[0] >= remaining:
+            _, n, start, end = span  # symbols are one character each
+            out.extend([word + w[n:] for w in out[start:end] if len(w) - n <= remaining])
             continue
-        stack.append((None, key, len(out)))
+        stack.append((None, (remaining, len(word), len(out)), state))
         if keep(state):
             out.append(word)
         for sym, unit in steps:

@@ -93,10 +93,10 @@ def quotient_difference_language(
 ) -> set[str]:
     """Brute-force reference: probe x+first and x+second+first for every x.
 
-    Prefixes share one state each, and nodes with the same state and
-    remaining length share one subtree walk, so the cost is two probe runs
-    per distinct node. Probes that break the query gap bound count as
-    rejecting.
+    Prefixes share one state each, and a node copies the words below an
+    earlier node of the same state at the same or a smaller depth, so the
+    cost is two probe runs per node walked. Probes that break the query gap
+    bound count as rejecting.
     """
     if mode not in _MODES:
         raise ValidationError("mode must be one of %s" % (_MODES,))

@@ -29,9 +29,11 @@ def rational(value: RationalLike, den: int | None = None) -> Fraction:
     if isinstance(value, float):
         raise ValidationError("refusing float %r; pass int, Fraction, or 'p/q' text" % (value,))
     if den is not None:
-        if isinstance(value, (Fraction, int)):
-            return Fraction(value, den)
-        raise ValidationError("numerator must be int when a denominator is given")
+        if not isinstance(value, (Fraction, int)):
+            raise ValidationError("numerator must be int when a denominator is given")
+        if not isinstance(den, (Fraction, int)) or den == 0:
+            raise ValidationError("denominator must be a nonzero int, got %r" % (den,))
+        return Fraction(value, den)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):

@@ -16,6 +16,7 @@ from anet.protocol import (
     compare_languages,
     enumerate_language,
     run_online,
+    select_words,
     trace_tsv,
 )
 from anet.quotient import (
@@ -60,6 +61,10 @@ def test_alphabet_defaults_and_indexing():
     with pytest.raises(ValidationError):
         a.index("2")
     assert all_words(a.symbols, 2) == ["00", "01", "10", "11"]
+    # a walk's words are cut by length, one character per symbol
+    for symbols in (("ab", "c"), ("", "1"), ("0", ""), (0, 1)):
+        with pytest.raises(ValidationError):
+            Alphabet(symbols)
 
 
 def test_golden_trace_states(cut_net):
@@ -325,6 +330,8 @@ def test_state_walks_match_stepping(memo_nets, monkeypatch, which):
                     assert enumerate_language(run, n) == {w for w, v in short if v}
             for (first, second, mode), want in zip(PROBES, quotients):
                 assert quotient_difference_language(run, first, second, mode, 9) == want
+            # every node kept: truncated copies keep the reference's order
+            assert select_words(run, Alphabet.of("01"), 9, lambda s: True) == [w for w, _ in nodes]
     if which == "gap":  # the gaps cut the tree below length 9
         assert len(nodes) < 2**10 - 1 and any(v is None for _, v in verdicts)
 
@@ -403,21 +410,21 @@ def test_enumeration_replays_repeated_feed_states(monkeypatch):
 
 def test_enumeration_step_counts_are_pinned(cut_net, monkeypatch):
     # the walk order, the feed memo and the walk's shared subtrees fix these
-    # counts exactly; fresh networks start with an empty memo. No state
-    # repeats on the cut acceptor, so its walk shares no subtree. A verdict's
-    # feed and drain go through the feed memo, so one whose entries were
-    # cleared is stepped again (73,352 steps, not 72,842), and the mod-3
-    # reduction's verdicts add feed-memo hits but no steps (1,786 advance
-    # calls, not 1,161)
+    # counts exactly; fresh networks start with an empty memo. The walk keys
+    # its subtree record on the state alone: on the cut acceptor leading
+    # zeros keep the analog value at 0, so the state of 0w is the state of w
+    # one level down, and half of the nodes copy the words of a walk with a
+    # larger remaining length. The mod-3 reduction's 101 states fit the
+    # record, which is then never cleared mid-walk
     calls = _count_calls(monkeypatch, Network, "step")
     advances = _count_calls(monkeypatch, protocol, "advance")
     assert len(enumerate_language(dataclasses.replace(cut_net), 13)) == 8192
-    assert (len(calls), len(advances)) == (73352, 32765)
+    assert (len(calls), len(advances)) == (36869, 16422)
     net = _mod3_reduction()  # 113 units
     calls.clear()
     advances.clear()
     assert len(enumerate_language(net, 14)) == 30
-    assert (len(calls), len(advances)) == (602, 1786)
+    assert (len(calls), len(advances)) == (602, 648)
 
 
 @pytest.mark.parametrize(
@@ -448,7 +455,7 @@ def test_enumeration_builds_few_transition_rows(cut_net, monkeypatch):
     monkeypatch.setattr(Network, "_row", counting_row)
     calls = _count_calls(monkeypatch, Network, "step")
     assert len(enumerate_language(dataclasses.replace(cut_net), 13)) == 8192
-    assert len(calls) == 73352  # pinned with the reason above
+    assert len(calls) == 36869  # pinned with the reason above
     assert len(built) <= 8 and len(set(built)) == len(built)
 
 

@@ -27,8 +27,10 @@ def test_rational_accepts_ints_and_fractions():
 
 
 def test_rational_rejects_floats():
-    with pytest.raises(ValidationError):
-        rational(0.25)
+    # a float or a zero denominator is refused like a float value
+    for args in ((0.25,), (1, 0), (1, 0.5), (Fraction(1, 2), 0)):
+        with pytest.raises(ValidationError):
+            rational(*args)
 
 
 def test_parse_rational():

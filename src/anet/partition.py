@@ -27,14 +27,13 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import QueryGapError, ResourceBudgetError, ValidationError
-from .network import Configuration, Network, pack, saturation, unpack
+from .network import _UNIT, Configuration, Network, _Branch, _step_symbolic, pack, unpack
 from .protocol import Alphabet, resolve_alphabet, verdict
 from .rationals import (
     CORNER_PAIRS,
     ONE,
     ZERO,
     HalfLinePair,
-    Interval,
     IntervalPartition,
     partition_from_pairs,
 )
@@ -165,40 +164,6 @@ def _finish(pairs: set[HalfLinePair], method: str, **cover) -> PartitionResult:
 # -- refined construction -------------------------------------------------
 
 
-@dataclass
-class _Branch:
-    """One piece of a symbolic run: concrete bits as a state mask, analog value a + b*y."""
-
-    piece: Interval
-    bits: int
-    a: Fraction
-    b: Fraction
-    fed: int = 0
-    since: int = 0  # steps since the last query instant, or since the start
-    left: int = 0  # steps until the last fed symbol's verdict is read
-
-
-_UNIT = Interval(ZERO, ONE, True, True)
-
-
-def _split(piece: Interval, line: HalfLinePair) -> tuple[Interval | None, Interval | None]:
-    """The parts of piece inside and outside the half-line, None where empty."""
-    v, lo, hi = line.a, piece.lo, piece.hi
-    if line.b == -1:  # inside [v, +inf), outside (-inf, v)
-        inside = _interval(v, True, hi, piece.hi_closed) if v > lo else piece
-        outside = _interval(lo, piece.lo_closed, v, False) if v <= hi else piece
-    else:  # inside (-inf, v], outside (v, +inf)
-        inside = _interval(lo, piece.lo_closed, v, True) if v < hi else piece
-        outside = _interval(v, False, hi, piece.hi_closed) if v >= lo else piece
-    return inside, outside
-
-
-def _interval(lo: Fraction, lo_closed: bool, hi: Fraction, hi_closed: bool) -> Interval | None:
-    if lo < hi or (lo == hi and lo_closed and hi_closed):
-        return Interval(lo, hi, lo_closed, hi_closed)
-    return None
-
-
 def build_partition_refined(
     net: Network,
     words: Iterable[str],
@@ -307,70 +272,6 @@ def _explore(net: Network, root: _Branch, feed, pairs: set[HalfLinePair], length
         elif br.left <= 0:
             continue
         _step_symbolic(net, br, {}, stack, pairs)
-
-
-def _cut(
-    piece: Interval, line: HalfLinePair, pairs: set[HalfLinePair]
-) -> tuple[Interval | None, Interval | None]:
-    """_split, recording the half-line when it cuts the piece in two."""
-    inside, outside = _split(piece, line)
-    if inside is not None and outside is not None:
-        pairs.add(line)
-    return inside, outside
-
-
-def _step_symbolic(net, br: _Branch, clamp, stack, pairs) -> None:
-    """Push the successors of one synchronous step of br, on the network's transition row.
-
-    With br.a = pa/qa and br.b = pb/qb, a tested target's excitation times
-    L_j is c + d*y with c = n/qa, n = c_j*qa + a_j*pa (c_j its binary sum,
-    a_j its analog weight) and d = m/qb, m = a_j*pb. The piece splits on the
-    half-line where a tested unit fires, and on those where the analog unit
-    saturates at 0 (c + d*y <= 0) and at 1 (c + d*y >= L_s).
-    """
-    fixed, tests, c_s, w, scale = net._row(br.bits)
-    pa, qa = br.a.as_integer_ratio()
-    pb, qb = br.b.as_integer_ratio()
-    for u, v in clamp.items():
-        fixed |= v << (u - 1)
-    parts: list[tuple[Interval, int]] = [(br.piece, fixed)]
-    for bit, c, a in tests:
-        n, m = c * qa + a * pa, a * pb
-        if m == 0:
-            if n >= 0:
-                parts = [(piece, bits | bit) for piece, bits in parts]
-            continue
-        fire = HalfLinePair(Fraction(-n * qb, qa * m), -1 if m > 0 else 1)
-        split: list[tuple[Interval, int]] = []
-        for piece, bits in parts:
-            on, off = _cut(piece, fire, pairs)
-            if on is not None and off is not None:
-                split += [(on, bits | bit), (off, bits)]
-            else:
-                split.append((piece, bits | bit if on is not None else bits))
-        parts = split
-
-    n, m = c_s * qa + w * pa, w * pb
-    if clamp:
-        clock = (br.fed + 1, 0, net.output_delay)
-    else:
-        clock = (br.fed, br.since + 1, br.left - 1)
-    if m == 0:
-        value = saturation(Fraction(n, qa * scale))
-    else:
-        dead_line = HalfLinePair(Fraction(-n * qb, qa * m), 1 if m > 0 else -1)
-        full_line = HalfLinePair(Fraction((scale * qa - n) * qb, qa * m), -1 if m > 0 else 1)
-        mid_a, mid_b = Fraction(n, qa * scale), Fraction(m, qb * scale)
-    for piece, bits in parts:
-        if m == 0:
-            regions = [(piece, value, ZERO)]
-        else:
-            dead, rest = _cut(piece, dead_line, pairs)
-            full, mid = _cut(rest, full_line, pairs) if rest is not None else (None, None)
-            regions = [(dead, ZERO, ZERO), (mid, mid_a, mid_b), (full, ONE, ZERO)]
-        for region, a, b in regions:
-            if region is not None:
-                stack.append(_Branch(region, bits, a, b, *clock))
 
 
 # -- behavior tables over a partition -------------------------------------

@@ -10,19 +10,28 @@ alphabet) is appended so the verdict of the full word can be read.
 A protocol state is the value (cfg, since, pending): the configuration, the
 steps since the last query (or the start) and the steps until each pending
 verdict is read, oldest first. advance(net, state, unit) is the one
-transition, a feed of unit or the drain when unit is None. It is memoized per
-network on (unit, state), the protocol layer's one cache, which holds at most
-FEED_MEMO_LIMIT entries and is cleared when full. verdict(net, state, suffix)
-feeds the suffix and the formal extra symbol, drains and reads the last
-settled verdict, all through advance. select_words walks the word tree over
-states and keeps the words whose state passes a test; within one walk, a
-node copies the words below an earlier node of the same state at the same
-or a smaller depth, under the same bound. run_online steps every instant
-past the memo and records every configuration, query instant and verdict.
+transition, a feed of unit or the drain when unit is None. Two caches per
+network serve it, each holding at most FEED_MEMO_LIMIT entries and cleared
+when full. The feed memo is keyed on (unit, state). A memo miss goes to the
+segment table, keyed on the state's binary part (unit, mask, since, pending):
+from there the run is piecewise affine in the analog value, and the table
+keeps the pieces learned so far, each an interval of the analog value with
+the next binary part, the settled verdicts and either an affine map or a
+query-gap error. The first miss on a binary part steps and marks it; a later
+miss whose analog value lies in no known piece learns that one piece with
+the symbolic stepper the partitions use. verdict(net, state, suffix) feeds
+the suffix and the formal extra symbol, drains and reads the last settled
+verdict, all through advance. select_words walks the word tree over states
+and keeps the words whose state passes a test; within one walk, a node
+copies the words below an earlier node of the same state at the same or a
+smaller depth, under the same bound, and the walk's nodes and kept words are
+held to WALK_BUDGET. run_online steps every instant past both caches and
+records every configuration, query instant and verdict.
 
 Query gaps have one rule. A feed that finds no query instant within the
-declared bound of the previous one raises QueryGapError and stores nothing;
-whether it raises depends only on the state, never on the symbol.
+declared bound of the previous one raises QueryGapError and stores nothing in
+the memo (the segment table may keep the piece that raises it); whether it
+raises depends only on the state, never on the symbol.
 enumerate_language, compare_languages, accepts and run_online pass the error
 on (the CLI exits with code 4); the brute-force quotient oracle and
 partition.probe_verdict count it as a rejection.
@@ -32,11 +41,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
-from .errors import QueryGapError, ValidationError
-from .network import Configuration, Network
-from .rationals import format_rational
+from .errors import QueryGapError, ResourceBudgetError, ValidationError
+from .network import _UNIT, Configuration, Network, _Branch, _step_symbolic
+from .rationals import ONE, ZERO, format_rational
 
 _DIGITS = "0123456789"
 
@@ -45,6 +55,10 @@ FEED_MEMO_LIMIT = 256
 
 # Differing words compare_languages reports, shortest first.
 MAX_WITNESSES = 10
+
+# Nodes a word-tree walk visits plus words it keeps, sized like the
+# partitions' endpoint budget.
+WALK_BUDGET = 2**20
 
 
 @dataclass(frozen=True)
@@ -99,22 +113,124 @@ State = tuple  # (cfg, since, pending): a Configuration, an int and a tuple of i
 
 
 def advance(net: Network, state: State, unit: int | None) -> tuple[State, tuple[bool, ...]]:
-    """One feed of unit, or the drain when unit is None: the new state and the verdicts it settled."""
+    """One feed of unit, or the drain when unit is None: the new state and the verdicts it settled.
+
+    Memoized per network on (unit, state). A memo miss is served from the
+    segment table when a learned piece of the state's binary part holds its
+    analog value, and stepped otherwise; see _segment_feed.
+    """
     memo = net.__dict__.setdefault("_feed_memo", {})  # cached like the step plan
     hit = memo.get((unit, state))  # ints and tuples of ints, hashed in C
     if hit is None:
-        hit = _steps(net, state, unit)  # no entry when this raises
+        hit = _segment_feed(net, state, unit)  # no entry when this raises
         if len(memo) >= FEED_MEMO_LIMIT:
             memo.clear()
         memo[unit, state] = hit
     return hit
 
 
-def _steps(net: Network, state: State, unit: int | None, rows: list | None = None):
+class _Segments(dict):
+    """The segment table: binary part (unit, mask, since, pending) -> its learned pieces.
+
+    A part met once is marked with an empty list. entries counts the marks
+    and the pieces; the table is cleared when a new one would pass
+    FEED_MEMO_LIMIT, and a piece learned then is used once and not kept.
+    """
+
+    entries = 0
+
+    def add(self, key, piece=None) -> None:
+        if self.entries >= FEED_MEMO_LIMIT:
+            self.clear()
+            self.entries = 0
+            if piece is not None:
+                return
+        if piece is None:
+            self[key] = []
+        else:
+            self[key].append(piece)
+        self.entries += 1
+
+
+def _segment_feed(net: Network, state: State, unit: int | None) -> tuple[State, tuple[bool, ...]]:
+    """advance past the memo: through a learned piece of the state's binary part, else by stepping.
+
+    From a fixed binary part the run to the next query instant (or the end of
+    the drain) is piecewise affine in the analog value y. A piece is
+    (ln, ld, ls, hn, hd, hs, outcome), the interval from ln/ld to hn/hd, ls
+    and hs 1 at an open end and 0 at a closed one: y = p/q lies in it iff
+    p*ld - ln*q >= ls and hn*q - p*hd >= hs. outcome is the QueryGapError
+    message or (mask, since, pending, settled, an, bn, d), the run ending at
+    the analog value (an + bn*y)/d. The first miss on a binary part steps and
+    marks it; a later miss in no known piece learns the one that holds y.
+    """
+    (mask, p, q), since, pending = state
+    key = (unit, mask, since, pending)
+    table = net.__dict__.get("_segments")
+    if table is None:
+        table = net.__dict__["_segments"] = _Segments()
+    pieces = table.get(key)
+    if pieces is None:
+        table.add(key)
+        return _steps(net, state, unit)
+    for ln, ld, ls, hn, hd, hs, outcome in pieces:
+        if p * ld - ln * q >= ls and hn * q - p * hd >= hs:
+            break
+    else:
+        piece = _learn_piece(net, state, unit)
+        table.add(key, piece)
+        outcome = piece[-1]
+    if type(outcome) is str:
+        raise QueryGapError(outcome)
+    mask, since, pending, settled, an, bn, d = outcome
+    g = gcd(bn, q)  # gcd(p, q) = 1, so gcd(an*q + bn*p, q) = gcd(bn, q)
+    num, den = (an * q + bn * p) // g, q // g
+    g = gcd(num, d)  # num is now coprime to den, so only the small d shares factors
+    return (tuple.__new__(Configuration, (mask, num // g, d // g * den)), since, pending), settled
+
+
+def _learn_piece(net: Network, state: State, unit: int | None) -> tuple:
+    """The piece of state's binary part that holds its analog value, as _segment_feed keeps it.
+
+    The run is stepped symbolically from y in [0, 1], following at each step
+    the one successor whose piece holds the state's analog value, through
+    _steps' own clock; the last successor's piece and analog value a + b*y
+    give the piece and its map.
+    """
+    y = state[0].analog
+    path = [_Branch(_UNIT, state[0][0], ZERO, ONE)]
+
+    def follow(_, inputs):
+        successors: list[_Branch] = []
+        _step_symbolic(net, path[-1], inputs or {}, successors, set())
+        path.append(next(br for br in successors if br.piece.contains(y)))
+        return (path[-1].bits,)
+
+    try:
+        (_, since, pending), settled = _steps(net, state, unit, step=follow)
+    except QueryGapError as exc:
+        outcome = str(exc)
+    else:
+        br = path[-1]
+        d = lcm(br.a.denominator, br.b.denominator)
+        an, bn = br.a.numerator * (d // br.a.denominator), br.b.numerator * (d // br.b.denominator)
+        outcome = (br.bits, since, pending, settled, an, bn, d)
+    piece = path[-1].piece
+    lo, hi = piece.lo, piece.hi
+    return (
+        lo.numerator, lo.denominator, int(not piece.lo_closed),
+        hi.numerator, hi.denominator, int(not piece.hi_closed),
+        outcome,
+    )
+
+
+def _steps(net: Network, state: State, unit: int | None, rows: list | None = None, step=None):
     """Step to the next query instant, or until no verdict is pending when unit is None.
 
-    Each configuration is appended to rows when rows is given.
+    Each configuration is appended to rows when rows is given. step(cfg,
+    inputs) is net.step unless given; the loop reads only cfg[0], the mask.
     """
+    step = step or net.step
     cfg, since, pending = state
     nxt, out = net.nxt - 1, net.out - 1
     settled: list[bool] = []
@@ -123,7 +239,7 @@ def _steps(net: Network, state: State, unit: int | None, rows: list | None = Non
         if unit is not None and since >= net.delta:
             raise QueryGapError("no query within %d steps of the previous one" % net.delta)
         query = unit is not None and cfg[0] >> nxt & 1
-        cfg = net.step(cfg, {unit: 1} if query else None)
+        cfg = step(cfg, {unit: 1} if query else None)
         since = 0 if query else since + 1
         pending = tuple(p - 1 for p in pending) if pending else ()
         if query:
@@ -208,13 +324,16 @@ def select_words(net: Network, alphabet: Alphabet, max_len: int, keep: Callable[
     FEED_MEMO_LIMIT states at a time, and a node that meets its state
     recorded with at least its own remaining length copies those words under
     its own prefix, longer ones dropped, instead of walking the subtree again.
-    A subtree whose walk raised is never recorded.
+    A subtree whose walk raised is never recorded. A walk whose nodes and
+    kept words would pass WALK_BUDGET raises ResourceBudgetError, before a
+    copy that would pass it.
     """
     if max_len < 0:
         raise ValidationError("length bound must be nonnegative, got %d" % max_len)
     steps = [(sym, net.input_units[k]) for k, sym in enumerate(alphabet.symbols)]
     out: list[str] = []
     spans: dict[State, tuple[int, int, int, int]] = {}
+    nodes = 0
     # (remaining, word, state) is a node; (None, (remaining, len(word), start),
     # state) closes its subtree, whose words were appended from out[start] on
     stack: list[tuple] = [(max_len, "", (net.initial_configuration(), 0, ()))]
@@ -225,6 +344,9 @@ def select_words(net: Network, alphabet: Alphabet, max_len: int, keep: Callable[
                 spans.clear()
             spans[state] = word + (len(out),)
             continue
+        nodes += 1
+        if nodes + len(out) > WALK_BUDGET:
+            raise _walk_budget_error(max_len)
         if remaining <= 0:  # not recorded: sharing a leaf saves one keep call and crowds the record
             if keep(state):
                 out.append(word)
@@ -232,7 +354,10 @@ def select_words(net: Network, alphabet: Alphabet, max_len: int, keep: Callable[
         span = spans.get(state)
         if span is not None and span[0] >= remaining:
             _, n, start, end = span  # symbols are one character each
-            out.extend([word + w[n:] for w in out[start:end] if len(w) - n <= remaining])
+            copied = [word + w[n:] for w in out[start:end] if len(w) - n <= remaining]
+            if nodes + len(out) + len(copied) > WALK_BUDGET:
+                raise _walk_budget_error(max_len)
+            out.extend(copied)
             continue
         stack.append((None, (remaining, len(word), len(out)), state))
         if keep(state):
@@ -243,6 +368,12 @@ def select_words(net: Network, alphabet: Alphabet, max_len: int, keep: Callable[
             except QueryGapError:
                 break
     return out
+
+
+def _walk_budget_error(max_len: int) -> ResourceBudgetError:
+    return ResourceBudgetError(
+        "word-tree walk to length %d passed %d nodes and kept words" % (max_len, WALK_BUDGET)
+    )
 
 
 def enumerate_language(net: Network, max_len: int, alphabet: Alphabet | None = None) -> set[str]:

@@ -311,6 +311,19 @@ def test_budget_error_exits_three(cut_path, capsys):
     assert "ResourceBudgetError" in capsys.readouterr().err
 
 
+def test_enum_past_the_walk_budget_exits_three(cut_path):
+    # the acceptor's tree to length 40 has 2**41 - 1 nodes; the walk stops
+    # at its budget of 2**20 nodes and kept words, within seconds
+    src = str(Path(anet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    entry = "import sys; from anet.cli import main; sys.exit(main())"
+    child = subprocess.run(
+        [sys.executable, "-c", entry, "enum", cut_path, "40"], capture_output=True, env=env, timeout=120
+    )
+    assert child.returncode == 3
+    assert b"ResourceBudgetError" in child.stderr and child.stdout == b""
+
+
 def test_gap_error_exits_four(cut_path, tmp_path, capsys):
     net = load_network_path(cut_path)
     starved = dataclasses.replace(net, delta=2)

@@ -10,7 +10,7 @@ from anet.cutlang import build_cut_acceptor, cut_params
 from anet.errors import ResourceBudgetError, ValidationError
 from anet.mealy import compile_mealy, machine_from_tsv
 from anet.network import Configuration, make_network, save_network_path
-from anet import partition
+from anet import network, partition
 from anet.partition import (
     build_partition_exhaustive,
     build_partition_refined,
@@ -155,7 +155,7 @@ def pieces(draw):
 @settings(max_examples=300, deadline=None)
 def test_split_partitions_the_piece(piece, v, orient):
     line = HalfLinePair(v, orient)
-    inside, outside = partition._split(piece, line)
+    inside, outside = network._split(piece, line)
     # every boundary sits on the 1/8 grid, so the grid points and the
     # midpoints between them tell any two of these intervals apart
     for k in range(-24, 90):
@@ -241,7 +241,7 @@ def test_extrapolation_requires_covering_horizon(cut_net):
 def _meet(a, b):
     lo, lo_open = max((a.lo, not a.lo_closed), (b.lo, not b.lo_closed))
     hi, hi_closed = min((a.hi, a.hi_closed), (b.hi, b.hi_closed))
-    return partition._interval(lo, not lo_open, hi, hi_closed)
+    return network._interval(lo, not lo_open, hi, hi_closed)
 
 
 def _assert_rows_constant(net, res, table, rng):

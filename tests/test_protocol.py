@@ -1,14 +1,16 @@
 import dataclasses
+import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from anet import protocol
 from anet.cutlang import build_cut_acceptor, cut_params
-from anet.errors import QueryGapError, ValidationError
+from anet.errors import QueryGapError, ResourceBudgetError, ValidationError
 from anet.mealy import compile_mealy, machine_from_tsv
-from anet.network import Configuration, Network, make_network
+from anet.network import Configuration, Network, make_network, unpack
 from anet.partition import probe_verdict
 from anet.protocol import (
     Alphabet,
@@ -409,17 +411,21 @@ def test_enumeration_replays_repeated_feed_states(monkeypatch):
 
 
 def test_enumeration_step_counts_are_pinned(cut_net, monkeypatch):
-    # the walk order, the feed memo and the walk's shared subtrees fix these
-    # counts exactly; fresh networks start with an empty memo. The walk keys
-    # its subtree record on the state alone: on the cut acceptor leading
-    # zeros keep the analog value at 0, so the state of 0w is the state of w
-    # one level down, and half of the nodes copy the words of a walk with a
-    # larger remaining length. The mod-3 reduction's 101 states fit the
-    # record, which is then never cleared mid-walk
+    # the walk order, the feed memo, the segment table and the walk's shared
+    # subtrees fix these counts exactly; fresh networks start with an empty
+    # memo and table. The walk keys its subtree record on the state alone: on
+    # the cut acceptor leading zeros keep the analog value at 0, so the state
+    # of 0w is the state of w one level down, and half of the nodes copy the
+    # words of a walk with a larger remaining length. Only the first memo miss
+    # on each binary part steps: the cut acceptor's misses fall on 10 binary
+    # parts, which step 26 times in all, and every later miss is served by
+    # one of the 10 pieces learned for 8 of them. The mod-3 reduction's 101
+    # states fit the record, which is then never cleared mid-walk, and each
+    # of its memo misses is the first on its binary part
     calls = _count_calls(monkeypatch, Network, "step")
     advances = _count_calls(monkeypatch, protocol, "advance")
     assert len(enumerate_language(dataclasses.replace(cut_net), 13)) == 8192
-    assert (len(calls), len(advances)) == (36869, 16422)
+    assert (len(calls), len(advances)) == (26, 16422)
     net = _mod3_reduction()  # 113 units
     calls.clear()
     advances.clear()
@@ -427,19 +433,43 @@ def test_enumeration_step_counts_are_pinned(cut_net, monkeypatch):
     assert (len(calls), len(advances)) == (602, 648)
 
 
-@pytest.mark.parametrize(
+WALKS = pytest.mark.parametrize(
     "walk",
     (
-        lambda net: enumerate_language(net, -1),
-        lambda net: compare_languages(net, net, -1),
-        lambda net: quotient_difference_language(net, "1", "1", SECOND_MINUS_FIRST, -1),
+        lambda net, n: enumerate_language(net, n),
+        lambda net, n: compare_languages(net, net, n),
+        lambda net, n: quotient_difference_language(net, "1", "1", SECOND_MINUS_FIRST, n),
     ),
     ids=("enumerate_language", "compare_languages", "quotient_difference_language"),
 )
+
+
+@WALKS
 def test_walks_refuse_a_negative_length_bound(cut_net, walk):
     # the empty word is longer than the bound
     with pytest.raises(ValidationError):
-        walk(cut_net)
+        walk(cut_net, -1)
+
+
+@WALKS
+def test_walks_are_bounded(cut_net, monkeypatch, walk):
+    # to length 9 the cut acceptor's tree has 1,023 nodes, half of them
+    # copied from a shared subtree
+    walk(cut_net, 9)
+    monkeypatch.setattr(protocol, "WALK_BUDGET", 300)
+    with pytest.raises(ResourceBudgetError, match="passed 300 nodes and kept words"):
+        walk(dataclasses.replace(cut_net), 9)
+
+
+def test_walk_budget_counts_copied_words(monkeypatch):
+    # the mod-3 reduction's 1,023 words to length 9 are nearly all copies:
+    # the walk visits 166 nodes, so it needs a budget of exactly 1,189
+    net, everything = _mod3_reduction(), Alphabet.of("ab")
+    monkeypatch.setattr(protocol, "WALK_BUDGET", 1188)
+    with pytest.raises(ResourceBudgetError):
+        select_words(net, everything, 9, lambda s: True)
+    monkeypatch.setattr(protocol, "WALK_BUDGET", 1189)
+    assert len(select_words(net, everything, 9, lambda s: True)) == 1023
 
 
 def test_enumeration_builds_few_transition_rows(cut_net, monkeypatch):
@@ -455,20 +485,127 @@ def test_enumeration_builds_few_transition_rows(cut_net, monkeypatch):
     monkeypatch.setattr(Network, "_row", counting_row)
     calls = _count_calls(monkeypatch, Network, "step")
     assert len(enumerate_language(dataclasses.replace(cut_net), 13)) == 8192
-    assert len(calls) == 36869  # pinned with the reason above
+    assert len(calls) == 26  # pinned with the reason above
     assert len(built) <= 8 and len(set(built)) == len(built)
 
 
 def test_walks_and_probes_keep_one_protocol_memo(cut_net):
-    # besides the step plan and the transition rows, the feed memo is the
-    # only cache a network holds after the walks and probes that read verdicts
+    # besides the step plan and the transition rows, the feed memo and the
+    # segment table behind it are the only caches a network holds after the
+    # walks and probes that read verdicts
     for net in (dataclasses.replace(cut_net), _mod3_reduction()):
         enumerate_language(net, 6)
         quotient_difference_language(net, "1", "1", SECOND_MINUS_FIRST, 6)
         accepts(net, "0110")
         probe_verdict(net, net.initial_configuration(), "10")
         cached = sorted(key for key in net.__dict__ if key.startswith("_"))
-        assert cached == ["_feed_memo", "_plan_cache", "_rows"]
+        assert cached == ["_feed_memo", "_plan_cache", "_rows", "_segments"]
+
+
+# -- the segment table ----------------------------------------------------------
+
+
+def _seeded_cut_acceptors():
+    # cube bases (a/b)^3 with 1 <= b < a <= 5 coprime and thresholds n/d
+    rng = random.Random(16)
+    bases = [(a, b) for a in range(2, 6) for b in range(1, a) if gcd(a, b) == 1]
+    nets = []
+    for _ in range(6):
+        a, b = rng.choice(bases)
+        d = rng.randint(2, 9)
+        nets.append(build_cut_acceptor(cut_params(F(a**3, b**3), F(rng.randint(1, d - 1), d))))
+    return nets
+
+
+def _cut_base_quotients():
+    specs = []
+    for base, threshold in ((F(27, 8), F(3, 8)), (F(27), F(1, 28)), (F(8), F(1, 3))):
+        cut = build_cut_acceptor(cut_params(base, threshold))
+        specs.append(QuotientSpec(base=cut, first="1", second="0", mode=SECOND_MINUS_FIRST))
+        specs.append(QuotientSpec(base=cut, first="0", second="1", mode=FIRST_MINUS_SECOND))
+    return [build_quotient_network(spec).network for spec in specs]
+
+
+def _outcome(feed, net, state, unit):
+    """feed's (state, settled), or the message of the QueryGapError it raises."""
+    try:
+        return feed(net, state, unit)
+    except QueryGapError as exc:
+        return str(exc)
+
+
+def _holds(piece, state):
+    """Whether the analog value of state lies in piece, read with Fractions."""
+    ln, ld, ls, hn, hd, hs, _ = piece
+    y = state[0].analog
+    return (F(ln, ld) < y or (F(ln, ld) == y and not ls)) and (y < F(hn, hd) or (y == F(hn, hd) and not hs))
+
+
+def _check_segments(net, depth, cleared=False):
+    """Segment-served feeds and drains against _steps at every node to depth; returns the nodes.
+
+    cleared: the table may be cleared mid-walk, and lose a piece just learned.
+    """
+    limit = protocol.FEED_MEMO_LIMIT
+    stack, nodes = [("", _start(net))], 0
+    while stack:
+        word, state = stack.pop()
+        nodes += 1
+        children = []
+        for unit in (*net.input_units, None):
+            want = _outcome(protocol._steps, net, state, unit)
+            children.append(want)
+            # the first call on a binary part marks it, the first one after
+            # that whose analog value lies in no known piece learns the piece
+            # that holds it, and from then on that piece serves the value; a
+            # gap-error piece raises the same error every time
+            assert [_outcome(protocol._segment_feed, net, state, unit) for _ in range(2)] == [want] * 2
+            table = net.__dict__["_segments"]
+            assert table.entries == len(table) + sum(map(len, table.values())) <= limit
+            key = (unit, state[0][0], *state[1:])
+            held = [piece for piece in table.get(key, ()) if _holds(piece, state)]
+            # a learned piece holds the state it was learned from, and the
+            # pieces of a binary part are disjoint
+            assert len(held) == 1 or (cleared and not held)
+            if isinstance(want, str):  # the memo stores nothing on a raise
+                for _ in range(2):
+                    with pytest.raises(QueryGapError, match=want):
+                        protocol.advance(net, state, unit)
+                assert (unit, state) not in net.__dict__["_feed_memo"]
+        if len(word) < depth and not isinstance(children[0], str):  # a gap cuts every child
+            stack.extend((word + sym, child[0]) for sym, child in zip("01", children))
+    table = net.__dict__["_segments"]
+    for unit, mask, since, pending in table:
+        assert unit is None or type(unit) is int
+        assert type(mask) is int and type(since) is int and type(pending) is tuple
+        assert all(type(p) is int for p in pending)
+    # the ends of every piece, where an open end belongs to the next piece
+    for (unit, mask, since, pending), pieces in list(table.items()):
+        for ln, ld, _, hn, hd, _, _ in pieces:
+            for y in {F(ln, ld), F(hn, hd)}:
+                state = (Configuration(unpack(mask), y), since, pending)
+                want = _outcome(protocol._steps, net, state, unit)
+                assert [_outcome(protocol._segment_feed, net, state, unit) for _ in range(2)] == [want] * 2
+    return nodes
+
+
+def test_segment_feeds_match_stepping(cut_net, monkeypatch):
+    # six seeded cut acceptors, six quotient networks over the cut bases 27/8,
+    # 27 and 8, verdicts lagging several queries, and a cut acceptor whose
+    # tight query gap bound cuts the tree; then the table's bound, under
+    # limits of one entry and of three
+    for _ in range(3):  # the first call steps, later ones step symbolically
+        with pytest.raises(ValidationError, match="not an input unit"):
+            protocol.advance(cut_net, _start(cut_net), cut_net.nxt)
+    tight = dataclasses.replace(cut_net, delta=2)
+    nets = _seeded_cut_acceptors() + _cut_base_quotients() + [_every_step_net(), tight]
+    for net in nets:
+        _check_segments(net, 8)
+    assert _check_segments(dataclasses.replace(tight), 8) < 2**9 - 1
+    for limit in (1, 3):
+        monkeypatch.setattr(protocol, "FEED_MEMO_LIMIT", limit)
+        for net in (nets[0], nets[6], tight):
+            _check_segments(dataclasses.replace(net), 8, cleared=True)
 
 
 def test_feed_memo_keys_hold_no_bit_tuples(cut_net):

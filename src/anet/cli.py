@@ -9,6 +9,7 @@ every number is printed in canonical rational text. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -224,7 +225,10 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built on the first main() call, not at import; parse_args keeps no state
+    # between calls, so one parser serves every main() call in a process
     ap = _Parser(prog="anet", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -295,9 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
         code = args.fn(args)
         sys.stdout.flush()  # a closed stdout fails here at the latest
         return code

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
-from .network import Network, make_network
+from .network import Network, make_network, read_text
 
 EMPTY_MARK = "-"
 
@@ -150,8 +150,7 @@ def machine_from_tsv(text: str) -> MealyMachine:
 
 
 def load_machine_path(path: str) -> MealyMachine:
-    with open(path, "r", encoding="utf-8") as fp:
-        return machine_from_tsv(fp.read())
+    return machine_from_tsv(read_text(path))
 
 
 # -- compilation to an online acceptor ------------------------------------

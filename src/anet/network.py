@@ -461,8 +461,16 @@ def load_network(fp: TextIO) -> Network:
 
 
 def load_network_path(path: str) -> Network:
+    return network_from_text(read_text(path))
+
+
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file; other bytes are a ValidationError naming the file."""
     with open(path, "r", encoding="utf-8") as fp:
-        return load_network(fp)
+        try:
+            return fp.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError("%s is not UTF-8 text: %s" % (path, exc)) from None
 
 
 def network_from_text(text: str) -> Network:

@@ -24,9 +24,10 @@ the suffix and the formal extra symbol, drains and reads the last settled
 verdict, all through advance. select_words walks the word tree over states
 and keeps the words whose state passes a test; within one walk, a node
 copies the words below an earlier node of the same state at the same or a
-smaller depth, under the same bound, and the walk's nodes and kept words are
-held to WALK_BUDGET. run_online steps every instant past both caches and
-records every configuration, query instant and verdict.
+smaller depth, under the same bound, and the walk's nodes and kept words,
+each weighed by its length plus one, are held to WALK_BUDGET. run_online
+steps every instant past both caches and records every configuration, query
+instant and verdict.
 
 Query gaps have one rule. A feed that finds no query instant within the
 declared bound of the previous one raises QueryGapError and stores nothing in
@@ -56,8 +57,8 @@ FEED_MEMO_LIMIT = 256
 # Differing words compare_languages reports, shortest first.
 MAX_WITNESSES = 10
 
-# Nodes a word-tree walk visits plus words it keeps, sized like the
-# partitions' endpoint budget.
+# Cost a word-tree walk may spend, a node walked or a word kept costing its
+# length plus one, sized like the partitions' endpoint budget.
 WALK_BUDGET = 2**20
 
 
@@ -324,16 +325,18 @@ def select_words(net: Network, alphabet: Alphabet, max_len: int, keep: Callable[
     FEED_MEMO_LIMIT states at a time, and a node that meets its state
     recorded with at least its own remaining length copies those words under
     its own prefix, longer ones dropped, instead of walking the subtree again.
-    A subtree whose walk raised is never recorded. A walk whose nodes and
-    kept words would pass WALK_BUDGET raises ResourceBudgetError, before a
-    copy that would pass it.
+    A subtree whose walk raised is never recorded. Each node walked and each
+    word kept, copies included, costs its length plus one, so the budget
+    bounds the walk's memory whatever max_len is; a walk whose cost would
+    pass WALK_BUDGET raises ResourceBudgetError, before a copy that would
+    pass it.
     """
     if max_len < 0:
         raise ValidationError("length bound must be nonnegative, got %d" % max_len)
     steps = [(sym, net.input_units[k]) for k, sym in enumerate(alphabet.symbols)]
     out: list[str] = []
     spans: dict[State, tuple[int, int, int, int]] = {}
-    nodes = 0
+    used = 0
     # (remaining, word, state) is a node; (None, (remaining, len(word), start),
     # state) closes its subtree, whose words were appended from out[start] on
     stack: list[tuple] = [(max_len, "", (net.initial_configuration(), 0, ()))]
@@ -344,24 +347,27 @@ def select_words(net: Network, alphabet: Alphabet, max_len: int, keep: Callable[
                 spans.clear()
             spans[state] = word + (len(out),)
             continue
-        nodes += 1
-        if nodes + len(out) > WALK_BUDGET:
+        used += len(word) + 1
+        if used > WALK_BUDGET:
             raise _walk_budget_error(max_len)
         if remaining <= 0:  # not recorded: sharing a leaf saves one keep call and crowds the record
             if keep(state):
                 out.append(word)
+                used += len(word) + 1
             continue
         span = spans.get(state)
         if span is not None and span[0] >= remaining:
             _, n, start, end = span  # symbols are one character each
             copied = [word + w[n:] for w in out[start:end] if len(w) - n <= remaining]
-            if nodes + len(out) + len(copied) > WALK_BUDGET:
+            used += len(copied) + sum(map(len, copied))
+            if used > WALK_BUDGET:
                 raise _walk_budget_error(max_len)
             out.extend(copied)
             continue
         stack.append((None, (remaining, len(word), len(out)), state))
         if keep(state):
             out.append(word)
+            used += len(word) + 1
         for sym, unit in steps:
             try:
                 stack.append((remaining - 1, word + sym, advance(net, state, unit)[0]))
@@ -372,7 +378,8 @@ def select_words(net: Network, alphabet: Alphabet, max_len: int, keep: Callable[
 
 def _walk_budget_error(max_len: int) -> ResourceBudgetError:
     return ResourceBudgetError(
-        "word-tree walk to length %d passed %d nodes and kept words" % (max_len, WALK_BUDGET)
+        "word-tree walk to length %d passed its budget of %d (each node walked and word kept costs"
+        " its length plus one)" % (max_len, WALK_BUDGET)
     )
 
 

@@ -43,7 +43,7 @@ def rational(value: RationalLike, den: int | None = None) -> Fraction:
     raise ValidationError("cannot build a rational from %r" % (value,))
 
 
-_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
+_RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -52,11 +52,16 @@ def parse_rational(text: str) -> Fraction:
     Decimal and scientific notation are rejected on purpose; nothing in the
     wire formats is allowed to pass through floating point.
     """
-    s = text.strip()
-    if not _RATIONAL_TEXT.fullmatch(s):
+    m = _RATIONAL_TEXT.fullmatch(text.strip())
+    if m is None:
         raise ValidationError("bad rational text %r" % text)
+    num, den = m.groups()
+    # int() gives the same value, and the same digit-limit ValueError, as the
+    # text parse inside Fraction(str), without its second regex match
     try:
-        return Fraction(s)
+        if den is None:
+            return Fraction(int(num))
+        return Fraction(int(num), int(den))
     except ZeroDivisionError:
         raise ValidationError("zero denominator in %r" % text) from None
     except ValueError as exc:  # int-from-string digit limit

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import ValidationError
-from .network import Network, make_network
+from .network import Network, load_network_path, make_network, read_text
 from .protocol import Alphabet, resolve_alphabet
 
 INIT, PHASE1, PHASE2, SINK = "init", "zeros", "ones", "sink"
@@ -347,23 +347,20 @@ def load_reduction_spec(path: str) -> ReductionSpec:
     """
     import os
 
-    from .network import load_network_path
-
     fields: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fp:
-        for lineno, raw in enumerate(fp, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            if not eq:
-                raise ValidationError("%s:%d: expected key=value" % (path, lineno))
-            key = key.strip()
-            if key not in _SPEC_KEYS:
-                raise ValidationError("%s:%d: unknown key %r" % (path, lineno, key[:40]))
-            if key in fields:
-                raise ValidationError("%s:%d: duplicate key %r" % (path, lineno, key))
-            fields[key] = value.strip()
+    for lineno, raw in enumerate(read_text(path).split("\n"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ValidationError("%s:%d: expected key=value" % (path, lineno))
+        key = key.strip()
+        if key not in _SPEC_KEYS:
+            raise ValidationError("%s:%d: unknown key %r" % (path, lineno, key[:40]))
+        if key in fields:
+            raise ValidationError("%s:%d: duplicate key %r" % (path, lineno, key))
+        fields[key] = value.strip()
     missing = [k for k in _SPEC_KEYS[:-1] if k not in fields]
     if missing:
         raise ValidationError("%s: missing keys %s" % (path, ", ".join(missing)))

@@ -311,17 +311,30 @@ def test_budget_error_exits_three(cut_path, capsys):
     assert "ResourceBudgetError" in capsys.readouterr().err
 
 
+def _cap_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
 def test_enum_past_the_walk_budget_exits_three(cut_path):
-    # the acceptor's tree to length 40 has 2**41 - 1 nodes; the walk stops
-    # at its budget of 2**20 nodes and kept words, within seconds
+    # the acceptor's tree to length 40 has 2**41 - 1 nodes, and a walk to
+    # length 16,000 would keep words that long; each node walked and word
+    # kept costs its length plus one, so both walks stop at the budget within
+    # seconds, inside a 1 GB address space
     src = str(Path(anet.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     entry = "import sys; from anet.cli import main; sys.exit(main())"
-    child = subprocess.run(
-        [sys.executable, "-c", entry, "enum", cut_path, "40"], capture_output=True, env=env, timeout=120
-    )
-    assert child.returncode == 3
-    assert b"ResourceBudgetError" in child.stderr and child.stdout == b""
+    for max_len in ("40", "16000"):
+        child = subprocess.run(
+            [sys.executable, "-c", entry, "enum", cut_path, max_len],
+            capture_output=True,
+            env=env,
+            timeout=120,
+            preexec_fn=_cap_address_space,
+        )
+        assert child.returncode == 3
+        assert b"ResourceBudgetError" in child.stderr and child.stdout == b""
 
 
 def test_gap_error_exits_four(cut_path, tmp_path, capsys):
@@ -353,6 +366,49 @@ def test_closed_stdout_exits_one_quietly(cut_path, max_len):
         os.close(write_end)
     assert child.returncode == 1
     assert child.stderr == b""
+
+
+@pytest.mark.parametrize("bad", ["network", "inner", "transducer", "spec"])
+def test_non_utf8_file_exits_two(cut_path, tmp_path, bad, capsys):
+    # a byte that is not UTF-8, in each text format, is a ValidationError
+    # naming the file, not a traceback
+    net = tmp_path / "inner.anet"
+    net.write_bytes(Path(cut_path).read_bytes() + (b"# caf\xff\n" if bad in ("network", "inner") else b""))
+    tsv = tmp_path / "t.tsv"
+    tsv.write_bytes(PARITY_TSV.encode() + (b"\xff\n" if bad == "transducer" else b""))
+    spec = tmp_path / "red.spec"
+    spec.write_bytes(b"inner = inner.anet\n" + b"".join(b"v%d = 0000\n" % k for k in range(1, 6)))
+    if bad == "spec":
+        spec.write_bytes(spec.read_bytes() + b"# \xff\n")
+    argv, path = {
+        "network": (["enum", str(net), "2"], net),
+        "inner": (["reduce", str(spec), str(tmp_path / "out.anet")], net),
+        "transducer": (["compile-fa", str(tsv), str(tmp_path / "out.anet")], tsv),
+        "spec": (["reduce", str(spec), str(tmp_path / "out.anet")], spec),
+    }[bad]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ValidationError: %s is not UTF-8 text: " % path)
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_repeated_main_calls_are_independent(cut_path, capsys):
+    # main() reuses one argument parser per process; no call may leave a
+    # trace in a later one
+    def call(*argv):
+        rc = main(list(argv))
+        out, err = capsys.readouterr()
+        return rc, out, err
+
+    capsys.readouterr()
+    first = call("enum", cut_path, "3")
+    assert first[0] == 0 and first[1] and not first[2]
+    assert call("enum", cut_path, "3", "--bogus")[0] == 1
+    assert call("build-cut", "2", "1/4", str(Path(cut_path).with_name("x.anet")))[0] == 2
+    lettered = call("enum", cut_path, "3", "--alphabet", "ab")
+    assert lettered[0] == 0 and lettered[1] == first[1].replace("0", "a").replace("1", "b")
+    assert call("enum", cut_path, "3") == first
 
 
 def test_missing_file_exits_one(tmp_path, capsys):

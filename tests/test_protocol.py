@@ -457,18 +457,21 @@ def test_walks_are_bounded(cut_net, monkeypatch, walk):
     # copied from a shared subtree
     walk(cut_net, 9)
     monkeypatch.setattr(protocol, "WALK_BUDGET", 300)
-    with pytest.raises(ResourceBudgetError, match="passed 300 nodes and kept words"):
+    with pytest.raises(ResourceBudgetError, match="passed its budget of 300 "):
         walk(dataclasses.replace(cut_net), 9)
 
 
 def test_walk_budget_counts_copied_words(monkeypatch):
     # the mod-3 reduction's 1,023 words to length 9 are nearly all copies:
-    # the walk visits 166 nodes, so it needs a budget of exactly 1,189
+    # the walk visits 166 nodes. Each node and each kept word costs its
+    # length plus one, so that memory is bounded whatever the length bound;
+    # the kept words cost 9,217 and the nodes 1,247, so the walk needs
+    # exactly 10,464
     net, everything = _mod3_reduction(), Alphabet.of("ab")
-    monkeypatch.setattr(protocol, "WALK_BUDGET", 1188)
+    monkeypatch.setattr(protocol, "WALK_BUDGET", 10463)
     with pytest.raises(ResourceBudgetError):
         select_words(net, everything, 9, lambda s: True)
-    monkeypatch.setattr(protocol, "WALK_BUDGET", 1189)
+    monkeypatch.setattr(protocol, "WALK_BUDGET", 10464)
     assert len(select_words(net, everything, 9, lambda s: True)) == 1023
 
 

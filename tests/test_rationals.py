@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from anet.errors import ValidationError
 from anet.rationals import (
@@ -41,6 +41,44 @@ def test_parse_rational():
         parse_rational("0.5")
     with pytest.raises(ValidationError):
         parse_rational("1/0")
+
+
+@st.composite
+def rational_texts(draw):
+    # a sign or none, leading zeros, p/q in or out of lowest terms, zero p
+    sign = draw(st.sampled_from(("", "+", "-")))
+    text = sign + "0" * draw(st.integers(0, 3)) + str(draw(st.integers(0, 10**30)))
+    if draw(st.booleans()):
+        text += "/" + "0" * draw(st.integers(0, 3)) + str(draw(st.integers(1, 10**30)))
+    return text
+
+
+@given(st.one_of(rational_texts(), st.from_regex(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", fullmatch=True)))
+@example("-0")
+@example("+000/0042")
+@example("12/18")
+@example("-0012/0018")
+def test_parse_rational_matches_fraction_text_parsing(text):
+    assert parse_rational(text) == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1/0", "-0/000", "+12/00"])
+def test_parse_rational_zero_denominator_message(text):
+    with pytest.raises(ValidationError) as got:
+        parse_rational(text)
+    assert str(got.value) == "zero denominator in %r" % text
+
+
+@pytest.mark.parametrize(
+    "text", ["9" * 4301, "-" + "9" * 5000 + "/7", "1/" + "9" * 4301, "9" * 4301 + "/0", "9" * 4301 + "/" + "7" * 4400]
+)
+def test_parse_rational_digit_limit_message(text):
+    # the text parse inside Fraction(str) fails the same way, numerator first
+    with pytest.raises(ValueError) as want:
+        Fraction(text)
+    with pytest.raises(ValidationError) as got:
+        parse_rational(text)
+    assert str(got.value) == "rational text rejected: %s" % want.value
 
 
 @given(rationals)

@@ -58,8 +58,9 @@ FEED_MEMO_LIMIT = 256
 MAX_WITNESSES = 10
 
 # Cost a word-tree walk may spend, a node walked or a word kept costing its
-# length plus one, sized like the partitions' endpoint budget.
-WALK_BUDGET = 2**20
+# length plus one: 2^20 nodes and words of length 15, so a walk to length 15
+# or less that keeps its nodes and words within 2^20 always fits.
+WALK_BUDGET = 2**24
 
 
 @dataclass(frozen=True)

@@ -337,6 +337,16 @@ def test_enum_past_the_walk_budget_exits_three(cut_path):
         assert b"ResourceBudgetError" in child.stderr and child.stdout == b""
 
 
+def test_enum_to_length_16_fits_the_walk_budget(cut_path, capsys):
+    # the walk keeps 65,536 words and costs 2,097,456 of the budget; a budget
+    # sized for words of length 15 keeps every walk the old count of nodes and
+    # kept words let finish
+    capsys.readouterr()
+    assert main(["enum", cut_path, "16"]) == 0
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 65536 and err == ""
+
+
 def test_gap_error_exits_four(cut_path, tmp_path, capsys):
     net = load_network_path(cut_path)
     starved = dataclasses.replace(net, delta=2)

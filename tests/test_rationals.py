@@ -43,17 +43,9 @@ def test_parse_rational():
         parse_rational("1/0")
 
 
-@st.composite
-def rational_texts(draw):
-    # a sign or none, leading zeros, p/q in or out of lowest terms, zero p
-    sign = draw(st.sampled_from(("", "+", "-")))
-    text = sign + "0" * draw(st.integers(0, 3)) + str(draw(st.integers(0, 10**30)))
-    if draw(st.booleans()):
-        text += "/" + "0" * draw(st.integers(0, 3)) + str(draw(st.integers(1, 10**30)))
-    return text
-
-
-@given(st.one_of(rational_texts(), st.from_regex(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", fullmatch=True)))
+# every text the gate accepts; the examples pin a sign or none, leading
+# zeros, p/q out of lowest terms and a zero numerator
+@given(st.from_regex(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", fullmatch=True))
 @example("-0")
 @example("+000/0042")
 @example("12/18")

@@ -14,8 +14,9 @@ constructions built on top of these acceptors rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
@@ -33,7 +34,13 @@ class MealyMachine:
     initial: str
     accepting: frozenset[str]
 
-    def validate(self) -> list[str]:
+    def __post_init__(self) -> None:
+        """Freeze every field into an immutable copy, then refuse a malformed machine."""
+        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "input_symbols", tuple(self.input_symbols))
+        object.__setattr__(self, "transitions", MappingProxyType(dict(self.transitions)))
+        object.__setattr__(self, "emissions", MappingProxyType(dict(self.emissions)))
+        object.__setattr__(self, "accepting", frozenset(self.accepting))
         bad: list[str] = []
         if len(set(self.states)) != len(self.states):
             bad.append("duplicate states")
@@ -55,13 +62,8 @@ class MealyMachine:
                 bad.append("transition target %r unknown" % tgt)
             if (st, sym) not in self.emissions:
                 bad.append("missing emission for (%s, %s)" % (st, sym))
-        return bad
-
-    def require_valid(self) -> "MealyMachine":
-        bad = self.validate()
         if bad:
             raise ValidationError("invalid machine: " + "; ".join(bad))
-        return self
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,6 @@ class MealyRun:
 
 
 def run_mealy(machine: MealyMachine, word: Iterable[str]) -> MealyRun:
-    machine.require_valid()
     state = machine.initial
     seq = [state]
     emitted: list[str] = []
@@ -138,7 +139,7 @@ def machine_from_tsv(text: str) -> MealyMachine:
     for st in states:
         if st not in accepting:
             raise ValidationError("state %s never appears as a source row" % st)
-    machine = MealyMachine(
+    return MealyMachine(
         states=tuple(states),
         input_symbols=tuple(symbols),
         transitions=transitions,
@@ -146,7 +147,6 @@ def machine_from_tsv(text: str) -> MealyMachine:
         initial=states[0],
         accepting=frozenset(st for st, f in accepting.items() if f),
     )
-    return machine.require_valid()
 
 
 def load_machine_path(path: str) -> MealyMachine:
@@ -177,7 +177,6 @@ def compile_mealy(machine: MealyMachine) -> tuple[Network, CompiledLayout]:
 
     The analog unit exists because every network has one; nothing drives it.
     """
-    machine.require_valid()
     n_states = len(machine.states)
     n_sym = len(machine.input_symbols)
 

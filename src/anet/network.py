@@ -104,9 +104,10 @@ class Network:
     weights maps (target, source) to a rational weight; source 0 is the bias.
     input_units are clamped from outside by the run protocol: at a query
     instant they carry the one-hot symbol code, at every other instant zero.
-    The weights are frozen into a read-only copy, since the cached step plan,
-    the transition rows and the protocol's feed memo and segment table are
-    derived from them.
+    An instance is well formed however it was built: construction refuses
+    a malformed network with ValidationError. The nonzero weights are frozen
+    into a read-only copy, since the cached step plan, the transition rows
+    and the protocol's feed memo and segment table are derived from them.
     """
 
     size: int
@@ -121,7 +122,56 @@ class Network:
     comment: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
+        """Refuse a malformed network, then freeze its nonzero weights.
+
+        The unit lists are copied into tuples first. Every given weight is
+        checked, zero or not; the zero ones are then dropped, so equal
+        networks have equal weight mappings.
+        """
+        object.__setattr__(self, "input_units", tuple(self.input_units))
+        if self.init_active is not None:
+            object.__setattr__(self, "init_active", tuple(self.init_active))
+        s = self.size
+        if s < 2:
+            raise ValidationError("invalid network: size must be at least 2 (one binary unit plus the analog unit)")
+        binary = range(1, s)
+        bad: list[str] = []
+        if not self.input_units:
+            bad.append("at least one input unit is required")
+        seen: set[int] = set()
+        for u in self.input_units:
+            if u not in binary:
+                bad.append("input unit %d is not a binary unit index" % u)
+            if u in seen:
+                bad.append("duplicate input unit %d" % u)
+            seen.add(u)
+        for name, u in (("nxt", self.nxt), ("out", self.out)):
+            if u not in binary:
+                bad.append("%s unit %d is not a binary unit index" % (name, u))
+        if self.nxt in seen:
+            bad.append("nxt unit may not be an input unit")
+        if self.delta < 1:
+            bad.append("query gap bound must be at least 1")
+        if self.output_delay < 0:
+            bad.append("output delay must be nonnegative")
+        for (j, i), w in self.weights.items():
+            if j not in binary and j != s:
+                bad.append("weight target %d out of range" % j)
+            if i < 0 or i > s:
+                bad.append("weight source %d out of range" % i)
+            if not isinstance(w, Fraction):
+                bad.append("weight (%d,%d) is not a Fraction" % (j, i))
+        for j in self.init_active or ():
+            if j not in binary:
+                bad.append("initial active unit %d is not a binary unit index" % j)
+        if not isinstance(self.init_analog, (int, Fraction)):
+            bad.append("initial analog value must be an int or a Fraction, not %s" % type(self.init_analog).__name__)
+        elif not 0 <= self.init_analog <= 1:
+            bad.append("initial analog value outside [0,1]")
+        if bad:
+            raise ValidationError("invalid network: " + "; ".join(bad))
+        weights = {key: w for key, w in self.weights.items() if w != 0}
+        object.__setattr__(self, "weights", MappingProxyType(weights))
 
     def weight(self, j: int, i: int) -> Fraction:
         return self.weights.get((j, i), ZERO)
@@ -195,55 +245,6 @@ class Network:
             row = rows[mask] = (fixed, tests, acc[self.size], plan.analog_weight, plan.analog_scale)
         return row
 
-    # -- validation -------------------------------------------------------
-
-    def violations(self) -> list[str]:
-        """Structural problems, empty when the network is well formed."""
-        bad: list[str] = []
-        s = self.size
-        if s < 2:
-            bad.append("size must be at least 2 (one binary unit plus the analog unit)")
-            return bad
-        binary = range(1, s)
-        if not self.input_units:
-            bad.append("at least one input unit is required")
-        seen: set[int] = set()
-        for u in self.input_units:
-            if u not in binary:
-                bad.append("input unit %d is not a binary unit index" % u)
-            if u in seen:
-                bad.append("duplicate input unit %d" % u)
-            seen.add(u)
-        for name, u in (("nxt", self.nxt), ("out", self.out)):
-            if u not in binary:
-                bad.append("%s unit %d is not a binary unit index" % (name, u))
-        if self.nxt in seen:
-            bad.append("nxt unit may not be an input unit")
-        if self.delta < 1:
-            bad.append("query gap bound must be at least 1")
-        if self.output_delay < 0:
-            bad.append("output delay must be nonnegative")
-        for (j, i), w in self.weights.items():
-            if j not in binary and j != s:
-                bad.append("weight target %d out of range" % j)
-            if i < 0 or i > s:
-                bad.append("weight source %d out of range" % i)
-            if not isinstance(w, Fraction):
-                bad.append("weight (%d,%d) is not a Fraction" % (j, i))
-        if self.init_active is not None:
-            for j in self.init_active:
-                if j not in binary:
-                    bad.append("initial active unit %d is not a binary unit index" % j)
-        if self.init_analog < ZERO or self.init_analog > ONE:
-            bad.append("initial analog value outside [0,1]")
-        return bad
-
-    def require_valid(self) -> "Network":
-        bad = self.violations()
-        if bad:
-            raise ValidationError("invalid network: " + "; ".join(bad))
-        return self
-
 
 @dataclass(frozen=True)
 class _StepPlan:
@@ -270,8 +271,6 @@ class _StepPlan:
         out: dict[int, list] = {i: [] for i in range(1, s)}
         analog_in = {s: 0}
         for (j, i), w in net.weights.items():
-            if w == 0:
-                continue
             v = w.numerator * (scale[j] // w.denominator)
             if i == 0:
                 bias[j] = v
@@ -419,12 +418,16 @@ _HEADER_KEYS = ("size", "analog", "inputs", "nxt", "out", "delta", "outdelay", "
 # hundreds, and a reduction grows by about 14 units per letter of its words.
 NETWORK_SIZE_LIMIT = 2**16
 
+# Largest query gap bound (delta) and output delay a network file may declare: a
+# run may step that many instants between two queries or before a verdict.
+NETWORK_DELAY_LIMIT = 2**16
+
 
 def save_network(net: Network, fp: TextIO) -> None:
     """Serialize in the line-oriented v1 format; weight order is canonical."""
     fp.write(FORMAT_MAGIC + "\n")
-    if net.comment:
-        for line in net.comment.splitlines():
+    if net.comment:  # the appended newline keeps a trailing empty comment line
+        for line in (net.comment + "\n").splitlines():
             fp.write("# %s\n" % line)
     fp.write("size %d\n" % net.size)
     fp.write("analog %d\n" % net.size)
@@ -437,10 +440,8 @@ def save_network(net: Network, fp: TextIO) -> None:
         fp.write("init %s\n" % " ".join(str(u) for u in net.init_active))
     if net.init_analog != 0:
         fp.write("inita %s\n" % format_rational(net.init_analog))
-    for (j, i) in sorted(net.weights):
-        w = net.weights[(j, i)]
-        if w != 0:
-            fp.write("w %d %d %s\n" % (j, i, format_rational(w)))
+    for (j, i), w in sorted(net.weights.items()):
+        fp.write("w %d %d %s\n" % (j, i, format_rational(w)))
 
 
 def save_network_path(net: Network, path: str) -> None:
@@ -513,6 +514,9 @@ def network_from_text(text: str) -> Network:
         out = _int_field("out", fields["out"])
         delta = _int_field("delta", fields["delta"])
         outdelay = _int_field("outdelay", fields.get("outdelay", "0"))
+        for name, steps in (("delta", delta), ("outdelay", outdelay)):
+            if steps > NETWORK_DELAY_LIMIT:
+                raise ResourceBudgetError("%s %d exceeds the limit of %d steps" % (name, steps, NETWORK_DELAY_LIMIT))
     except KeyError as exc:
         raise ValidationError("missing header line %s" % exc) from None
     if analog != size:
@@ -521,7 +525,7 @@ def network_from_text(text: str) -> Network:
     if "init" in fields:
         init_active = tuple(_int_field("init", x) for x in fields["init"].split())
     init_analog = parse_rational(fields["inita"]) if "inita" in fields else ZERO
-    net = Network(
+    return Network(
         size=size,
         input_units=inputs,
         nxt=nxt,
@@ -533,7 +537,6 @@ def network_from_text(text: str) -> Network:
         init_analog=init_analog,
         comment="\n".join(comment_lines),
     )
-    return net.require_valid()
 
 
 def _int_field(name: str, text: str) -> int:
@@ -555,25 +558,24 @@ def make_network(
     init_analog: Fraction = ZERO,
     comment: str = "",
 ) -> Network:
-    """Convenience constructor from (target, source, weight) triples; validates.
+    """Convenience constructor from (target, source, weight) triples.
 
-    A (target, source) pair given twice is refused, zero weights are dropped.
+    A (target, source) pair given twice is refused, even when one is zero.
     """
     table: dict[tuple[int, int], Fraction] = {}
     for j, i, w in weights:
         if (j, i) in table:
             raise ValidationError("duplicate weight (%d,%d)" % (j, i))
         table[(j, i)] = Fraction(w)
-    net = Network(
+    return Network(
         size=size,
-        input_units=tuple(inputs),
+        input_units=inputs,
         nxt=nxt,
         out=out,
         delta=delta,
         output_delay=output_delay,
-        weights={key: w for key, w in table.items() if w != 0},
-        init_active=tuple(init_active) if init_active is not None else None,
+        weights=table,
+        init_active=init_active,
         init_analog=init_analog,
         comment=comment,
     )
-    return net.require_valid()

@@ -287,7 +287,6 @@ class RunTrace:
 
 def run_online(net: Network, word: str | Sequence[str], alphabet: Alphabet | None = None) -> RunTrace:
     """Step word and the formal extra symbol past the memo, then drain; rows[t] is time t."""
-    net.require_valid()
     alphabet = resolve_alphabet(net, alphabet)
     word_str = word if isinstance(word, str) else "".join(word)
     symbols = tuple(word_str) + (alphabet.formal_extra,)
@@ -309,7 +308,6 @@ def run_online(net: Network, word: str | Sequence[str], alphabet: Alphabet | Non
 
 def accepts(net: Network, word: str | Sequence[str], alphabet: Alphabet | None = None) -> bool:
     """Final verdict for the whole word."""
-    net.require_valid()
     return verdict(net, (net.initial_configuration(), 0, ()), "".join(word), resolve_alphabet(net, alphabet))
 
 
@@ -386,7 +384,6 @@ def _walk_budget_error(max_len: int) -> ResourceBudgetError:
 
 def enumerate_language(net: Network, max_len: int, alphabet: Alphabet | None = None) -> set[str]:
     """All accepted words of length at most max_len; QueryGapError passes through."""
-    net.require_valid()
     return set(select_words(net, resolve_alphabet(net, alphabet), max_len, partial(verdict, net)))
 
 

@@ -100,7 +100,6 @@ def quotient_difference_language(
     """
     if mode not in _MODES:
         raise ValidationError("mode must be one of %s" % (_MODES,))
-    base.require_valid()
     alphabet = resolve_alphabet(base, alphabet)
 
     def probe(state: State, suffix: str) -> bool:
@@ -126,7 +125,7 @@ def build_quotient_network(spec: QuotientSpec) -> QuotientBuild:
     of the state the base had one step before a query instant, which is the
     state after exactly the consumed prefix.
     """
-    base = spec.base.require_valid()
+    base = spec.base
     second_word = spec.second + spec.first
     part = build_partition_refined(
         base, [spec.first, second_word], spec.alphabet, starts=fire_states(base)

@@ -123,7 +123,7 @@ def build_reduction(spec: ReductionSpec) -> ReductionBuild:
     requests; the inner's output delay must stay below the length of v4 so a
     delayed request lands before its block runs out.
     """
-    inner = spec.inner.require_valid()
+    inner = spec.inner
     in_alpha = resolve_alphabet(inner, spec.alphabet)
 
     words = spec.words

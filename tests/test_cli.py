@@ -17,7 +17,7 @@ import pytest
 
 import anet
 from anet.cli import main
-from anet.network import load_network_path, save_network_path
+from anet.network import NETWORK_DELAY_LIMIT, load_network_path, save_network_path
 from anet.protocol import enumerate_language
 
 PARITY_TSV = "e\t0\te\t-\t1\ne\t1\to\t-\t1\no\t0\to\t-\t0\no\t1\te\t-\t0\n"
@@ -335,6 +335,34 @@ def test_enum_past_the_walk_budget_exits_three(cut_path):
         )
         assert child.returncode == 3
         assert b"ResourceBudgetError" in child.stderr and child.stdout == b""
+
+
+@pytest.mark.parametrize(
+    "key, line, at_limit", [("delta", "delta 3\n", 4), ("outdelay", "outdelay 0\n", 0)], ids=["delta", "outdelay"]
+)
+def test_delays_past_the_limit_exit_three(cut_path, tmp_path, key, line, at_limit):
+    # a run may step delta instants waiting for a query and outdelay more for
+    # a verdict, so a file declares at most NETWORK_DELAY_LIMIT of each; at the
+    # limit a run ends within seconds (a gap error with nxt silent after its
+    # first query), past it the file is refused, in a 1 GB address space
+    text = open(cut_path).read()
+    if key == "delta":
+        text = text.replace("w 3 5 1\n", "")
+    src = str(Path(anet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    entry = "import sys; from anet.cli import main; sys.exit(main())"
+    for steps, code in ((NETWORK_DELAY_LIMIT, at_limit), (NETWORK_DELAY_LIMIT + 1, 3)):
+        path = tmp_path / ("%d.anet" % steps)
+        path.write_text(text.replace(line, "%s %d\n" % (key, steps)))
+        child = subprocess.run(
+            [sys.executable, "-c", entry, "run", str(path), "0"],
+            capture_output=True,
+            env=env,
+            timeout=60,
+            preexec_fn=_cap_address_space,
+        )
+        assert child.returncode == code
+    assert b"ResourceBudgetError" in child.stderr and child.stdout == b""
 
 
 def test_enum_to_length_16_fits_the_walk_budget(cut_path, capsys):

@@ -23,7 +23,6 @@ q\tb\tq\t-\t1
 
 def machine_to_tsv(machine: MealyMachine) -> str:
     """Reference writer for the parser: one line per transition, start state first."""
-    machine.require_valid()
     lines = []
     ordered = [machine.initial] + [s for s in machine.states if s != machine.initial]
     for st in ordered:
@@ -73,15 +72,27 @@ def test_tsv_rejects_missing_source_rows():
 
 
 def test_machine_validation_requires_total_transitions():
-    m = MealyMachine(
-        states=("p",),
-        input_symbols=("a", "b"),
-        transitions={("p", "a"): "p"},
-        emissions={("p", "a"): ""},
-        initial="p",
-        accepting=frozenset(),
-    )
-    assert any("transition" in v for v in m.validate())
+    with pytest.raises(ValidationError, match=r"^invalid machine: missing transition \(p, b\)$"):
+        MealyMachine(
+            states=("p",),
+            input_symbols=("a", "b"),
+            transitions={("p", "a"): "p"},
+            emissions={("p", "a"): ""},
+            initial="p",
+            accepting=frozenset(),
+        )
+
+
+def test_machine_fields_are_frozen_copies():
+    table, accepting = {("p", "a"): "p"}, {"p"}
+    m = MealyMachine(["p"], ["a"], table, {("p", "a"): "x"}, "p", accepting)
+    table[("p", "a")] = "q"
+    accepting.add("q")
+    assert m.transitions[("p", "a")] == "p" and m.accepting == {"p"}
+    assert m == MealyMachine(("p",), ("a",), {("p", "a"): "p"}, {("p", "a"): "x"}, "p", frozenset("p"))
+    for mapping in (m.transitions, m.emissions):
+        with pytest.raises(TypeError):
+            mapping[("p", "a")] = "p"
 
 
 def test_compiled_network_equals_machine_language():

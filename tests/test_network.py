@@ -8,11 +8,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from anet import network, protocol
 from anet.cutlang import build_cut_acceptor, cut_params
-from anet.errors import ResourceBudgetError, ValidationError
+from anet.errors import AnetError, ResourceBudgetError, ValidationError
 from anet.network import (
     NETWORK_SIZE_LIMIT,
     Configuration,
@@ -214,6 +214,26 @@ def test_validation_rejects_bad_structure():
             make_network(3, (2,), nxt=1, out=1, delta=1, weights=[(3, 0, first), (3, 0, Fraction(1, 2))])
 
 
+def test_construction_refuses_what_used_to_slip_through():
+    # a network is checked however it is built, before any walk can run on it
+    with pytest.raises(ValidationError, match="^invalid network: query gap bound must be at least 1$"):
+        dataclasses.replace(_tiny_net(), delta=0)
+    with pytest.raises(ValidationError, match="^invalid network: size must be at least 2"):
+        Network(size=1, input_units=(1,), nxt=1, out=1, delta=1)
+    with pytest.raises(ValidationError, match="initial analog value must be an int or a Fraction, not float"):
+        make_network(3, (2,), nxt=1, out=1, delta=1, weights=[], init_analog=0.5)
+    for key in ((4, 0), (3, 4)):  # a zero weight is checked before it is dropped
+        with pytest.raises(ValidationError, match="out of range"):
+            Network(size=3, input_units=(2,), nxt=1, out=1, delta=1, weights={key: Fraction(0)})
+
+
+def test_zero_weights_are_dropped_at_construction():
+    bare = Network(size=3, input_units=(2,), nxt=1, out=1, delta=1)
+    zeros = dataclasses.replace(bare, weights={(1, 0): Fraction(0), (3, 3): Fraction(0)})
+    assert zeros.weights == {} and zeros == bare
+    assert network_to_text(zeros) == network_to_text(bare)
+
+
 # -- reference oracle: every unit's excitation summed directly ---------------
 
 
@@ -367,9 +387,13 @@ def test_weights_are_read_only():
 
 def test_weights_are_copied_at_construction():
     table = {(1, 0): Fraction(0), (3, 3): Fraction(1, 2)}
-    net = Network(size=3, input_units=(2,), nxt=1, out=1, delta=1, weights=table)
+    inputs, active = [2], [1]
+    net = Network(size=3, input_units=inputs, nxt=1, out=1, delta=1, weights=table, init_active=active)
     table[(3, 3)] = Fraction(1, 3)
+    inputs.append(1)
+    active.append(3)
     assert net.weight(3, 3) == Fraction(1, 2)
+    assert net.input_units == (2,) and net.init_active == (1,)
 
 
 def test_wire_round_trip():
@@ -437,3 +461,49 @@ def test_round_trip_random_skeletons(seed):
 
     net = make_skeleton_net(seed)
     assert network_from_text(network_to_text(net)) == net
+
+
+# -- mutated anet v1 files: refused, or loaded into a network that round-trips
+
+CUT_LINES = network_to_text(build_cut_acceptor(cut_params(Fraction(27, 8), Fraction(1, 4)))).splitlines()
+field_text = st.one_of(
+    st.integers(min_value=-3, max_value=12).map(str),
+    st.fractions(min_value=-4, max_value=4, max_denominator=64).map(str),
+    st.sampled_from(("-0", "0/1", "+1", "1/0", "0.5", "1e3", "65537", "9" * 5000, "#", "w", "size", "")),
+    st.text(alphabet="0123456789-/+# w", max_size=6),
+)
+
+
+@st.composite
+def mutated_cut_files(draw) -> str:
+    """The 27/8, 1/4 acceptor's file after one to three line mutations."""
+    lines = list(CUT_LINES)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        k = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        kind = draw(st.sampled_from(("replace", "drop", "duplicate", "truncate")))
+        if kind == "replace":
+            fields = lines[k].split(" ")
+            fields[draw(st.integers(min_value=0, max_value=len(fields) - 1))] = draw(field_text)
+            lines[k] = " ".join(fields)
+        elif kind == "drop":
+            del lines[k]
+        elif kind == "duplicate":
+            lines.insert(k, lines[k])
+        else:
+            lines[k] = lines[k][: draw(st.integers(min_value=0, max_value=len(lines[k])))]
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_cut_files())
+@example("\n".join(CUT_LINES).replace("\nw 3 0 -1\n", "\nw 3 0 -0\n") + "\n")
+@example("\n".join(CUT_LINES[:2] + ["#"] + CUT_LINES[2:]) + "\n")  # a trailing empty comment line
+def test_mutated_files_are_refused_or_round_trip(text):
+    try:
+        net = network_from_text(text)
+    except AnetError:
+        return
+    saved = network_to_text(net)
+    back = network_from_text(saved)
+    assert back == net
+    assert network_to_text(back) == saved

@@ -215,6 +215,7 @@ def _cmd_compare(args) -> int:
     alpha = None
     if args.alphabet is not None:
         alpha = _alphabet_for(net_a, args.alphabet)
+        _alphabet_for(net_b, args.alphabet)
     equal, witnesses = compare_languages(net_a, net_b, args.max_len, alpha)
     if equal:
         print("EQUAL")

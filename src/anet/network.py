@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, TextIO
 
 from .errors import ResourceBudgetError, ValidationError
-from .rationals import ZERO, ONE, HalfLinePair, Interval, format_rational, parse_rational
+from .rationals import ZERO, ONE, HalfLinePair, Interval, RationalLike, format_rational, parse_rational, rational
 
 
 # Fraction from a numerator and a positive denominator already in lowest
@@ -314,9 +314,6 @@ class _Branch:
     bits: int
     a: Fraction
     b: Fraction
-    fed: int = 0
-    since: int = 0  # steps since the last query instant, or since the start
-    left: int = 0  # steps until the last fed symbol's verdict is read
 
 
 _UNIT = Interval(ZERO, ONE, True, True)
@@ -340,24 +337,15 @@ def _interval(lo: Fraction, lo_closed: bool, hi: Fraction, hi_closed: bool) -> I
     return None
 
 
-def _cut(
-    piece: Interval, line: HalfLinePair, pairs: set[HalfLinePair]
-) -> tuple[Interval | None, Interval | None]:
-    """_split, recording the half-line when it cuts the piece in two."""
-    inside, outside = _split(piece, line)
-    if inside is not None and outside is not None:
-        pairs.add(line)
-    return inside, outside
-
-
-def _step_symbolic(net, br: _Branch, clamp, stack, pairs) -> None:
-    """Push the successors of one synchronous step of br, on the network's transition row.
+def _step_symbolic(net, br: _Branch, clamp) -> list[_Branch]:
+    """The successors of one synchronous step of br, on the network's transition row.
 
     With br.a = pa/qa and br.b = pb/qb, a tested target's excitation times
     L_j is c + d*y with c = n/qa, n = c_j*qa + a_j*pa (c_j its binary sum,
     a_j its analog weight) and d = m/qb, m = a_j*pb. The piece splits on the
     half-line where a tested unit fires, and on those where the analog unit
-    saturates at 0 (c + d*y <= 0) and at 1 (c + d*y >= L_s).
+    saturates at 0 (c + d*y <= 0) and at 1 (c + d*y >= L_s). A successor's
+    piece has a new end only where such a half-line cut its piece in two.
     """
     try:  # read like Network.step: _row is called only to build a missing row
         fixed, tests, c_s, w, scale = net.__dict__["_rows"][br.bits]
@@ -379,7 +367,7 @@ def _step_symbolic(net, br: _Branch, clamp, stack, pairs) -> None:
         fire = HalfLinePair(Fraction(-n * qb, qa * m), -1 if m > 0 else 1)
         split: list[tuple[Interval, int]] = []
         for piece, bits in parts:
-            on, off = _cut(piece, fire, pairs)
+            on, off = _split(piece, fire)
             if on is not None and off is not None:
                 split += [(on, bits | bit), (off, bits)]
             else:
@@ -387,26 +375,20 @@ def _step_symbolic(net, br: _Branch, clamp, stack, pairs) -> None:
         parts = split
 
     n, m = c_s * qa + w * pa, w * pb
-    if clamp:
-        clock = (br.fed + 1, 0, net.output_delay)
-    else:
-        clock = (br.fed, br.since + 1, br.left - 1)
     if m == 0:
         value = saturation(Fraction(n, qa * scale))
-    else:
-        dead_line = HalfLinePair(Fraction(-n * qb, qa * m), 1 if m > 0 else -1)
-        full_line = HalfLinePair(Fraction((scale * qa - n) * qb, qa * m), -1 if m > 0 else 1)
-        mid_a, mid_b = Fraction(n, qa * scale), Fraction(m, qb * scale)
+        return [_Branch(piece, bits, value, ZERO) for piece, bits in parts]
+    dead_line = HalfLinePair(Fraction(-n * qb, qa * m), 1 if m > 0 else -1)
+    full_line = HalfLinePair(Fraction((scale * qa - n) * qb, qa * m), -1 if m > 0 else 1)
+    mid_a, mid_b = Fraction(n, qa * scale), Fraction(m, qb * scale)
+    successors: list[_Branch] = []
     for piece, bits in parts:
-        if m == 0:
-            regions = [(piece, value, ZERO)]
-        else:
-            dead, rest = _cut(piece, dead_line, pairs)
-            full, mid = _cut(rest, full_line, pairs) if rest is not None else (None, None)
-            regions = [(dead, ZERO, ZERO), (mid, mid_a, mid_b), (full, ONE, ZERO)]
-        for region, a, b in regions:
+        dead, rest = _split(piece, dead_line)
+        full, mid = _split(rest, full_line) if rest is not None else (None, None)
+        for region, a, b in ((dead, ZERO, ZERO), (mid, mid_a, mid_b), (full, ONE, ZERO)):
             if region is not None:
-                stack.append(_Branch(region, bits, a, b, *clock))
+                successors.append(_Branch(region, bits, a, b))
+    return successors
 
 
 # -- wire format ---------------------------------------------------------
@@ -552,7 +534,7 @@ def make_network(
     nxt: int,
     out: int,
     delta: int,
-    weights: Iterable[tuple[int, int, Fraction]],
+    weights: Iterable[tuple[int, int, RationalLike]],
     output_delay: int = 0,
     init_active: Sequence[int] | None = None,
     init_analog: Fraction = ZERO,
@@ -560,13 +542,14 @@ def make_network(
 ) -> Network:
     """Convenience constructor from (target, source, weight) triples.
 
-    A (target, source) pair given twice is refused, even when one is zero.
+    Each weight is read by rational(), so a float is refused. A (target,
+    source) pair given twice is refused, even when one is zero.
     """
     table: dict[tuple[int, int], Fraction] = {}
     for j, i, w in weights:
         if (j, i) in table:
             raise ValidationError("duplicate weight (%d,%d)" % (j, i))
-        table[(j, i)] = Fraction(w)
+        table[(j, i)] = rational(w)
     return Network(
         size=size,
         input_units=inputs,

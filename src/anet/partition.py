@@ -34,6 +34,7 @@ from .rationals import (
     ONE,
     ZERO,
     HalfLinePair,
+    Interval,
     IntervalPartition,
     partition_from_pairs,
 )
@@ -177,7 +178,7 @@ def build_partition_refined(
     every word; the analog value is left as an unknown y in [0, 1] and each
     run is followed with the analog state kept affine in y. Whenever a unit's
     excitation sign depends on y, the current piece splits at the crossing
-    point, and the crossing points of all runs become the partition
+    point, and the ends of the pieces the runs visit become the partition
     endpoints. Runs are followed through the word, the formal extra symbol,
     and the verdict delay; branches that overrun the query gap bound stop
     contributing, mirroring how replays on concrete points are scored. Each
@@ -189,10 +190,14 @@ def build_partition_refined(
     if not wordlist:
         raise ValidationError("refined construction needs at least one word")
     starts = None if starts is None else tuple(map(tuple, starts))
-    pairs: set[HalfLinePair] = set(CORNER_PAIRS)
+    pieces: set[Interval] = set()
     for bits0 in _admit_starts(net, starts, len(wordlist), "words"):
         for word in wordlist:
-            _run_symbolic(net, alphabet, bits0, word, pairs)
+            pieces.update(_run_symbolic(net, alphabet, bits0, word))
+    pairs: set[HalfLinePair] = set(CORNER_PAIRS)
+    for piece in pieces:  # each end is the half-line that cut it: closed inside, open outside
+        pairs.add(HalfLinePair(piece.lo, -1 if piece.lo_closed else 1))
+        pairs.add(HalfLinePair(piece.hi, 1 if piece.hi_closed else -1))
     return _finish(pairs, "refined", words=wordlist, starts=starts, alphabet=alphabet)
 
 
@@ -211,13 +216,13 @@ def _admit_starts(
     return starts
 
 
-def _run_symbolic(net, alphabet, bits0, word, pairs) -> None:
+def _run_symbolic(net, alphabet, bits0, word) -> list[Interval]:
     symbols = [alphabet.index(ch) for ch in word] + [0]
 
-    def feed(br: _Branch) -> list[tuple[_Branch, dict[int, int]]]:
-        return [(br, {net.input_units[symbols[br.fed]]: 1})]
+    def feed(br: _Branch, fed: int) -> list[tuple[_Branch, dict[int, int]]]:
+        return [(br, {net.input_units[symbols[fed]]: 1})]
 
-    _explore(net, _Branch(_UNIT, pack(bits0), ZERO, ONE), feed, pairs, len(symbols))
+    return _explore(net, _Branch(_UNIT, pack(bits0), ZERO, ONE), feed, len(symbols))
 
 
 def fire_states(net: Network) -> list[tuple[int, ...]]:
@@ -234,7 +239,7 @@ def fire_states(net: Network) -> list[tuple[int, ...]]:
     """
     found: set[int] = set()
 
-    def feed(br: _Branch) -> list[tuple[_Branch, dict[int, int]]]:
+    def feed(br: _Branch, _) -> list[tuple[_Branch, dict[int, int]]]:
         if br.bits in found:
             return []
         found.add(br.bits)
@@ -242,36 +247,40 @@ def fire_states(net: Network) -> list[tuple[int, ...]]:
         return [(fresh, {u: 1}) for u in net.input_units]
 
     init = net.initial_configuration()
-    _explore(net, _Branch(_UNIT, init[0], init.analog, ZERO), feed, set(), math.inf)
+    _explore(net, _Branch(_UNIT, init[0], init.analog, ZERO), feed, math.inf)
     return sorted(map(unpack, found))
 
 
-def _explore(net: Network, root: _Branch, feed, pairs: set[HalfLinePair], length: float) -> None:
-    """Step the branches grown from root depth first until each one ends.
+def _explore(net: Network, root: _Branch, feed, length: float) -> list[Interval]:
+    """Step the branches grown from root depth first until each one ends; their pieces.
 
-    A branch reads while it has been fed fewer than length symbols: past the
-    query gap bound it ends, since concrete runs raise there, and at a fire
-    instant feed(branch) gives the (branch, clamp) pairs to step on. A branch
-    done reading runs on until the verdict delay of its last symbol is over.
-    Split points go into pairs; more than ENDPOINT_BUDGET branches are refused.
+    Each stack entry carries the branch's clock: the symbols fed, the steps
+    since the last query instant (or the start) and the steps until the last
+    fed symbol's verdict is read. A branch reads while it has been fed fewer
+    than length symbols: past the query gap bound it ends, since concrete runs
+    raise there, and at a fire instant feed(branch, fed) gives the (branch,
+    clamp) pairs to step on. A branch done reading runs on until the verdict
+    delay of its last symbol is over. More than ENDPOINT_BUDGET branches are
+    refused.
     """
-    stack = [root]
-    count = 0
+    stack = [(root, 0, 0, 0)]
+    pieces: list[Interval] = []
     while stack:
-        br = stack.pop()
-        count += 1
-        if count > ENDPOINT_BUDGET:
+        br, fed, since, left = stack.pop()
+        pieces.append(br.piece)
+        if len(pieces) > ENDPOINT_BUDGET:
             raise ResourceBudgetError("symbolic run passed %d branches" % ENDPOINT_BUDGET)
-        if br.fed < length:
-            if br.since >= net.delta:
+        if fed < length:
+            if since >= net.delta:
                 continue
             if br.bits >> (net.nxt - 1) & 1:
-                for child, clamp in feed(br):
-                    _step_symbolic(net, child, clamp, stack, pairs)
+                for child, clamp in feed(br, fed):
+                    stack += [(s, fed + 1, 0, net.output_delay) for s in _step_symbolic(net, child, clamp)]
                 continue
-        elif br.left <= 0:
+        elif left <= 0:
             continue
-        _step_symbolic(net, br, {}, stack, pairs)
+        stack += [(s, fed, since + 1, left - 1) for s in _step_symbolic(net, br, {})]
+    return pieces
 
 
 # -- behavior tables over a partition -------------------------------------

@@ -203,9 +203,7 @@ def _learn_piece(net: Network, state: State, unit: int | None) -> tuple:
     path = [_Branch(_UNIT, state[0][0], ZERO, ONE)]
 
     def follow(_, inputs):
-        successors: list[_Branch] = []
-        _step_symbolic(net, path[-1], inputs or {}, successors, set())
-        path.append(next(br for br in successors if br.piece.contains(y)))
+        path.append(next(br for br in _step_symbolic(net, path[-1], inputs or {}) if br.piece.contains(y)))
         return (path[-1].bits,)
 
     try:

@@ -17,7 +17,7 @@ import pytest
 
 import anet
 from anet.cli import main
-from anet.network import NETWORK_DELAY_LIMIT, load_network_path, save_network_path
+from anet.network import NETWORK_DELAY_LIMIT, load_network_path, make_network, save_network_path
 from anet.protocol import enumerate_language
 
 PARITY_TSV = "e\t0\te\t-\t1\ne\t1\to\t-\t1\no\t0\to\t-\t0\no\t1\te\t-\t0\n"
@@ -303,6 +303,13 @@ def test_alphabet_size_mismatch_exits_one_before_any_work(cut_path, tmp_path, cm
     assert "UsageError" in captured.err
     assert captured.out == ""
     assert not out.exists()
+    if cmd == "compare":  # only the second network mismatches
+        three = tmp_path / "three.anet"
+        save_network_path(make_network(5, (1, 2, 3), nxt=4, out=4, delta=1, weights=[]), str(three))
+        assert main([cmd, cut_path, str(three), "3", "--alphabet", "01"]) == 1
+        captured = capsys.readouterr()
+        assert "UsageError" in captured.err
+        assert captured.out == ""
 
 
 def test_budget_error_exits_three(cut_path, capsys):

@@ -227,6 +227,21 @@ def test_construction_refuses_what_used_to_slip_through():
             Network(size=3, input_units=(2,), nxt=1, out=1, delta=1, weights={key: Fraction(0)})
 
 
+def test_make_network_reads_weights_as_exact_rationals():
+    # ints, Fractions and "p/q" text build the same weights; a float or decimal text
+    # would become its binary expansion, so make_network refuses it
+    def tiny(bias, self_weight):
+        return make_network(3, (2,), nxt=1, out=1, delta=1, weights=[(3, 0, bias), (3, 3, self_weight)])
+
+    want = tiny(Fraction(1, 2), Fraction(-3))
+    for half, three in ((Fraction(1, 2), -3), ("1/2", "-3"), ("2/4", Fraction(-3))):
+        net = tiny(half, three)
+        assert net == want and network_to_text(net) == network_to_text(want)
+    for bad in (0.1, "0.1", "1e5", float("nan"), None, Decimal("0.5")):
+        with pytest.raises(ValidationError):
+            tiny(bad, 1)
+
+
 def test_zero_weights_are_dropped_at_construction():
     bare = Network(size=3, input_units=(2,), nxt=1, out=1, delta=1)
     zeros = dataclasses.replace(bare, weights={(1, 0): Fraction(0), (3, 3): Fraction(0)})

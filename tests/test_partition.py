@@ -185,6 +185,18 @@ CUT_REFINED_ENDPOINTS = [
 def test_refined_partition_of_cut_net_frozen(cut_net):
     res = build_partition_refined(cut_net, ("0", "1"))
     assert [str(iv) for iv in res.partition.intervals] == CUT_REFINED_ENDPOINTS
+    # boundary pairs of more replays, past the four corners; (v, -1) is [v, +inf)
+    # and (v, +1) is (-inf, v]
+    anchor = build_cut_acceptor(cut_params(F(27, 8), F(3, 8)))  # the quotient benchmark's base
+    cases = [
+        (anchor, ("1", "01"), partition.fire_states(anchor), [(F(323, 768), -1), (F(2, 3), -1)]),
+        (make_skeleton_net(33), ("0", "00", "000"), None, [(F(2, 3), 1)]),
+        (make_skeleton_net(44), ("0", "00", "000"), None, [(F(1, 10), -1), (F(4, 35), -1)]),
+    ]
+    corners = [(F(0), -1), (F(0), 1), (F(1), -1), (F(1), 1)]
+    for net, words, starts, inner in cases:
+        res = build_partition_refined(net, words, starts=starts)
+        assert res.pairs == tuple(sorted(HalfLinePair(v, b) for v, b in corners + inner))
 
 
 def _interval_samples(iv, rng, k):

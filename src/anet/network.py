@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, TextIO
 
 from .errors import ResourceBudgetError, ValidationError
-from .rationals import ZERO, ONE, HalfLinePair, Interval, RationalLike, format_rational, parse_rational, rational
+from .rationals import ZERO, ONE, RationalLike, format_rational, parse_rational, rational
 
 
 # Fraction from a numerator and a positive denominator already in lowest
@@ -300,94 +300,108 @@ class _StepPlan:
 #
 # With the binary state fixed a step is affine in the analog value, so a run
 # from an unknown analog value y in [0, 1] can be followed exactly: the analog
-# value stays a + b*y on a piece of the y range, and a piece splits where a
-# tested unit's excitation or the analog unit's saturation changes sign. The
+# value stays (an + bn*y)/d on a piece of the y range, and a piece splits where
+# a tested unit's excitation or the analog unit's saturation changes sign. The
 # refined partition, the fire-state search and the protocol's segment table
-# all step through _step_symbolic.
+# all step through _step_symbolic, on integers only:
+#
+# - a piece is (ln, ld, ls, hn, hd, hs), the interval from ln/ld to hn/hd with
+#   ld, hd > 0, ls and hs 1 at an open end and 0 at a closed one, so y = p/q
+#   (q > 0) lies in it iff p*ld - ln*q >= ls and hn*q - p*hd >= hs;
+# - a half-line is (vn, vd, b), vd > 0: y >= vn/vd when b is -1, y <= vn/vd
+#   when b is +1, as in HalfLinePair;
+# - a branch is (piece, bits, an, bn, d): concrete bits as a state mask and
+#   the analog value (an + bn*y)/d, d > 0 and gcd(an, bn, d) = 1.
+
+_UNIT = (0, 1, 0, 1, 1, 0)  # [0, 1]
 
 
-@dataclass
-class _Branch:
-    """One piece of a symbolic run: concrete bits as a state mask, analog value a + b*y."""
-
-    piece: Interval
-    bits: int
-    a: Fraction
-    b: Fraction
-
-
-_UNIT = Interval(ZERO, ONE, True, True)
-
-
-def _split(piece: Interval, line: HalfLinePair) -> tuple[Interval | None, Interval | None]:
+def _split(piece: tuple, line: tuple) -> tuple[tuple | None, tuple | None]:
     """The parts of piece inside and outside the half-line, None where empty."""
-    v, lo, hi = line.a, piece.lo, piece.hi
-    if line.b == -1:  # inside [v, +inf), outside (-inf, v)
-        inside = _interval(v, True, hi, piece.hi_closed) if v > lo else piece
-        outside = _interval(lo, piece.lo_closed, v, False) if v <= hi else piece
+    ln, ld, ls, hn, hd, hs = piece
+    vn, vd, b = line
+    if b == -1:  # inside [v, +inf), outside (-inf, v)
+        inside = _interval(vn, vd, 0, hn, hd, hs) if vn * ld > ln * vd else piece
+        outside = _interval(ln, ld, ls, vn, vd, 1) if vn * hd <= hn * vd else piece
     else:  # inside (-inf, v], outside (v, +inf)
-        inside = _interval(lo, piece.lo_closed, v, True) if v < hi else piece
-        outside = _interval(v, False, hi, piece.hi_closed) if v >= lo else piece
+        inside = _interval(ln, ld, ls, vn, vd, 0) if vn * hd < hn * vd else piece
+        outside = _interval(vn, vd, 1, hn, hd, hs) if vn * ld >= ln * vd else piece
     return inside, outside
 
 
-def _interval(lo: Fraction, lo_closed: bool, hi: Fraction, hi_closed: bool) -> Interval | None:
-    if lo < hi or (lo == hi and lo_closed and hi_closed):
-        return Interval(lo, hi, lo_closed, hi_closed)
+def _interval(ln: int, ld: int, ls: int, hn: int, hd: int, hs: int) -> tuple | None:
+    """The piece from ln/ld to hn/hd, None when it is empty."""
+    c = hn * ld - ln * hd
+    if c > 0 or (c == 0 and not (ls or hs)):
+        return ln, ld, ls, hn, hd, hs
     return None
 
 
-def _step_symbolic(net, br: _Branch, clamp) -> list[_Branch]:
-    """The successors of one synchronous step of br, on the network's transition row.
+def _line(n: int, m: int, b: int) -> tuple:
+    """The half-line where n + m*y >= 0 (b = -1) or <= 0 (b = +1), m != 0, in lowest terms."""
+    g = gcd(n, m)
+    return (-n // g, m // g, b) if m > 0 else (n // g, -m // g, -b)
 
-    With br.a = pa/qa and br.b = pb/qb, a tested target's excitation times
-    L_j is c + d*y with c = n/qa, n = c_j*qa + a_j*pa (c_j its binary sum,
-    a_j its analog weight) and d = m/qb, m = a_j*pb. The piece splits on the
-    half-line where a tested unit fires, and on those where the analog unit
-    saturates at 0 (c + d*y <= 0) and at 1 (c + d*y >= L_s). A successor's
-    piece has a new end only where such a half-line cut its piece in two.
+
+def _step_symbolic(net, br: tuple, clamp) -> list[tuple]:
+    """The successor branches of one synchronous step of br, on the network's transition row.
+
+    A tested target's excitation times L_j*d is n + m*y with n = c_j*d +
+    a_j*an (c_j its binary sum, a_j its analog weight) and m = a_j*bn. The
+    piece splits on the half-line where a tested unit fires, and on those
+    where the analog unit saturates at 0 (n + m*y <= 0) and at 1 (n + m*y >=
+    L_s*d). A successor's piece has a new end only where such a half-line cut
+    its piece in two.
     """
+    piece, bits, an, bn, d = br
     try:  # read like Network.step: _row is called only to build a missing row
-        fixed, tests, c_s, w, scale = net.__dict__["_rows"][br.bits]
+        fixed, tests, c_s, w, scale = net.__dict__["_rows"][bits]
     except KeyError:
-        fixed, tests, c_s, w, scale = net._row(br.bits)
-    pa, qa = br.a.as_integer_ratio()
-    pb, qb = br.b.as_integer_ratio()
+        fixed, tests, c_s, w, scale = net._row(bits)
     for u, v in clamp.items():
         if u not in net.input_units:
             raise ValidationError("unit %d is not an input unit" % u)
         fixed |= v << (u - 1)
-    parts: list[tuple[Interval, int]] = [(br.piece, fixed)]
+    parts: list[tuple[tuple, int]] = [(piece, fixed)]
     for bit, c, a in tests:
-        n, m = c * qa + a * pa, a * pb
+        n, m = c * d + a * an, a * bn
         if m == 0:
             if n >= 0:
-                parts = [(piece, bits | bit) for piece, bits in parts]
+                parts = [(part, mask | bit) for part, mask in parts]
             continue
-        fire = HalfLinePair(Fraction(-n * qb, qa * m), -1 if m > 0 else 1)
-        split: list[tuple[Interval, int]] = []
-        for piece, bits in parts:
-            on, off = _split(piece, fire)
+        fire = _line(n, m, -1)
+        split: list[tuple[tuple, int]] = []
+        for part, mask in parts:
+            on, off = _split(part, fire)
             if on is not None and off is not None:
-                split += [(on, bits | bit), (off, bits)]
+                split += [(on, mask | bit), (off, mask)]
             else:
-                split.append((piece, bits | bit if on is not None else bits))
+                split.append((part, mask | bit if on is not None else mask))
         parts = split
 
-    n, m = c_s * qa + w * pa, w * pb
+    n, m, den = c_s * d + w * an, w * bn, scale * d
     if m == 0:
-        value = saturation(Fraction(n, qa * scale))
-        return [_Branch(piece, bits, value, ZERO) for piece, bits in parts]
-    dead_line = HalfLinePair(Fraction(-n * qb, qa * m), 1 if m > 0 else -1)
-    full_line = HalfLinePair(Fraction((scale * qa - n) * qb, qa * m), -1 if m > 0 else 1)
-    mid_a, mid_b = Fraction(n, qa * scale), Fraction(m, qb * scale)
-    successors: list[_Branch] = []
-    for piece, bits in parts:
-        dead, rest = _split(piece, dead_line)
+        if n <= 0:
+            n, den = 0, 1
+        elif n >= den:
+            n, den = 1, 1
+        else:
+            g = gcd(n, den)
+            n, den = n // g, den // g
+        return [(part, mask, n, 0, den) for part, mask in parts]
+    dead_line, full_line = _line(n, m, 1), _line(n - den, m, -1)
+    g = gcd(n, m, den)
+    mid_n, mid_m, mid_d = n // g, m // g, den // g
+    successors: list[tuple] = []
+    for part, mask in parts:
+        dead, rest = _split(part, dead_line)
         full, mid = _split(rest, full_line) if rest is not None else (None, None)
-        for region, a, b in ((dead, ZERO, ZERO), (mid, mid_a, mid_b), (full, ONE, ZERO)):
-            if region is not None:
-                successors.append(_Branch(region, bits, a, b))
+        if dead is not None:
+            successors.append((dead, mask, 0, 0, 1))
+        if mid is not None:
+            successors.append((mid, mask, mid_n, mid_m, mid_d))
+        if full is not None:
+            successors.append((full, mask, 1, 0, 1))
     return successors
 
 

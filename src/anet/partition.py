@@ -27,14 +27,13 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import QueryGapError, ResourceBudgetError, ValidationError
-from .network import _UNIT, Configuration, Network, _Branch, _step_symbolic, pack, unpack
+from .network import _UNIT, Configuration, Network, _step_symbolic, pack, unpack
 from .protocol import Alphabet, resolve_alphabet, verdict
 from .rationals import (
     CORNER_PAIRS,
     ONE,
     ZERO,
     HalfLinePair,
-    Interval,
     IntervalPartition,
     partition_from_pairs,
 )
@@ -190,14 +189,14 @@ def build_partition_refined(
     if not wordlist:
         raise ValidationError("refined construction needs at least one word")
     starts = None if starts is None else tuple(map(tuple, starts))
-    pieces: set[Interval] = set()
+    pieces: set[tuple] = set()
     for bits0 in _admit_starts(net, starts, len(wordlist), "words"):
         for word in wordlist:
             pieces.update(_run_symbolic(net, alphabet, bits0, word))
     pairs: set[HalfLinePair] = set(CORNER_PAIRS)
-    for piece in pieces:  # each end is the half-line that cut it: closed inside, open outside
-        pairs.add(HalfLinePair(piece.lo, -1 if piece.lo_closed else 1))
-        pairs.add(HalfLinePair(piece.hi, 1 if piece.hi_closed else -1))
+    for ln, ld, ls, hn, hd, hs in pieces:  # each end is the half-line that cut it: closed inside, open outside
+        pairs.add(HalfLinePair(Fraction(ln, ld), 1 if ls else -1))
+        pairs.add(HalfLinePair(Fraction(hn, hd), -1 if hs else 1))
     return _finish(pairs, "refined", words=wordlist, starts=starts, alphabet=alphabet)
 
 
@@ -216,13 +215,13 @@ def _admit_starts(
     return starts
 
 
-def _run_symbolic(net, alphabet, bits0, word) -> list[Interval]:
+def _run_symbolic(net, alphabet, bits0, word) -> list[tuple]:
     symbols = [alphabet.index(ch) for ch in word] + [0]
 
-    def feed(br: _Branch, fed: int) -> list[tuple[_Branch, dict[int, int]]]:
+    def feed(br: tuple, fed: int) -> list[tuple[tuple, dict[int, int]]]:
         return [(br, {net.input_units[symbols[fed]]: 1})]
 
-    return _explore(net, _Branch(_UNIT, pack(bits0), ZERO, ONE), feed, len(symbols))
+    return _explore(net, (_UNIT, pack(bits0), 0, 1, 1), feed, len(symbols))
 
 
 def fire_states(net: Network) -> list[tuple[int, ...]]:
@@ -239,20 +238,23 @@ def fire_states(net: Network) -> list[tuple[int, ...]]:
     """
     found: set[int] = set()
 
-    def feed(br: _Branch, _) -> list[tuple[_Branch, dict[int, int]]]:
-        if br.bits in found:
+    def feed(br: tuple, _) -> list[tuple[tuple, dict[int, int]]]:
+        bits = br[1]
+        if bits in found:
             return []
-        found.add(br.bits)
-        fresh = _Branch(_UNIT, br.bits, ZERO, ONE)
+        found.add(bits)
+        fresh = (_UNIT, bits, 0, 1, 1)
         return [(fresh, {u: 1}) for u in net.input_units]
 
-    init = net.initial_configuration()
-    _explore(net, _Branch(_UNIT, init[0], init.analog, ZERO), feed, math.inf)
+    mask, p, q = net.initial_configuration()
+    _explore(net, (_UNIT, mask, p, 0, q), feed, math.inf)
     return sorted(map(unpack, found))
 
 
-def _explore(net: Network, root: _Branch, feed, length: float) -> list[Interval]:
+def _explore(net: Network, root: tuple, feed, length: float) -> list[tuple]:
     """Step the branches grown from root depth first until each one ends; their pieces.
+
+    Branches and pieces are the integer tuples of network._step_symbolic.
 
     Each stack entry carries the branch's clock: the symbols fed, the steps
     since the last query instant (or the start) and the steps until the last
@@ -264,16 +266,16 @@ def _explore(net: Network, root: _Branch, feed, length: float) -> list[Interval]
     refused.
     """
     stack = [(root, 0, 0, 0)]
-    pieces: list[Interval] = []
+    pieces: list[tuple] = []
     while stack:
         br, fed, since, left = stack.pop()
-        pieces.append(br.piece)
+        pieces.append(br[0])
         if len(pieces) > ENDPOINT_BUDGET:
             raise ResourceBudgetError("symbolic run passed %d branches" % ENDPOINT_BUDGET)
         if fed < length:
             if since >= net.delta:
                 continue
-            if br.bits >> (net.nxt - 1) & 1:
+            if br[1] >> (net.nxt - 1) & 1:
                 for child, clamp in feed(br, fed):
                     stack += [(s, fed + 1, 0, net.output_delay) for s in _step_symbolic(net, child, clamp)]
                 continue

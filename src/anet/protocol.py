@@ -10,29 +10,33 @@ alphabet) is appended so the verdict of the full word can be read.
 A protocol state is the value (cfg, since, pending): the configuration, the
 steps since the last query (or the start) and the steps until each pending
 verdict is read, oldest first. advance(net, state, unit) is the one
-transition, a feed of unit or the drain when unit is None. Two caches per
-network serve it, each holding at most FEED_MEMO_LIMIT entries and cleared
-when full. The feed memo is keyed on (unit, state). A memo miss goes to the
-segment table, keyed on the state's binary part (unit, mask, since, pending):
-from there the run is piecewise affine in the analog value, and the table
-keeps the pieces learned so far, each an interval of the analog value with
-the next binary part, the settled verdicts and either an affine map or a
-query-gap error. The first miss on a binary part steps and marks it; a later
-miss whose analog value lies in no known piece learns that one piece with
-the symbolic stepper the partitions use. verdict(net, state, suffix) feeds
-the suffix and the formal extra symbol, drains and reads the last settled
-verdict, all through advance. select_words walks the word tree over states
-and keeps the words whose state passes a test; within one walk, a node
-copies the words below an earlier node of the same state at the same or a
-smaller depth, under the same bound, and the walk's nodes and kept words,
-each weighed by its length plus one, are held to WALK_BUDGET. run_online
-steps every instant past both caches and records every configuration, query
-instant and verdict.
+transition, a feed of unit or the drain when unit is None. probe(net, state,
+units) is the one verdict: the units fed in turn, then the formal extra
+symbol and the drain, with the last settled verdict as its outcome; verdict
+resolves a suffix to its units and probes. Feeds and probes are served
+alike, from two caches per network, each holding at most FEED_MEMO_LIMIT
+entries and cleared when full. The feed memo is keyed on (unit, state) or
+(units, state). A memo miss goes to the segment table, keyed on the state's
+binary part (unit or units, mask, since, pending): from there the run is
+piecewise affine in the analog value, and its outcome piecewise constant.
+The table keeps the pieces learned so far, each an interval of the analog
+value with the feed's next binary part, settled verdicts and affine map, the
+probe's verdict, or a query-gap error. The first miss on a binary part
+steps a feed and sends a probe's feeds through advance, and marks the part;
+a later miss whose analog value lies in no known piece learns that one piece
+with the symbolic stepper the partitions use. select_words walks the word
+tree over states and keeps the words whose state passes a test; within one
+walk, a node copies the words below an earlier node of the same state at the
+same or a smaller depth, under the same bound, and the walk's nodes and kept
+words, each weighed by its length plus one, are held to WALK_BUDGET.
+run_online steps every instant past both caches and records every
+configuration, query instant and verdict.
 
 Query gaps have one rule. A feed that finds no query instant within the
-declared bound of the previous one raises QueryGapError and stores nothing in
-the memo (the segment table may keep the piece that raises it); whether it
-raises depends only on the state, never on the symbol.
+declared bound of the previous one raises QueryGapError, and so does a probe
+that makes such a feed; neither stores anything in the memo (the segment
+table may keep the piece that raises it). Whether a feed raises depends only
+on the state, never on the symbol.
 enumerate_language, compare_languages, accepts and run_online pass the error
 on (the CLI exits with code 4); the brute-force quotient oracle and
 partition.probe_verdict count it as a rejection.
@@ -42,12 +46,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .errors import QueryGapError, ResourceBudgetError, ValidationError
-from .network import _UNIT, Configuration, Network, _Branch, _step_symbolic
-from .rationals import ONE, ZERO, format_rational
+from .network import _UNIT, Configuration, Network, _step_symbolic
+from .rationals import format_rational
 
 _DIGITS = "0123456789"
 
@@ -121,18 +125,32 @@ def advance(net: Network, state: State, unit: int | None) -> tuple[State, tuple[
     segment table when a learned piece of the state's binary part holds its
     analog value, and stepped otherwise; see _segment_feed.
     """
+    return _resolve(net, state, unit)
+
+
+def probe(net: Network, state: State, units: tuple[int, ...] = ()) -> bool:
+    """The verdict after state, the input units fed in turn, the formal extra symbol and the drain.
+
+    One lookup, through the same memo and segment table as advance, keyed
+    on units; QueryGapError passes through.
+    """
+    return _resolve(net, state, units)
+
+
+def _resolve(net: Network, state: State, key):
+    """advance's or probe's outcome: the feed memo, keyed on (key, state), else _segment_feed."""
     memo = net.__dict__.setdefault("_feed_memo", {})  # cached like the step plan
-    hit = memo.get((unit, state))  # ints and tuples of ints, hashed in C
+    hit = memo.get((key, state))  # ints and tuples of ints, hashed in C
     if hit is None:
-        hit = _segment_feed(net, state, unit)  # no entry when this raises
+        hit = _segment_feed(net, state, key)  # no entry when this raises
         if len(memo) >= FEED_MEMO_LIMIT:
             memo.clear()
-        memo[unit, state] = hit
+        memo[key, state] = hit
     return hit
 
 
 class _Segments(dict):
-    """The segment table: binary part (unit, mask, since, pending) -> its learned pieces.
+    """The segment table: binary part (key, mask, since, pending) -> its learned pieces.
 
     A part met once is marked with an empty list. entries counts the marks
     and the pieces; the table is cleared when a new one would pass
@@ -154,36 +172,42 @@ class _Segments(dict):
         self.entries += 1
 
 
-def _segment_feed(net: Network, state: State, unit: int | None) -> tuple[State, tuple[bool, ...]]:
-    """advance past the memo: through a learned piece of the state's binary part, else by stepping.
+def _segment_feed(net: Network, state: State, key):
+    """advance or probe past the memo: through a learned piece of the state's binary part, else by feeding.
 
-    From a fixed binary part the run to the next query instant (or the end of
-    the drain) is piecewise affine in the analog value y. A piece is
-    (ln, ld, ls, hn, hd, hs, outcome), the interval from ln/ld to hn/hd, ls
-    and hs 1 at an open end and 0 at a closed one: y = p/q lies in it iff
-    p*ld - ln*q >= ls and hn*q - p*hd >= hs. outcome is the QueryGapError
-    message or (mask, since, pending, settled, an, bn, d), the run ending at
-    the analog value (an + bn*y)/d. The first miss on a binary part steps and
-    marks it; a later miss in no known piece learns the one that holds y.
+    key is a unit, None (the drain) or a tuple of units (a probe). From a
+    fixed binary part the run to the next query instant, or the end of the
+    drain, or the end of a whole probe, is piecewise affine in the analog
+    value y, and so is its outcome piecewise constant. A piece is (ln, ld,
+    ls, hn, hd, hs, outcome), an interval in network._step_symbolic's form.
+    outcome is the QueryGapError message, a probe's verdict, or (mask,
+    since, pending, settled, an, bn, d), the feed ending at the analog value
+    (an + bn*y)/d. The first miss on a binary part marks it and runs the
+    feed by stepping, or the probe through advance; a later miss in no
+    known piece learns the one that holds y.
     """
     (mask, p, q), since, pending = state
-    key = (unit, mask, since, pending)
+    part = (key, mask, since, pending)
     table = net.__dict__.get("_segments")
     if table is None:
         table = net.__dict__["_segments"] = _Segments()
-    pieces = table.get(key)
+    pieces = table.get(part)
     if pieces is None:
-        table.add(key)
-        return _steps(net, state, unit)
+        table.add(part)
+        if type(key) is tuple:
+            return _verdict_of(net, state, key, advance)
+        return _steps(net, state, key)
     for ln, ld, ls, hn, hd, hs, outcome in pieces:
         if p * ld - ln * q >= ls and hn * q - p * hd >= hs:
             break
     else:
-        piece = _learn_piece(net, state, unit)
-        table.add(key, piece)
+        piece = _learn_piece(net, state, key)
+        table.add(part, piece)
         outcome = piece[-1]
     if type(outcome) is str:
         raise QueryGapError(outcome)
+    if type(key) is tuple:
+        return outcome
     mask, since, pending, settled, an, bn, d = outcome
     g = gcd(bn, q)  # gcd(p, q) = 1, so gcd(an*q + bn*p, q) = gcd(bn, q)
     num, den = (an * q + bn * p) // g, q // g
@@ -191,37 +215,50 @@ def _segment_feed(net: Network, state: State, unit: int | None) -> tuple[State, 
     return (tuple.__new__(Configuration, (mask, num // g, d // g * den)), since, pending), settled
 
 
-def _learn_piece(net: Network, state: State, unit: int | None) -> tuple:
+def _verdict_of(net: Network, state: State, units: tuple[int, ...], feed) -> bool:
+    """The verdict after state and units, each fed by feed(net, state, unit) like advance.
+
+    The formal extra symbol follows, then the drain when a verdict is
+    pending; the formal symbol's verdict is the last one settled.
+    """
+    for unit in units:
+        state = feed(net, state, unit)[0]
+    end, settled = feed(net, state, net.input_units[0])
+    if end[2]:
+        settled = feed(net, end, None)[1]
+    return settled[-1]
+
+
+def _learn_piece(net: Network, state: State, key) -> tuple:
     """The piece of state's binary part that holds its analog value, as _segment_feed keeps it.
 
     The run is stepped symbolically from y in [0, 1], following at each step
     the one successor whose piece holds the state's analog value, through
-    _steps' own clock; the last successor's piece and analog value a + b*y
-    give the piece and its map.
+    _steps' own clock, over the feed or the drain, or over the whole probe;
+    the last branch's piece is the piece, and its analog value the feed's map.
     """
-    y = state[0].analog
-    path = [_Branch(_UNIT, state[0][0], ZERO, ONE)]
+    mask, p, q = state[0]
+    branch = (_UNIT, mask, 0, 1, 1)
 
     def follow(_, inputs):
-        path.append(next(br for br in _step_symbolic(net, path[-1], inputs or {}) if br.piece.contains(y)))
-        return (path[-1].bits,)
+        nonlocal branch
+        for branch in _step_symbolic(net, branch, inputs or {}):
+            ln, ld, ls, hn, hd, hs = branch[0]
+            if p * ld - ln * q >= ls and hn * q - p * hd >= hs:
+                return (branch[1],)
+
+    def feed(net, state, unit):
+        return _steps(net, state, unit, step=follow)
 
     try:
-        (_, since, pending), settled = _steps(net, state, unit, step=follow)
+        if type(key) is tuple:
+            outcome = _verdict_of(net, state, key, feed)
+        else:
+            (_, since, pending), settled = feed(net, state, key)
+            outcome = (branch[1], since, pending, settled, *branch[2:])
     except QueryGapError as exc:
         outcome = str(exc)
-    else:
-        br = path[-1]
-        d = lcm(br.a.denominator, br.b.denominator)
-        an, bn = br.a.numerator * (d // br.a.denominator), br.b.numerator * (d // br.b.denominator)
-        outcome = (br.bits, since, pending, settled, an, bn, d)
-    piece = path[-1].piece
-    lo, hi = piece.lo, piece.hi
-    return (
-        lo.numerator, lo.denominator, int(not piece.lo_closed),
-        hi.numerator, hi.denominator, int(not piece.hi_closed),
-        outcome,
-    )
+    return (*branch[0], outcome)
 
 
 def _steps(net: Network, state: State, unit: int | None, rows: list | None = None, step=None):
@@ -252,20 +289,23 @@ def _steps(net: Network, state: State, unit: int | None, rows: list | None = Non
     return (cfg, since, pending), tuple(settled)
 
 
+def suffix_units(net: Network, suffix: str, alphabet: Alphabet | None = None) -> tuple[int, ...]:
+    """The input units that feed suffix's symbols, in order."""
+    if not suffix:
+        return ()
+    alphabet = resolve_alphabet(net, alphabet)
+    return tuple(net.input_units[alphabet.index(sym)] for sym in suffix)
+
+
 def verdict(net: Network, state: State, suffix: str = "", alphabet: Alphabet | None = None) -> bool:
     """Verdict for the word that led to state followed by suffix; QueryGapError passes through.
 
     The suffix and the formal extra symbol are fed, then the run is drained;
-    the formal symbol's verdict is the last one settled. Every feed and the
-    drain go through advance, so a verdict keeps no memo of its own.
+    the formal symbol's verdict is the last one settled. The whole probe is
+    one probe() lookup, in the memo and the segment table that serve advance,
+    so a verdict keeps no cache of its own.
     """
-    alphabet = resolve_alphabet(net, alphabet) if suffix else alphabet
-    for sym in suffix:
-        state = advance(net, state, net.input_units[alphabet.index(sym)])[0]
-    end, settled = advance(net, state, net.input_units[0])
-    if end[2]:
-        settled = advance(net, end, None)[1]
-    return settled[-1]
+    return probe(net, state, suffix_units(net, suffix, alphabet))
 
 
 @dataclass(frozen=True)
@@ -382,7 +422,7 @@ def _walk_budget_error(max_len: int) -> ResourceBudgetError:
 
 def enumerate_language(net: Network, max_len: int, alphabet: Alphabet | None = None) -> set[str]:
     """All accepted words of length at most max_len; QueryGapError passes through."""
-    return set(select_words(net, resolve_alphabet(net, alphabet), max_len, partial(verdict, net)))
+    return set(select_words(net, resolve_alphabet(net, alphabet), max_len, partial(probe, net)))
 
 
 def compare_languages(

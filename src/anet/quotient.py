@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .errors import QueryGapError, ValidationError
 from .network import Network, make_network
-from .protocol import Alphabet, State, resolve_alphabet, select_words, verdict
+from .protocol import Alphabet, State, probe, resolve_alphabet, select_words, suffix_units
 from .partition import (
     ExtrapolationTable,
     PartitionResult,
@@ -101,15 +101,17 @@ def quotient_difference_language(
     if mode not in _MODES:
         raise ValidationError("mode must be one of %s" % (_MODES,))
     alphabet = resolve_alphabet(base, alphabet)
+    first_units = suffix_units(base, first, alphabet)
+    second_units = suffix_units(base, second + first, alphabet)
 
-    def probe(state: State, suffix: str) -> bool:
+    def gap_rejects(state: State, units: tuple[int, ...]) -> bool:
         try:
-            return verdict(base, state, suffix, alphabet)
+            return probe(base, state, units)
         except QueryGapError:
             return False
 
     def keep(state: State) -> bool:
-        return combine_verdicts(mode, probe(state, first), probe(state, second + first))
+        return combine_verdicts(mode, gap_rejects(state, first_units), gap_rejects(state, second_units))
 
     return set(select_words(base, alphabet, max_len, keep))
 

@@ -259,6 +259,36 @@ def test_rational_past_digit_limit_exits_two(tmp_path, capsys):
     assert "ValidationError" in capsys.readouterr().err
 
 
+def _at_digit_limit(limit, fn):
+    """fn() with Python's int-to-str digit limit lowered to limit, restored after."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        return fn()
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_values_past_the_print_digit_limit_exit_three(cut_path, tmp_path, capsys):
+    # a trace row, a qp orbit value and a partition endpoint each pass
+    # Python's int-to-str limit. Under the default limit (4,300 digits) that
+    # takes 1 and 3,200 zeros, 2,000 nines over 1,999 eights, and the base
+    # (10^500+1)^3/10^1500, whose partition runs for tens of seconds; under
+    # the lowest limit (640 digits) smaller inputs pass it at once
+    big = tmp_path / "big.anet"
+    assert main(["build-cut", "%d/%d" % ((10**60 + 1) ** 3, 10**180), "1/3", str(big)]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["trace", cut_path, "1" + "0" * 500],
+        ["qp", "%s/%s" % ("9" * 100, "8" * 99), "1/3"],
+        ["partition", str(big), "--words", "1111,0000,1010"],
+    ):
+        assert _at_digit_limit(640, lambda: main(argv)) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ResourceBudgetError: ")
+        assert "more than 640 digits" in err
+
+
 @pytest.mark.parametrize("cmd", ["enum", "compare"])
 def test_negative_length_exits_one(cut_path, cmd, capsys):
     nets = [cut_path] * (2 if cmd == "compare" else 1)

@@ -151,11 +151,27 @@ def pieces(draw):
     return Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
 
 
-@given(pieces(), grid, st.sampled_from((-1, 1)))
+def _as_ints(iv):
+    """An Interval in the integer form of network._step_symbolic: ends as pairs, 1 at an open end."""
+    return (iv.lo.numerator, iv.lo.denominator, int(not iv.lo_closed), iv.hi.numerator, iv.hi.denominator, int(not iv.hi_closed))
+
+
+def _as_interval(piece):
+    """The Interval of an integer piece, None for None."""
+    if piece is None:
+        return None
+    ln, ld, ls, hn, hd, hs = piece
+    return Interval(F(ln, ld), F(hn, hd), not ls, not hs)
+
+
+@given(pieces(), grid, st.sampled_from((-1, 1)), st.integers(1, 3))
 @settings(max_examples=300, deadline=None)
-def test_split_partitions_the_piece(piece, v, orient):
+def test_split_partitions_the_piece(piece, v, orient, scale):
+    # the half-line's point and the piece's ends need not be in lowest terms
     line = HalfLinePair(v, orient)
-    inside, outside = network._split(piece, line)
+    ln, ld, ls, hn, hd, hs = _as_ints(piece)
+    scaled = (ln * scale, ld * scale, ls, hn, hd, hs)
+    inside, outside = map(_as_interval, network._split(scaled, (v.numerator * scale, v.denominator * scale, orient)))
     # every boundary sits on the 1/8 grid, so the grid points and the
     # midpoints between them tell any two of these intervals apart
     for k in range(-24, 90):
@@ -253,7 +269,7 @@ def test_extrapolation_requires_covering_horizon(cut_net):
 def _meet(a, b):
     lo, lo_open = max((a.lo, not a.lo_closed), (b.lo, not b.lo_closed))
     hi, hi_closed = min((a.hi, a.hi_closed), (b.hi, b.hi_closed))
-    return network._interval(lo, not lo_open, hi, hi_closed)
+    return _as_interval(network._interval(lo.numerator, lo.denominator, lo_open, hi.numerator, hi.denominator, int(not hi_closed)))
 
 
 def _assert_rows_constant(net, res, table, rng):

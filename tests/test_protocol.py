@@ -11,7 +11,7 @@ from anet.cutlang import build_cut_acceptor, cut_params
 from anet.errors import QueryGapError, ResourceBudgetError, ValidationError
 from anet.mealy import compile_mealy, machine_from_tsv
 from anet.network import Configuration, Network, make_network, unpack
-from anet.partition import probe_verdict
+from anet.partition import build_partition_refined, fire_states, probe_verdict
 from anet.protocol import (
     Alphabet,
     accepts,
@@ -30,7 +30,7 @@ from anet.quotient import (
     quotient_difference_language,
 )
 from anet.reduction import ReductionSpec, build_reduction
-from conftest import all_words
+from conftest import all_words, make_protocol_net
 
 # state evolution of the threshold-reversal acceptor for base 27/8 at 1/4 on
 # the word 101, frozen from an independent hand simulation; columns y_1..y_8.
@@ -416,21 +416,27 @@ def test_enumeration_step_counts_are_pinned(cut_net, monkeypatch):
     # memo and table. The walk keys its subtree record on the state alone: on
     # the cut acceptor leading zeros keep the analog value at 0, so the state
     # of 0w is the state of w one level down, and half of the nodes copy the
-    # words of a walk with a larger remaining length. Only the first memo miss
-    # on each binary part steps: the cut acceptor's misses fall on 10 binary
-    # parts, which step 26 times in all, and every later miss is served by
-    # one of the 10 pieces learned for 8 of them. The mod-3 reduction's 101
-    # states fit the record, which is then never cleared mid-walk, and each
-    # of its memo misses is the first on its binary part
+    # words of a walk with a larger remaining length. A verdict is one probe
+    # lookup, so advance runs for the walk's children and, on the first miss
+    # on each probe's binary part, for that probe's feeds; the verdicts' own
+    # formal feeds and drains no longer pass through it (they made 16,422
+    # advance calls before). Only the first miss on each binary part steps:
+    # the cut acceptor's misses fall on 10 feed parts and 5 probe parts,
+    # whose feeds step 26 times in all, and every later miss is served by
+    # one of the 15 pieces learned for them. The mod-3 reduction's 101 states
+    # fit the walk's record, which is then never cleared mid-walk; its 138
+    # probe parts share the segment table with its 200 feed parts, so the
+    # table passes FEED_MEMO_LIMIT and is cleared once, and 69 feeds whose
+    # mark was lost step again (602 steps when only feeds were marked)
     calls = _count_calls(monkeypatch, Network, "step")
     advances = _count_calls(monkeypatch, protocol, "advance")
     assert len(enumerate_language(dataclasses.replace(cut_net), 13)) == 8192
-    assert (len(calls), len(advances)) == (26, 16422)
+    assert (len(calls), len(advances)) == (26, 8221)
     net = _mod3_reduction()  # 113 units
     calls.clear()
     advances.clear()
     assert len(enumerate_language(net, 14)) == 30
-    assert (len(calls), len(advances)) == (602, 648)
+    assert (len(calls), len(advances)) == (722, 534)
 
 
 WALKS = pytest.mark.parametrize(
@@ -611,14 +617,209 @@ def test_segment_feeds_match_stepping(cut_net, monkeypatch):
             _check_segments(dataclasses.replace(net), 8, cleared=True)
 
 
+# -- probes ---------------------------------------------------------------------
+
+
+def _plain_probe(net, state, units):
+    """(verdict or "gap", where): a probe stepped feed by feed, past the memo and the table.
+
+    where is the part of the probe that raised, "suffix" or "formal", else
+    "drain" when the drain ran past the query gap bound (a drain never
+    raises), else "never".
+    """
+    try:
+        for unit in units:
+            state = protocol._steps(net, state, unit)[0]
+    except QueryGapError:
+        return "gap", "suffix"
+    try:
+        end, settled = protocol._steps(net, state, net.input_units[0])
+    except QueryGapError:
+        return "gap", "formal"
+    end, drained = protocol._steps(net, end, None)
+    return (settled + drained)[-1], "drain" if end[1] >= net.delta else "never"
+
+
+def _piece_probe(net, state, units, cleared):
+    """protocol.probe's verdict or "gap"; cleared empties the memo first, so the table answers."""
+    if cleared:
+        net.__dict__.pop("_feed_memo", None)
+    try:
+        return protocol.probe(net, state, units)
+    except QueryGapError:
+        return "gap"
+
+
+def _on_grid(state, k):
+    """state with its analog value moved to every multiple of 1/k in [0, 1]."""
+    cfg, since, pending = state
+    return [(Configuration(cfg.binary, F(i, k)), since, pending) for i in range(k + 1)]
+
+
+def test_probe_pieces_match_plain_feeds_where_the_gap_falls(memo_nets):
+    # the gap network's query unit falls silent once the analog value passes
+    # 5/16; with verdicts two steps late its drain runs past the query gap
+    # bound, which a drain may. From every state of the walk to length 3,
+    # moved to every sixteenth, each suffix of length at most 2 meets the gap
+    # in the suffix, at the formal symbol, in the drain, or never
+    gap = memo_nets["gap"]
+    seen = set()
+    for cleared in (False, True):
+        for net in (dataclasses.replace(gap), dataclasses.replace(gap, output_delay=2)):
+            units = [()] + [(u,) for u in net.input_units] + [(u, v) for u in net.input_units for v in net.input_units]
+            for _, node in _reference_walk(net, 3):
+                for state in _on_grid(node, 16):
+                    for suffix in units:
+                        want, where = _plain_probe(net, state, suffix)
+                        assert _piece_probe(net, state, suffix, cleared) == want, (state, suffix, where)
+                        seen.add(where)
+    assert seen == {"suffix", "formal", "drain", "never"}
+
+
+def test_probe_pieces_survive_cleared_caches(cut_net, monkeypatch):
+    # a walk to length 9 meets far more than FEED_MEMO_LIMIT states, so the
+    # memo is cleared mid-walk; under a limit of 3 the segment table is too,
+    # and a piece learned at a clear is used once and not kept
+    for limit in (protocol.FEED_MEMO_LIMIT, 3):
+        monkeypatch.setattr(protocol, "FEED_MEMO_LIMIT", limit)
+        for cleared in (False, True):
+            net = dataclasses.replace(cut_net)
+            nodes = [state for _, state in _reference_walk(net, 9)]
+            assert len(set(nodes)) > protocol.FEED_MEMO_LIMIT
+            memo_sizes, table_sizes = [], []
+            for state in nodes:
+                for suffix in ((), (net.input_units[1],), (net.input_units[0], net.input_units[1])):
+                    assert _piece_probe(net, state, suffix, cleared) == _plain_probe(net, state, suffix)[0]
+                    memo_sizes.append(len(net.__dict__["_feed_memo"]))
+                    table_sizes.append(net.__dict__["_segments"].entries)
+            # a size that drops is a clear
+            assert cleared or any(b < a for a, b in zip(memo_sizes, memo_sizes[1:]))
+            if limit == 3:
+                assert any(b < a for a, b in zip(table_sizes, table_sizes[1:]))
+
+
+def test_probe_keys_keep_suffixes_apart(cut_net):
+    # two suffixes of the same length over one binary part, asked in turn
+    # from every 1/64 step of the analog value: their verdicts differ at some
+    # values, so pieces shared between the two keys would show
+    zero, one = cut_net.input_units
+    for cleared in (False, True):
+        net = dataclasses.replace(cut_net)
+        start = _fed(net, "1")
+        differ = False
+        for state in _on_grid(start, 64):
+            got = {}
+            for suffix in ((zero, one), (one, zero), (zero,), (one,)):
+                got[suffix] = _piece_probe(net, state, suffix, cleared)
+                assert got[suffix] == _plain_probe(net, state, suffix)[0]
+            differ |= got[zero, one] != got[one, zero] or got[zero,] != got[one,]
+        assert differ
+        table = net.__dict__["_segments"]
+        part = (start[0][0], *start[1:])
+        assert all((suffix, *part) in table for suffix in ((zero, one), (one, zero), (zero,), (one,)))
+
+
 def test_feed_memo_keys_hold_no_bit_tuples(cut_net):
+    # a feed is keyed on its unit, None for a drain, and a probe on the
+    # tuple of its suffix's units; both walks below store probe keys
     for net in (dataclasses.replace(cut_net), _mod3_reduction()):
         enumerate_language(net, 6)
+        quotient_difference_language(net, "1", "01", SECOND_MINUS_FIRST, 6)
         feeds = net.__dict__["_feed_memo"]
         assert feeds
-        assert all(unit is None or type(unit) is int for unit, _ in feeds)  # None: a drain
+        kinds = {type(key) for key, _ in feeds}
+        assert tuple in kinds and int in kinds
+        for key, _ in feeds:
+            assert key is None or type(key) is int or (type(key) is tuple and all(type(u) is int for u in key))
+        zero, one = net.input_units
+        assert {key for key, _ in feeds if type(key) is tuple} <= {(), (one,), (zero, one, one)}  # 1 and 011
         for _, (cfg, since, pending) in feeds:
             assert type(cfg) is Configuration and all(type(x) is int for x in cfg)
             assert type(since) is int and type(pending) is tuple
             assert all(type(p) is int for p in pending)
         assert all(type(mask) is int for mask in net.__dict__["_rows"])
+
+
+# -- random two-letter networks -------------------------------------------------
+
+PROTOCOL_SEEDS = range(60)
+
+
+def _plain_runs(net, max_len):
+    """word -> run_online's trace, or None where it raises, for every word up to max_len."""
+    runs = {}
+    for n in range(max_len + 1):
+        for word in all_words("01", n):
+            try:
+                runs[word] = run_online(net, word)
+            except QueryGapError:
+                runs[word] = None
+    return runs
+
+
+@pytest.mark.parametrize("seed", PROTOCOL_SEEDS)
+def test_random_protocol_nets_match_plain_runs(seed):
+    # enumeration, the quotient oracle and the fire-state search against
+    # plain run_online. run_online(x) raises iff feeding x or the formal
+    # symbol after it does, and whether a feed raises does not depend on the
+    # symbol, so x can be fed iff no run_online(x[:k]) with k < len(x)
+    # raises, and enumeration to length n raises iff some run to length n does
+    net = make_protocol_net(seed)
+    runs = _plain_runs(net, 8)
+    accepted = {w: run is not None and run.accepted for w, run in runs.items()}
+    for word, run in runs.items():
+        if len(word) <= 6:
+            if run is None:
+                with pytest.raises(QueryGapError):
+                    accepts(net, word)
+            else:
+                assert accepts(net, word) == run.accepted
+    for n in range(7):
+        if any(runs[w] is None for w in runs if len(w) <= n):
+            with pytest.raises(QueryGapError):
+                enumerate_language(net, n)
+        else:
+            assert enumerate_language(net, n) == {w for w in runs if len(w) <= n and accepted[w]}
+    fed = {w for w in runs if len(w) <= 5 and all(runs[w[:k]] is not None for k in range(len(w)))}
+    for first, second, mode in (("1", "0", SECOND_MINUS_FIRST), ("0", "11", FIRST_MINUS_SECOND)):
+        want = {x for x in fed if combine_verdicts(mode, accepted[x + first], accepted[x + second + first])}
+        assert quotient_difference_language(net, first, second, mode, 5) == want
+    # the binary state one step before each query instant is a fire state
+    reached = {run.rows[t - 1][1].binary for w, run in runs.items() if run and len(w) <= 5 for t in run.query_times}
+    found = fire_states(net)
+    assert reached <= set(found)
+    assert _fire_closure(net) == set(found)
+
+
+def _fire_closure(net):
+    """The fire states by plain stepping: fire_states' closure, with witnesses for its unknown analog value.
+
+    From the initial configuration, and from each fire state found with
+    each letter and each analog value in [0, 1], step to the next fire
+    instant within the query gap bound. The refined partition of a fire
+    state's replays of both letters has every piece the symbolic search
+    visits from that state as a union of its intervals, so one value per
+    interval meets every piece.
+    """
+
+    def next_fire(cfg, since):  # as protocol._steps: past the gap bound a feed raises
+        while since < net.delta:
+            if cfg[0] >> (net.nxt - 1) & 1:
+                return cfg.binary
+            cfg, since = net.step(cfg), since + 1
+        return None
+
+    first = next_fire(net.initial_configuration(), 0)
+    found, todo = set(), [first] if first is not None else []
+    while todo:
+        bits = todo.pop()
+        if bits in found:
+            continue
+        found.add(bits)
+        part = build_partition_refined(net, ("0", "1"), starts=[bits]).partition
+        for y in (iv.representative() for iv in part.intervals):
+            for unit in net.input_units:
+                fire = next_fire(net.step(Configuration(bits, y), {unit: 1}), 0)
+                if fire is not None:
+                    todo.append(fire)
+    return found

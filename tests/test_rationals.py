@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from anet.errors import ValidationError
+from anet.errors import ResourceBudgetError, ValidationError
 from anet.rationals import (
     CORNER_PAIRS,
     HalfLinePair,
@@ -167,3 +167,18 @@ def test_partition_covers_unit_interval_disjointly(pairs):
 def test_partition_rejects_points_outside_unit_interval():
     with pytest.raises(ValidationError):
         partition_from_pairs(CORNER_PAIRS + (HalfLinePair(Fraction(3, 2), -1),))
+
+
+def test_format_past_the_digit_limit_names_it():
+    import sys
+
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert format_rational(Fraction(10**639, 3)) == "1" + "0" * 639 + "/3"
+        with pytest.raises(ResourceBudgetError, match="more than 640 digits"):
+            format_rational(Fraction(10**640, 3))
+        with pytest.raises(ResourceBudgetError, match="more than 640 digits"):
+            format_rational(Fraction(1, 10**640))
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -699,9 +699,9 @@ def test_probe_pieces_survive_cleared_caches(cut_net, monkeypatch):
 
 
 def test_probe_keys_keep_suffixes_apart(cut_net):
-    # two suffixes of the same length over one binary part, asked in turn
-    # from every 1/64 step of the analog value: their verdicts differ at some
-    # values, so pieces shared between the two keys would show
+    # four suffixes over one binary part, two of each length, asked in turn
+    # from every 1/64 step of the analog value: suffixes of one length give
+    # different verdicts at some values, so pieces shared between keys would show
     zero, one = cut_net.input_units
     for cleared in (False, True):
         net = dataclasses.replace(cut_net)

@@ -10,6 +10,7 @@ from types import ModuleType as _ModuleType
 
 from .errors import (
     AnetError,
+    DigitLimitError,
     QueryGapError,
     ResourceBudgetError,
     UsageError,

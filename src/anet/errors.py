@@ -25,6 +25,14 @@ class ResourceBudgetError(AnetError):
     exit_code = 3
 
 
+class DigitLimitError(ResourceBudgetError, ValueError):
+    """A value to print passes Python's int-to-str digit limit.
+
+    Still a ValueError, the error str() raises there, so callers that caught
+    that keep working.
+    """
+
+
 class QueryGapError(AnetError):
     """The network failed to request the next symbol within its declared gap bound."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import ResourceBudgetError, ValidationError
+from .errors import DigitLimitError, ValidationError
 
 RationalLike = Union[Fraction, int, str]
 
@@ -73,12 +73,13 @@ def format_rational(q: Fraction) -> str:
     """Canonical text: lowest terms, "p/q", or "p" when the denominator is 1.
 
     A numerator or denominator past Python's int-to-str digit limit is a
-    ResourceBudgetError that names the limit; the library never changes it.
+    DigitLimitError, a ResourceBudgetError that names the limit; the library
+    never changes it.
     """
     try:
         return str(q)
     except ValueError:  # only the digit limit makes str() of a Fraction raise
-        raise ResourceBudgetError(
+        raise DigitLimitError(
             "a rational with more than %d digits in its numerator or denominator cannot be printed"
             " (Python's int-to-str limit, set by PYTHONINTMAXSTRDIGITS)" % sys.get_int_max_str_digits()
         ) from None

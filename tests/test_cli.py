@@ -285,7 +285,7 @@ def test_values_past_the_print_digit_limit_exit_three(cut_path, tmp_path, capsys
     ):
         assert _at_digit_limit(640, lambda: main(argv)) == 3
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ResourceBudgetError: ")
+        assert err.count("\n") == 1 and err.startswith("error: DigitLimitError: ")
         assert "more than 640 digits" in err
 
 

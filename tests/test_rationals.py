@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from anet.errors import ResourceBudgetError, ValidationError
+from anet.errors import DigitLimitError, ResourceBudgetError, ValidationError
 from anet.rationals import (
     CORNER_PAIRS,
     HalfLinePair,
@@ -176,8 +176,9 @@ def test_format_past_the_digit_limit_names_it():
     sys.set_int_max_str_digits(640)
     try:
         assert format_rational(Fraction(10**639, 3)) == "1" + "0" * 639 + "/3"
-        with pytest.raises(ResourceBudgetError, match="more than 640 digits"):
+        with pytest.raises(ResourceBudgetError, match="more than 640 digits") as err:
             format_rational(Fraction(10**640, 3))
+        assert err.type is DigitLimitError and isinstance(err.value, ValueError)  # what str() raised
         with pytest.raises(ResourceBudgetError, match="more than 640 digits"):
             format_rational(Fraction(1, 10**640))
     finally:

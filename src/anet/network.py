@@ -302,8 +302,9 @@ class _StepPlan:
 # from an unknown analog value y in [0, 1] can be followed exactly: the analog
 # value stays (an + bn*y)/d on a piece of the y range, and a piece splits where
 # a tested unit's excitation or the analog unit's saturation changes sign. The
-# refined partition, the fire-state search and the protocol's segment table
-# all step through _step_symbolic, on integers only:
+# fire-state search and protocol.symbolic_row, which serves both the refined
+# partition and the protocol's segment table, step through _step_symbolic, on
+# integers only:
 #
 # - a piece is (ln, ld, ls, hn, hd, hs), the interval from ln/ld to hn/hd with
 #   ld, hd > 0, ls and hs 1 at an open end and 0 at a closed one, so y = p/q

@@ -21,14 +21,14 @@ word with delta * (len(word) + 1) + output_delay <= horizon.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import QueryGapError, ResourceBudgetError, ValidationError
 from .network import _UNIT, Configuration, Network, _step_symbolic, pack, unpack
-from .protocol import Alphabet, resolve_alphabet, verdict
+from . import protocol
+from .protocol import Alphabet, resolve_alphabet, suffix_units, symbolic_row, verdict
 from .rationals import (
     CORNER_PAIRS,
     ONE,
@@ -37,8 +37,6 @@ from .rationals import (
     IntervalPartition,
     partition_from_pairs,
 )
-
-ENDPOINT_BUDGET = 2**20
 
 
 def endpoint_bound(size: int, horizon: int) -> int:
@@ -90,7 +88,7 @@ class PartitionResult:
 
 
 def build_partition_exhaustive(
-    net: Network, horizon: int, budget: int = ENDPOINT_BUDGET
+    net: Network, horizon: int, budget: int = protocol.ENDPOINT_BUDGET
 ) -> PartitionResult:
     """Endpoint enumeration over all binary state sequences up to the horizon.
 
@@ -178,11 +176,12 @@ def build_partition_refined(
     run is followed with the analog state kept affine in y. Whenever a unit's
     excitation sign depends on y, the current piece splits at the crossing
     point, and the ends of the pieces the runs visit become the partition
-    endpoints. Runs are followed through the word, the formal extra symbol,
-    and the verdict delay; branches that overrun the query gap bound stop
+    endpoints. A run is the full protocol.symbolic_row of the word's probe
+    from the start, through the word, the formal extra symbol and the
+    verdict delay; branches that overrun the query gap bound stop
     contributing, mirroring how replays on concrete points are scored. Each
-    run's branch count is held to the endpoint budget. The result covers
-    exactly these words from these starts.
+    run's branch count is held to protocol.ENDPOINT_BUDGET. The result
+    covers exactly these words from these starts.
     """
     alphabet = resolve_alphabet(net, alphabet)
     wordlist = tuple(sorted(set(words), key=lambda w: (len(w), w)))
@@ -192,7 +191,8 @@ def build_partition_refined(
     pieces: set[tuple] = set()
     for bits0 in _admit_starts(net, starts, len(wordlist), "words"):
         for word in wordlist:
-            pieces.update(_run_symbolic(net, alphabet, bits0, word))
+            row = symbolic_row(net, pack(bits0), 0, (), suffix_units(net, word, alphabet))
+            pieces.update(piece[:6] for piece in row)
     pairs: set[HalfLinePair] = set(CORNER_PAIRS)
     for ln, ld, ls, hn, hd, hs in pieces:  # each end is the half-line that cut it: closed inside, open outside
         pairs.add(HalfLinePair(Fraction(ln, ld), 1 if ls else -1))
@@ -205,23 +205,14 @@ def _admit_starts(
 ) -> Iterable[tuple[int, ...]]:
     """The start binary states, every one when starts is None, within budget."""
     count = 2 ** (net.size - 1) if starts is None else len(starts)
-    if count * per_start > ENDPOINT_BUDGET:
+    if count * per_start > protocol.ENDPOINT_BUDGET:
         raise ResourceBudgetError(
             "%d start states times %d %s exceeds the budget of %d"
-            % (count, per_start, what, ENDPOINT_BUDGET)
+            % (count, per_start, what, protocol.ENDPOINT_BUDGET)
         )
     if starts is None:
         return itertools.product((0, 1), repeat=net.size - 1)
     return starts
-
-
-def _run_symbolic(net, alphabet, bits0, word) -> list[tuple]:
-    symbols = [alphabet.index(ch) for ch in word] + [0]
-
-    def feed(br: tuple, fed: int) -> list[tuple[tuple, dict[int, int]]]:
-        return [(br, {net.input_units[symbols[fed]]: 1})]
-
-    return _explore(net, (_UNIT, pack(bits0), 0, 1, 1), feed, len(symbols))
 
 
 def fire_states(net: Network) -> list[tuple[int, ...]]:
@@ -234,55 +225,29 @@ def fire_states(net: Network) -> list[tuple[int, ...]]:
     Branches that overrun the query gap bound are dropped, since concrete
     runs raise there. Every real analog value lies in [0, 1], so the result
     holds every state that some word reaches, and possibly a few more. The
-    branch count is held to the endpoint budget.
+    search keeps its own clock, since alone, because it forgets y at the
+    fire instant rather than at the query; its branch count is held to
+    protocol.ENDPOINT_BUDGET.
     """
     found: set[int] = set()
-
-    def feed(br: tuple, _) -> list[tuple[tuple, dict[int, int]]]:
-        bits = br[1]
-        if bits in found:
-            return []
-        found.add(bits)
-        fresh = (_UNIT, bits, 0, 1, 1)
-        return [(fresh, {u: 1}) for u in net.input_units]
-
     mask, p, q = net.initial_configuration()
-    _explore(net, (_UNIT, mask, p, 0, q), feed, math.inf)
-    return sorted(map(unpack, found))
-
-
-def _explore(net: Network, root: tuple, feed, length: float) -> list[tuple]:
-    """Step the branches grown from root depth first until each one ends; their pieces.
-
-    Branches and pieces are the integer tuples of network._step_symbolic.
-
-    Each stack entry carries the branch's clock: the symbols fed, the steps
-    since the last query instant (or the start) and the steps until the last
-    fed symbol's verdict is read. A branch reads while it has been fed fewer
-    than length symbols: past the query gap bound it ends, since concrete runs
-    raise there, and at a fire instant feed(branch, fed) gives the (branch,
-    clamp) pairs to step on. A branch done reading runs on until the verdict
-    delay of its last symbol is over. More than ENDPOINT_BUDGET branches are
-    refused.
-    """
-    stack = [(root, 0, 0, 0)]
-    pieces: list[tuple] = []
+    stack = [((_UNIT, mask, p, 0, q), 0)]  # a branch and the steps since its last query
+    walked = 0
     while stack:
-        br, fed, since, left = stack.pop()
-        pieces.append(br[0])
-        if len(pieces) > ENDPOINT_BUDGET:
-            raise ResourceBudgetError("symbolic run passed %d branches" % ENDPOINT_BUDGET)
-        if fed < length:
-            if since >= net.delta:
-                continue
-            if br[1] >> (net.nxt - 1) & 1:
-                for child, clamp in feed(br, fed):
-                    stack += [(s, fed + 1, 0, net.output_delay) for s in _step_symbolic(net, child, clamp)]
-                continue
-        elif left <= 0:
+        br, since = stack.pop()
+        walked += 1
+        if walked > protocol.ENDPOINT_BUDGET:
+            raise ResourceBudgetError("symbolic run passed %d branches" % protocol.ENDPOINT_BUDGET)
+        if since >= net.delta:
             continue
-        stack += [(s, fed, since + 1, left - 1) for s in _step_symbolic(net, br, {})]
-    return pieces
+        bits = br[1]
+        if not bits >> (net.nxt - 1) & 1:
+            stack += [(s, since + 1) for s in _step_symbolic(net, br, {})]
+        elif bits not in found:  # a fire instant: forget y, then clamp each symbol
+            found.add(bits)
+            for u in net.input_units:
+                stack += [(s, 0) for s in _step_symbolic(net, (_UNIT, bits, 0, 1, 1), {u: 1})]
+    return sorted(map(unpack, found))
 
 
 # -- behavior tables over a partition -------------------------------------

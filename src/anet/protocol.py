@@ -24,11 +24,13 @@ value with the feed's next binary part, settled verdicts and affine map, the
 probe's verdict, or a query-gap error. The first miss on a binary part
 steps a feed and sends a probe's feeds through advance, and marks the part;
 a later miss whose analog value lies in no known piece learns that one piece
-with the symbolic stepper the partitions use. select_words walks the word
-tree over states and keeps the words whose state passes a test; within one
-walk, a node copies the words below an earlier node of the same state at the
-same or a smaller depth, under the same bound, and the walk's nodes and kept
-words, each weighed by its length plus one, are held to WALK_BUDGET.
+with symbolic_row, which steps the binary part symbolically on the same clock
+as the stepping loop; the refined partition reads its pieces off whole rows
+of the same function. select_words walks the word tree over states and keeps
+the words whose state passes a test; within one walk, a node copies the
+words below an earlier node of the same state at the same or a smaller
+depth, under the same bound, and the walk's nodes and kept words, each
+weighed by its length plus one, are held to WALK_BUDGET.
 run_online steps every instant past both caches and records every
 configuration, query instant and verdict.
 
@@ -65,6 +67,10 @@ MAX_WITNESSES = 10
 # length plus one: 2^20 nodes and words of length 15, so a walk to length 15
 # or less that keeps its nodes and words within 2^20 always fits.
 WALK_BUDGET = 2**24
+
+# Branches one full symbolic_row (a refined-partition replay) or the
+# fire-state search may step.
+ENDPOINT_BUDGET = 2**20
 
 
 @dataclass(frozen=True)
@@ -184,7 +190,7 @@ def _segment_feed(net: Network, state: State, key):
     since, pending, settled, an, bn, d), the feed ending at the analog value
     (an + bn*y)/d. The first miss on a binary part marks it and runs the
     feed by stepping, or the probe through advance; a later miss in no
-    known piece learns the one that holds y.
+    known piece learns the one that holds y with symbolic_row.
     """
     (mask, p, q), since, pending = state
     part = (key, mask, since, pending)
@@ -194,14 +200,17 @@ def _segment_feed(net: Network, state: State, key):
     pieces = table.get(part)
     if pieces is None:
         table.add(part)
-        if type(key) is tuple:
-            return _verdict_of(net, state, key, advance)
-        return _steps(net, state, key)
+        if type(key) is not tuple:
+            return _steps(net, state, key)
+        for unit in key:  # then the formal extra symbol, and the drain when a verdict is pending
+            state = advance(net, state, unit)[0]
+        end, settled = advance(net, state, net.input_units[0])
+        return (advance(net, end, None)[1] if end[2] else settled)[-1]
     for ln, ld, ls, hn, hd, hs, outcome in pieces:
         if p * ld - ln * q >= ls and hn * q - p * hd >= hs:
             break
     else:
-        piece = _learn_piece(net, state, key)
+        (piece,) = symbolic_row(net, mask, since, pending, key, (p, q))
         table.add(part, piece)
         outcome = piece[-1]
     if type(outcome) is str:
@@ -215,68 +224,66 @@ def _segment_feed(net: Network, state: State, key):
     return (tuple.__new__(Configuration, (mask, num // g, d // g * den)), since, pending), settled
 
 
-def _verdict_of(net: Network, state: State, units: tuple[int, ...], feed) -> bool:
-    """The verdict after state and units, each fed by feed(net, state, unit) like advance.
+def symbolic_row(net: Network, mask: int, since: int, pending: tuple, key, at: tuple[int, int] | None = None) -> list:
+    """The pieces of the binary part (key, mask, since, pending) over y in [0, 1], as _segment_feed keeps them.
 
-    The formal extra symbol follows, then the drain when a verdict is
-    pending; the formal symbol's verdict is the last one settled.
+    key is a unit, None (the drain) or a tuple of units (a probe: the units
+    in turn, the formal extra symbol, then the drain). The run is stepped on
+    network._step_symbolic from y in [0, 1] with _steps' clock, each branch
+    carrying its since, pending, settled verdicts and the feed it is in, so
+    a branch ends where a concrete run from a y in its piece ends: past the
+    query gap bound, at the last feed's query instant, or once the drain has
+    no verdict pending. at = (p, q) keeps at each step only the successor
+    whose piece holds p/q, so the row is the one piece that holds it; a full
+    row (at None) that steps more than ENDPOINT_BUDGET branches is refused.
     """
-    for unit in units:
-        state = feed(net, state, unit)[0]
-    end, settled = feed(net, state, net.input_units[0])
-    if end[2]:
-        settled = feed(net, end, None)[1]
-    return settled[-1]
+    feeds = (*key, net.input_units[0], None) if type(key) is tuple else (key,)
+    nxt, out = net.nxt - 1, net.out - 1
+    stack = [((_UNIT, mask, 0, 1, 1), since, pending, (), 0)]
+    row: list[tuple] = []
+    walked = 0
+    while stack:
+        br, since, pending, settled, k = stack.pop()
+        walked += 1
+        if at is None and walked > ENDPOINT_BUDGET:
+            raise ResourceBudgetError("symbolic run passed %d branches" % ENDPOINT_BUDGET)
+        if k == len(feeds) or feeds[k] is None and not pending:
+            outcome = settled[-1] if type(key) is tuple else (br[1], since, pending, settled, *br[2:])
+            row.append((*br[0], outcome))
+            continue
+        unit = feeds[k]
+        if unit is not None and since >= net.delta:
+            row.append((*br[0], str(_gap_error(net))))
+            continue
+        query = unit is not None and br[1] >> nxt & 1
+        pending = tuple(p - 1 for p in pending) if pending else ()
+        if query:
+            pending += (net.output_delay,)
+        for child in _step_symbolic(net, br, {unit: 1} if query else {}):
+            ln, ld, ls, hn, hd, hs = child[0]
+            if at is None or at[0] * ld - ln * at[1] >= ls and hn * at[1] - at[0] * hd >= hs:
+                mine, left = settled, pending
+                while left and left[0] == 0:
+                    mine += (bool(child[1] >> out & 1),)
+                    left = left[1:]
+                stack.append((child, 0 if query else since + 1, left, mine, k + query))
+    return row
 
 
-def _learn_piece(net: Network, state: State, key) -> tuple:
-    """The piece of state's binary part that holds its analog value, as _segment_feed keeps it.
-
-    The run is stepped symbolically from y in [0, 1], following at each step
-    the one successor whose piece holds the state's analog value, through
-    _steps' own clock, over the feed or the drain, or over the whole probe;
-    the last branch's piece is the piece, and its analog value the feed's map.
-    """
-    mask, p, q = state[0]
-    branch = (_UNIT, mask, 0, 1, 1)
-
-    def follow(_, inputs):
-        nonlocal branch
-        for branch in _step_symbolic(net, branch, inputs or {}):
-            ln, ld, ls, hn, hd, hs = branch[0]
-            if p * ld - ln * q >= ls and hn * q - p * hd >= hs:
-                return (branch[1],)
-
-    def feed(net, state, unit):
-        return _steps(net, state, unit, step=follow)
-
-    try:
-        if type(key) is tuple:
-            outcome = _verdict_of(net, state, key, feed)
-        else:
-            (_, since, pending), settled = feed(net, state, key)
-            outcome = (branch[1], since, pending, settled, *branch[2:])
-    except QueryGapError as exc:
-        outcome = str(exc)
-    return (*branch[0], outcome)
-
-
-def _steps(net: Network, state: State, unit: int | None, rows: list | None = None, step=None):
+def _steps(net: Network, state: State, unit: int | None, rows: list | None = None):
     """Step to the next query instant, or until no verdict is pending when unit is None.
 
-    Each configuration is appended to rows when rows is given. step(cfg,
-    inputs) is net.step unless given; the loop reads only cfg[0], the mask.
+    Each configuration is appended to rows when rows is given.
     """
-    step = step or net.step
     cfg, since, pending = state
     nxt, out = net.nxt - 1, net.out - 1
     settled: list[bool] = []
     query = False
     while not query and (unit is not None or pending):
         if unit is not None and since >= net.delta:
-            raise QueryGapError("no query within %d steps of the previous one" % net.delta)
+            raise _gap_error(net)
         query = unit is not None and cfg[0] >> nxt & 1
-        cfg = step(cfg, {unit: 1} if query else None)
+        cfg = net.step(cfg, {unit: 1} if query else None)
         since = 0 if query else since + 1
         pending = tuple(p - 1 for p in pending) if pending else ()
         if query:
@@ -287,6 +294,10 @@ def _steps(net: Network, state: State, unit: int | None, rows: list | None = Non
             settled.append(bool(cfg[0] >> out & 1))
             pending = pending[1:]
     return (cfg, since, pending), tuple(settled)
+
+
+def _gap_error(net: Network) -> QueryGapError:
+    return QueryGapError("no query within %d steps of the previous one" % net.delta)
 
 
 def suffix_units(net: Network, suffix: str, alphabet: Alphabet | None = None) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from anet.errors import ValidationError
+from anet.errors import AnetError, ValidationError
 from anet.mealy import (
     MealyMachine,
     accepts_word,
@@ -122,3 +123,50 @@ def test_compiled_layout_indexes_are_within_network(run=None):
     assert layout.analog == net.size
     for st_unit in layout.state_unit.values():
         assert 1 <= st_unit < net.size
+
+
+# -- mutated transducer files: refused, or loaded into a machine that round-trips
+
+
+field_text = st.one_of(
+    st.sampled_from(("", "-", "0", "1", "2", "e", "o", "p", "q", "a", "b", "xy", "ab", "#", "e o", "0.5", "01")),
+    st.text(alphabet="01eopqab-# \t", max_size=4),
+)
+
+
+@st.composite
+def mutated_machine_files(draw) -> str:
+    """The parity or the emitting transducer's file after one to three line mutations."""
+    lines = draw(st.sampled_from((PARITY_TSV, EMITTING_TSV))).splitlines()
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        k = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        kind = draw(st.sampled_from(("replace", "drop", "duplicate", "truncate")))
+        if kind == "replace":
+            fields = lines[k].split("\t")
+            fields[draw(st.integers(min_value=0, max_value=len(fields) - 1))] = draw(field_text)
+            lines[k] = "\t".join(fields)
+        elif kind == "drop":
+            del lines[k]
+            if not lines:
+                break
+        elif kind == "duplicate":
+            lines.insert(k, lines[k])
+        else:
+            lines[k] = lines[k][: draw(st.integers(min_value=0, max_value=len(lines[k])))]
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_machine_files())
+def test_mutated_machine_files_are_refused_or_round_trip(text):
+    # a mutated file is refused, or loads into a machine that equals its
+    # reload; that machine compiles, or compile_mealy refuses it
+    try:
+        machine = machine_from_tsv(text)
+    except AnetError:
+        return
+    assert machine_from_tsv(machine_to_tsv(machine)) == machine
+    try:
+        compile_mealy(machine)
+    except AnetError:
+        pass

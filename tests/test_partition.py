@@ -10,7 +10,7 @@ from anet.cutlang import build_cut_acceptor, cut_params
 from anet.errors import ResourceBudgetError, ValidationError
 from anet.mealy import compile_mealy, machine_from_tsv
 from anet.network import Configuration, make_network, save_network_path
-from anet import network, partition
+from anet import network, partition, protocol
 from anet.partition import (
     build_partition_exhaustive,
     build_partition_refined,
@@ -95,7 +95,7 @@ def test_all_start_states_refused_past_budget(tmp_path, capsys, monkeypatch):
     part = build_partition_refined(net, ("0",), starts=[start])
     # one start times one word fits this budget, one start times the intervals does not
     assert part.interval_count > 2
-    monkeypatch.setattr(partition, "ENDPOINT_BUDGET", part.interval_count - 1)
+    monkeypatch.setattr(protocol, "ENDPOINT_BUDGET", part.interval_count - 1)
     with pytest.raises(ResourceBudgetError):
         extrapolation_table(net, part, "0")
     monkeypatch.undo()
@@ -107,7 +107,7 @@ def test_all_start_states_refused_past_budget(tmp_path, capsys, monkeypatch):
 
 def test_fire_state_search_is_budgeted(cut_net, monkeypatch):
     assert len(partition.fire_states(cut_net)) == 2
-    monkeypatch.setattr(partition, "ENDPOINT_BUDGET", 3)
+    monkeypatch.setattr(protocol, "ENDPOINT_BUDGET", 3)
     with pytest.raises(ResourceBudgetError):
         partition.fire_states(cut_net)
 
@@ -135,7 +135,7 @@ def test_exhaustive_partition_ignores_clamped_input_units():
 def test_refined_run_is_budgeted(cut_net, monkeypatch):
     start = [cut_net.initial_configuration().binary]
     build_partition_refined(cut_net, ("0",), starts=start)
-    monkeypatch.setattr(partition, "ENDPOINT_BUDGET", 3)  # admits the one run
+    monkeypatch.setattr(protocol, "ENDPOINT_BUDGET", 3)  # admits the one run
     with pytest.raises(ResourceBudgetError):
         build_partition_refined(cut_net, ("0",), starts=start)
 

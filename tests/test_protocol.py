@@ -823,3 +823,91 @@ def _fire_closure(net):
                 if fire is not None:
                     todo.append(fire)
     return found
+
+
+# -- symbolic rows ----------------------------------------------------------------
+
+
+def _row_keys(net):
+    """Every feed, the drain, and the probes (), (u,) and (u, v)."""
+    units = net.input_units
+    return [*units, None, (), *[(u,) for u in units], *[(u, v) for u in units for v in units]]
+
+
+def _assert_cover(row):
+    """The row's pieces are nonempty, disjoint and cover [0, 1]."""
+    ends = sorted((F(ln, ld), ls, F(hn, hd), hs) for ln, ld, ls, hn, hd, hs, _ in row)
+    assert ends[0][:2] == (0, 0) and ends[-1][2:] == (1, 0)
+    for lo, ls, hi, hs in ends:
+        assert lo < hi or not (ls or hs)
+    for (_, _, hi, hs), (lo, ls, _, _) in zip(ends, ends[1:]):
+        assert hi == lo and hs + ls == 1
+
+
+def _row_points(piece):
+    """The piece's closed ends and its midpoint, which lies inside it."""
+    ln, ld, ls, hn, hd, hs, _ = piece
+    lo, hi = F(ln, ld), F(hn, hd)
+    return {(lo + hi) / 2} | {y for y, is_open in ((lo, ls), (hi, hs)) if not is_open}
+
+
+def test_symbolic_rows_match_plain_feeds(cut_net):
+    # every binary part the plain walk to length 4 reaches on the cut
+    # acceptors and the random two-letter family, with every key: the full
+    # row is a cover of [0, 1] by disjoint pieces, each piece's outcome is
+    # what plain stepping gives at its closed ends and at its midpoint, and
+    # a row asked at one of those points is the one piece that holds it
+    nets = [cut_net, *_seeded_cut_acceptors(), *map(make_protocol_net, PROTOCOL_SEEDS)]
+    seen = set()
+    for net in nets:
+        gap = str(protocol._gap_error(net))
+        parts = {(state[0][0], *state[1:]) for _, state in _reference_walk(net, 4)}
+        for mask, since, pending in parts:
+            for key in _row_keys(net):
+                row = protocol.symbolic_row(net, mask, since, pending, key)
+                _assert_cover(row)
+                for piece in row:
+                    outcome = piece[-1]
+                    for y in _row_points(piece):
+                        state = (Configuration(unpack(mask), y), since, pending)
+                        if type(key) is tuple:
+                            want = _plain_probe(net, state, key)[0]
+                            assert outcome == (gap if want == "gap" else want)
+                        elif isinstance(outcome, str):
+                            assert _outcome(protocol._steps, net, state, key) == outcome == gap
+                        else:
+                            mask2, since2, pending2, settled, an, bn, d = outcome
+                            cfg = Configuration(unpack(mask2), (an + bn * y) / d)
+                            assert protocol._steps(net, state, key) == ((cfg, since2, pending2), settled)
+                        at = protocol.symbolic_row(net, mask, since, pending, key, (y.numerator, y.denominator))
+                        assert at == [piece]
+                    seen.add((type(key), isinstance(outcome, str)))
+    assert seen == {(t, g) for t in (int, type(None), tuple) for g in (False, True)} - {(type(None), True)}
+
+
+def test_random_protocol_nets_partitions_and_quotients():
+    # refined partitions over 1 and 01 from the fire states are invariant:
+    # each word's probe verdict is the same at the representative, the closed
+    # ends and a third point of every interval, from every fire state; on the
+    # family's gap-free members the quotient networks for two suffix pairs
+    # accept exactly what the brute-force oracle does
+    words, cells, gap_free = ("1", "01"), 0, 0
+    for seed in PROTOCOL_SEEDS:
+        net = make_protocol_net(seed)
+        starts = fire_states(net)
+        for iv in build_partition_refined(net, words, starts=starts).partition.intervals:
+            points = {iv.representative(), iv.lo + (iv.hi - iv.lo) / 3}
+            points |= {y for y, closed in ((iv.lo, iv.lo_closed), (iv.hi, iv.hi_closed)) if closed}
+            for bits in starts:
+                for word in words:
+                    got = {probe_verdict(net, Configuration(bits, y), word) for y in points}
+                    assert len(got) == 1, (seed, bits, iv, word)
+                    cells += 1
+        if any(run is None for run in _plain_runs(net, 5).values()):
+            continue
+        gap_free += 1
+        for first, second, mode in (("1", "0", SECOND_MINUS_FIRST), ("0", "11", FIRST_MINUS_SECOND)):
+            quotient = build_quotient_network(QuotientSpec(base=net, first=first, second=second, mode=mode))
+            want = quotient_difference_language(net, first, second, mode, 5)
+            assert enumerate_language(quotient.network, 5) == want, (seed, first, second)
+    assert (cells, gap_free) == (3512, 32)

@@ -162,6 +162,12 @@ _DIGIT_SET = (0, 1)
 # memory grows quadratically in the depth
 QP_DEPTH_LIMIT = 10_000
 
+# trial divisors the growth-prime search may try (a prime 2^61 - 1 needs 1.5*10^9)
+QP_TRIAL_LIMIT = 2**20
+
+# remainders the windowed orbit search may visit; its frontier can double each layer
+QP_WINDOW_LIMIT = 2**16
+
 
 @dataclass(frozen=True)
 class QpOutcome:
@@ -193,28 +199,28 @@ def digit_valid(params: CutParams, r: Fraction) -> bool:
 
 
 def _growth_prime(params: CutParams) -> int | None:
-    """A prime p dividing the base's denominator but not the threshold's numerator.
+    """The least prime p dividing the base's denominator but not the threshold's numerator.
 
     When such a prime exists, every remainder orbit multiplies the p-part of
     its denominator by the base's denominator each step, with the numerator
     staying coprime to p; denominators then grow strictly, all remainders are
     pairwise distinct, and no expansion of the threshold can revisit a value.
+    The primes shared with the numerator are stripped by gcd first, so every
+    prime left qualifies; finding the least one tries up to QP_TRIAL_LIMIT.
     """
-    q = params.base.denominator
-    if q < 2:
-        return None
-    num = params.threshold.numerator
-    n, p = q, 2
+    n, num = params.base.denominator, params.threshold.numerator
+    g = gcd(n, num)
+    while g > 1:
+        n //= g
+        g = gcd(n, g)
+    p = 2
     while p * p <= n:
         if n % p == 0:
-            if num % p != 0:
-                return p
-            while n % p == 0:
-                n //= p
+            return p
+        if p == QP_TRIAL_LIMIT:
+            raise ResourceBudgetError("no prime factor of the denominator within %d trial divisors" % QP_TRIAL_LIMIT)
         p += 1
-    if n > 1 and num % n != 0:
-        return n
-    return None
+    return n if n > 1 else None
 
 
 def _padic(n: int, p: int, guess: int = 0) -> int:
@@ -321,6 +327,8 @@ def _explore_window(params: CutParams, depth: int) -> QpOutcome:
                     continue
                 edges.append((r, d, r2))
                 if r2 not in visited:
+                    if len(visited) == QP_WINDOW_LIMIT:
+                        raise ResourceBudgetError("orbit search passed %d remainders" % QP_WINDOW_LIMIT)
                     visited.add(r2)
                     nxt_frontier.append(r2)
         frontier = nxt_frontier

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, TextIO
@@ -106,8 +106,9 @@ class Network:
     instant they carry the one-hot symbol code, at every other instant zero.
     An instance is well formed however it was built: construction refuses
     a malformed network with ValidationError. The nonzero weights are frozen
-    into a read-only copy, since the cached step plan, the transition rows
-    and the protocol's feed memo and segment table are derived from them.
+    into a read-only copy, since the step plan, the transition rows and the
+    protocol's segment table are derived from them; the rows and the table
+    are created with the instance, and the plan on its first use.
     """
 
     size: int
@@ -172,6 +173,8 @@ class Network:
             raise ValidationError("invalid network: " + "; ".join(bad))
         weights = {key: w for key, w in self.weights.items() if w != 0}
         object.__setattr__(self, "weights", MappingProxyType(weights))
+        object.__setattr__(self, "_rows", {})
+        object.__setattr__(self, "_segments", _Segments())
 
     def weight(self, j: int, i: int) -> Fraction:
         return self.weights.get((j, i), ZERO)
@@ -192,7 +195,7 @@ class Network:
         """
         state, p, q = cfg
         try:
-            mask, tests, c_s, a_s, scale = self.__dict__["_rows"][state]
+            mask, tests, c_s, a_s, scale = self._rows[state]
         except KeyError:
             mask, tests, c_s, a_s, scale = self._row(state)
         for bit, c, a in tests:  # with analog value p/q, excitation times L_j * q
@@ -227,16 +230,14 @@ class Network:
         value y. The analog unit has sum c_s, weight a_s and scale L_s. All rows
         are cleared when they would pass ROW_CACHE_BITS.
         """
-        rows = self.__dict__.setdefault("_rows", {})
+        rows = self._rows
         row = rows.get(mask)
         if row is None:
             if mask >> (self.size - 1) != 1:
                 raise ValidationError("binary state %r does not have %d units" % (unpack(mask), self.size - 1))
             if (len(rows) + 1) * (self.size - 1) > ROW_CACHE_BITS:
                 rows.clear()
-            plan = self.__dict__.get("_plan_cache")
-            if plan is None:
-                plan = self.__dict__["_plan_cache"] = _StepPlan.build(self)
+            plan = self._plan
             acc = plan.binary_sums(mask)
             fixed = pack([x >= 0 for x in acc[1 : self.size]])
             for u in (*self.input_units, *(j for j, _ in plan.tested)):
@@ -244,6 +245,11 @@ class Network:
             tests = tuple((1 << (j - 1), acc[j], a) for j, a in plan.tested)
             row = rows[mask] = (fixed, tests, acc[self.size], plan.analog_weight, plan.analog_scale)
         return row
+
+    @cached_property
+    def _plan(self) -> "_StepPlan":
+        """The step plan, built on the first row build: a network that never steps builds none."""
+        return _StepPlan.build(self)
 
 
 @dataclass(frozen=True)
@@ -317,6 +323,12 @@ class _StepPlan:
 _UNIT = (0, 1, 0, 1, 1, 0)  # [0, 1]
 
 
+class _Segments(dict):
+    """A network's segment table: binary part -> the pieces protocol has learned for it."""
+
+    pieces = 0  # held in all parts; protocol bounds it
+
+
 def _split(piece: tuple, line: tuple) -> tuple[tuple | None, tuple | None]:
     """The parts of piece inside and outside the half-line, None where empty."""
     ln, ld, ls, hn, hd, hs = piece
@@ -356,7 +368,7 @@ def _step_symbolic(net, br: tuple, clamp) -> list[tuple]:
     """
     piece, bits, an, bn, d = br
     try:  # read like Network.step: _row is called only to build a missing row
-        fixed, tests, c_s, w, scale = net.__dict__["_rows"][bits]
+        fixed, tests, c_s, w, scale = net._rows[bits]
     except KeyError:
         fixed, tests, c_s, w, scale = net._row(bits)
     for u, v in clamp.items():

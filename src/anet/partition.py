@@ -87,9 +87,7 @@ class PartitionResult:
         return len(self.partition.intervals)
 
 
-def build_partition_exhaustive(
-    net: Network, horizon: int, budget: int = protocol.ENDPOINT_BUDGET
-) -> PartitionResult:
+def build_partition_exhaustive(net: Network, horizon: int) -> PartitionResult:
     """Endpoint enumeration over all binary state sequences up to the horizon.
 
     Candidate endpoints fall into three families: comparison points of binary
@@ -99,11 +97,12 @@ def build_partition_exhaustive(
     propagated the same way. Each endpoint carries an orientation saying on
     which side of the point the firing region is closed.
 
-    Cost grows like 2**((size-1)*horizon); runs past the budget are refused.
+    Cost grows like 2**((size-1)*horizon); runs past protocol.ENDPOINT_BUDGET
+    are refused.
     """
     if horizon < 1:
         raise ValidationError("horizon must be positive")
-    s = net.size
+    s, budget = net.size, protocol.ENDPOINT_BUDGET
     if (s - 1) * horizon >= budget.bit_length():  # 2**((s-1)*horizon) > budget
         raise ResourceBudgetError(
             "exhaustive partition needs about 2**%d binary sequences, budget is 2**%d; "

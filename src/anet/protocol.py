@@ -14,31 +14,30 @@ transition, a feed of unit or the drain when unit is None. probe(net, state,
 units) is the one verdict: the units fed in turn, then the formal extra
 symbol and the drain, with the last settled verdict as its outcome; verdict
 resolves a suffix to its units and probes. Feeds and probes are served
-alike, from two caches per network, each holding at most FEED_MEMO_LIMIT
-entries and cleared when full. The feed memo is keyed on (unit, state) or
-(units, state). A memo miss goes to the segment table, keyed on the state's
-binary part (unit or units, mask, since, pending): from there the run is
-piecewise affine in the analog value, and its outcome piecewise constant.
-The table keeps the pieces learned so far, each an interval of the analog
-value with the feed's next binary part, settled verdicts and affine map, the
-probe's verdict, or a query-gap error. The first miss on a binary part
-steps a feed and sends a probe's feeds through advance, and marks the part;
-a later miss whose analog value lies in no known piece learns that one piece
-with symbolic_row, which steps the binary part symbolically on the same clock
-as the stepping loop; the refined partition reads its pieces off whole rows
-of the same function. select_words walks the word tree over states and keeps
-the words whose state passes a test; within one walk, a node copies the
-words below an earlier node of the same state at the same or a smaller
-depth, under the same bound, and the walk's nodes and kept words, each
-weighed by its length plus one, are held to WALK_BUDGET.
-run_online steps every instant past both caches and records every
+alike, from the network's segment table, the protocol's only cache. It is
+keyed on the state's binary part (unit or units, mask, since, pending): from
+there the run is piecewise affine in the analog value, and its outcome
+piecewise constant. The table keeps the pieces learned so far, each an
+interval of the analog value with the feed's next binary part, settled
+verdicts and affine map, the probe's verdict, or a query-gap error, and is
+cleared when it holds TABLE_LIMIT pieces. The first miss on a binary part
+steps a feed and sends a probe's feeds through advance, and keeps the
+outcome as a point piece; a later miss whose analog value lies in no known
+piece learns that one piece with symbolic_row, which steps the binary part
+symbolically on the same clock as the stepping loop; the refined partition
+reads its pieces off whole rows of the same function. select_words walks the
+word tree over states and keeps the words whose state passes a test; within
+one walk, a node copies the words below an earlier node of the same state at
+the same or a smaller depth, under the same bound, and the walk's nodes and
+kept words, each weighed by its length plus one, are held to WALK_BUDGET.
+run_online steps every instant past the table and records every
 configuration, query instant and verdict.
 
 Query gaps have one rule. A feed that finds no query instant within the
 declared bound of the previous one raises QueryGapError, and so does a probe
-that makes such a feed; neither stores anything in the memo (the segment
-table may keep the piece that raises it). Whether a feed raises depends only
-on the state, never on the symbol.
+that makes such a feed; the segment table keeps the message in the piece
+that raises it. Whether a feed raises depends only on the state, never on
+the symbol.
 enumerate_language, compare_languages, accepts and run_online pass the error
 on (the CLI exits with code 4); the brute-force quotient oracle and
 partition.probe_verdict count it as a rejection.
@@ -57,8 +56,9 @@ from .rationals import format_rational
 
 _DIGITS = "0123456789"
 
-# Entries kept in one network's feed memo before it is cleared.
-FEED_MEMO_LIMIT = 256
+# Pieces one network's segment table holds before it is cleared, and states one select_words
+# walk records: the most binary parts one network of the benchmark's workloads reaches is 349.
+TABLE_LIMIT = 512
 
 # Differing words compare_languages reports, shortest first.
 MAX_WITNESSES = 10
@@ -125,61 +125,21 @@ State = tuple  # (cfg, since, pending): a Configuration, an int and a tuple of i
 
 
 def advance(net: Network, state: State, unit: int | None) -> tuple[State, tuple[bool, ...]]:
-    """One feed of unit, or the drain when unit is None: the new state and the verdicts it settled.
-
-    Memoized per network on (unit, state). A memo miss is served from the
-    segment table when a learned piece of the state's binary part holds its
-    analog value, and stepped otherwise; see _segment_feed.
-    """
-    return _resolve(net, state, unit)
+    """One feed of unit, or the drain when unit is None: the new state and the verdicts it settled."""
+    return _segment_feed(net, state, unit)
 
 
 def probe(net: Network, state: State, units: tuple[int, ...] = ()) -> bool:
     """The verdict after state, the input units fed in turn, the formal extra symbol and the drain.
 
-    One lookup, through the same memo and segment table as advance, keyed
-    on units; QueryGapError passes through.
+    One lookup in the segment table that serves advance, keyed on units;
+    QueryGapError passes through.
     """
-    return _resolve(net, state, units)
-
-
-def _resolve(net: Network, state: State, key):
-    """advance's or probe's outcome: the feed memo, keyed on (key, state), else _segment_feed."""
-    memo = net.__dict__.setdefault("_feed_memo", {})  # cached like the step plan
-    hit = memo.get((key, state))  # ints and tuples of ints, hashed in C
-    if hit is None:
-        hit = _segment_feed(net, state, key)  # no entry when this raises
-        if len(memo) >= FEED_MEMO_LIMIT:
-            memo.clear()
-        memo[key, state] = hit
-    return hit
-
-
-class _Segments(dict):
-    """The segment table: binary part (key, mask, since, pending) -> its learned pieces.
-
-    A part met once is marked with an empty list. entries counts the marks
-    and the pieces; the table is cleared when a new one would pass
-    FEED_MEMO_LIMIT, and a piece learned then is used once and not kept.
-    """
-
-    entries = 0
-
-    def add(self, key, piece=None) -> None:
-        if self.entries >= FEED_MEMO_LIMIT:
-            self.clear()
-            self.entries = 0
-            if piece is not None:
-                return
-        if piece is None:
-            self[key] = []
-        else:
-            self[key].append(piece)
-        self.entries += 1
+    return _segment_feed(net, state, units)
 
 
 def _segment_feed(net: Network, state: State, key):
-    """advance or probe past the memo: through a learned piece of the state's binary part, else by feeding.
+    """advance or probe: through a learned piece of the state's binary part, else by feeding.
 
     key is a unit, None (the drain) or a tuple of units (a probe). From a
     fixed binary part the run to the next query instant, or the end of the
@@ -188,40 +148,52 @@ def _segment_feed(net: Network, state: State, key):
     ls, hn, hd, hs, outcome), an interval in network._step_symbolic's form.
     outcome is the QueryGapError message, a probe's verdict, or (mask,
     since, pending, settled, an, bn, d), the feed ending at the analog value
-    (an + bn*y)/d. The first miss on a binary part marks it and runs the
-    feed by stepping, or the probe through advance; a later miss in no
-    known piece learns the one that holds y with symbolic_row.
+    (an + bn*y)/d. The first miss on a binary part runs the feed by
+    stepping, or the probe's feeds through advance, and keeps the outcome as
+    the point piece [y, y]; a later miss in no known piece learns the one
+    that holds y with symbolic_row. That cell may hold an earlier point
+    piece, and the two agree there.
     """
     (mask, p, q), since, pending = state
     part = (key, mask, since, pending)
-    table = net.__dict__.get("_segments")
-    if table is None:
-        table = net.__dict__["_segments"] = _Segments()
+    table = net._segments
     pieces = table.get(part)
-    if pieces is None:
-        table.add(part)
-        if type(key) is not tuple:
-            return _steps(net, state, key)
-        for unit in key:  # then the formal extra symbol, and the drain when a verdict is pending
-            state = advance(net, state, unit)[0]
-        end, settled = advance(net, state, net.input_units[0])
-        return (advance(net, end, None)[1] if end[2] else settled)[-1]
-    for ln, ld, ls, hn, hd, hs, outcome in pieces:
+    for ln, ld, ls, hn, hd, hs, outcome in pieces or ():
         if p * ld - ln * q >= ls and hn * q - p * hd >= hs:
             break
     else:
-        (piece,) = symbolic_row(net, mask, since, pending, key, (p, q))
-        table.add(part, piece)
+        if pieces is not None:
+            (piece,) = symbolic_row(net, mask, since, pending, key, (p, q))
+        else:  # the first miss steps, and keeps its outcome as the point piece [y, y]
+            try:
+                if type(key) is tuple:  # the units, the formal extra symbol, then the drain if a verdict is pending
+                    end = state
+                    for unit in (*key, net.input_units[0]):
+                        end, settled = advance(net, end, unit)
+                    outcome = (advance(net, end, None)[1] if end[2] else settled)[-1]
+                else:
+                    (cfg, *after), settled = _steps(net, state, key)
+                    outcome = (cfg[0], *after, settled, cfg[1], 0, cfg[2])
+            except QueryGapError as exc:
+                outcome = str(exc)
+            piece = (p, q, 0, p, q, 0, outcome)
+        if table.pieces >= TABLE_LIMIT:  # the table is cleared, and the new piece kept
+            table.clear()
+            table.pieces = 0
+        table.setdefault(part, []).append(piece)
+        table.pieces += 1
         outcome = piece[-1]
     if type(outcome) is str:
         raise QueryGapError(outcome)
     if type(key) is tuple:
         return outcome
     mask, since, pending, settled, an, bn, d = outcome
-    g = gcd(bn, q)  # gcd(p, q) = 1, so gcd(an*q + bn*p, q) = gcd(bn, q)
-    num, den = (an * q + bn * p) // g, q // g
-    g = gcd(num, d)  # num is now coprime to den, so only the small d shares factors
-    return (tuple.__new__(Configuration, (mask, num // g, d // g * den)), since, pending), settled
+    if bn:  # else an/d is constant, and in lowest terms, as gcd(an, bn, d) = 1
+        g = gcd(bn, q)  # gcd(p, q) = 1, so gcd(an*q + bn*p, q) = gcd(bn, q)
+        num, den = (an * q + bn * p) // g, q // g
+        g = gcd(num, d)  # num is now coprime to den, so only the small d shares factors
+        an, d = num // g, d // g * den
+    return (tuple.__new__(Configuration, (mask, an, d)), since, pending), settled
 
 
 def symbolic_row(net: Network, mask: int, since: int, pending: tuple, key, at: tuple[int, int] | None = None) -> list:
@@ -313,8 +285,8 @@ def verdict(net: Network, state: State, suffix: str = "", alphabet: Alphabet | N
 
     The suffix and the formal extra symbol are fed, then the run is drained;
     the formal symbol's verdict is the last one settled. The whole probe is
-    one probe() lookup, in the memo and the segment table that serve advance,
-    so a verdict keeps no cache of its own.
+    one probe() lookup, in the segment table that serves advance, so a
+    verdict keeps no cache of its own.
     """
     return probe(net, state, suffix_units(net, suffix, alphabet))
 
@@ -335,7 +307,7 @@ class RunTrace:
 
 
 def run_online(net: Network, word: str | Sequence[str], alphabet: Alphabet | None = None) -> RunTrace:
-    """Step word and the formal extra symbol past the memo, then drain; rows[t] is time t."""
+    """Step word and the formal extra symbol past the segment table, then drain; rows[t] is time t."""
     alphabet = resolve_alphabet(net, alphabet)
     word_str = word if isinstance(word, str) else "".join(word)
     symbols = tuple(word_str) + (alphabet.formal_extra,)
@@ -370,7 +342,7 @@ def select_words(net: Network, alphabet: Alphabet, max_len: int, keep: Callable[
     remaining length is the larger one's preorder with the longer words
     dropped. So the walk records, per state, the remaining length, prefix
     length and span in its output of the last finished subtree, at most
-    FEED_MEMO_LIMIT states at a time, and a node that meets its state
+    TABLE_LIMIT states at a time, and a node that meets its state
     recorded with at least its own remaining length copies those words under
     its own prefix, longer ones dropped, instead of walking the subtree again.
     A subtree whose walk raised is never recorded. Each node walked and each
@@ -391,7 +363,7 @@ def select_words(net: Network, alphabet: Alphabet, max_len: int, keep: Callable[
     while stack:
         remaining, word, state = stack.pop()
         if remaining is None:  # any entry of this state has a smaller remaining length
-            if len(spans) >= FEED_MEMO_LIMIT:
+            if len(spans) >= TABLE_LIMIT:
                 spans.clear()
             spans[state] = word + (len(out),)
             continue

@@ -11,6 +11,7 @@ import inspect
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -303,6 +304,23 @@ def test_qp_depth_past_the_limit_exits_three(capsys):
     captured = capsys.readouterr()
     assert "ResourceBudgetError" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "base, threshold",
+    [("2305843009213693952/2305843009213693951", "1/3"), ("9/8", "2/3")],
+    ids=["growth-prime", "orbit-window"],
+)
+def test_qp_searches_past_their_bounds_exit_three(base, threshold, capsys):
+    # 2^61 - 1 is prime, so finding it by trial division would take about
+    # 1.5*10^9 divisors; under base 9/8 the threshold 2/3 shares the prime 2
+    # with the base's denominator, and its windowed orbit doubles each layer
+    start = time.perf_counter()
+    assert main(["qp", base, threshold]) == 3
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ResourceBudgetError: ")
 
 
 def test_partition_horizon_goes_with_the_exhaustive_method(cut_path, capsys):

@@ -207,6 +207,28 @@ def test_qp_depth_past_the_limit_is_refused(monkeypatch):
         qp_explore(params, depth=6)
 
 
+@given(st.integers(1, 3000), st.integers(1, 3000))
+@settings(max_examples=200, deadline=None)
+def test_growth_prime_is_the_least_prime_of_the_denominator_not_in_the_numerator(den, num):
+    # the gcd stripping finds the prime a plain trial division finds
+    primes = [p for p in range(2, den + 1) if den % p == 0 and all(p % k for k in range(2, p))]
+    want = next((p for p in primes if num % p), None)
+    assert cutlang._growth_prime(cut_params(F(2 * den + 1, den), F(num, num + 1))) == want
+
+
+def test_qp_searches_are_bounded(monkeypatch):
+    # a denominator whose least qualifying prime is past the trial bound,
+    # and a windowed orbit that passes the remainder bound
+    monkeypatch.setattr(cutlang, "QP_TRIAL_LIMIT", 10)
+    assert qp_explore(cut_params(F(50, 49), F(1, 2))).growth_prime == 7
+    with pytest.raises(ResourceBudgetError, match="within 10 trial divisors"):
+        qp_explore(cut_params(F(122, 121), F(1, 2)))  # 11 * 11
+    assert cutlang._growth_prime(cut_params(F(122, 121), F(11, 12))) is None  # 11 is stripped, untried
+    monkeypatch.setattr(cutlang, "QP_WINDOW_LIMIT", 100)
+    with pytest.raises(ResourceBudgetError, match="passed 100 remainders"):
+        qp_explore(cut_params(F(9, 8), F(2, 3)))
+
+
 def test_qp_witness_for_base_27_8():
     out = qp_explore(cut_params(F(27, 8), F(1, 4)))
     assert out.kind == NOT_QP_WITNESS

@@ -185,19 +185,22 @@ def test_malformed_binary_vectors_are_refused():
             Configuration(bits, 0)
 
 
-def test_constructed_start_hits_the_stepped_feed_memo():
+def test_constructed_start_hits_the_stepped_piece(monkeypatch):
     net = build_cut_acceptor(cut_params(Fraction(27, 8), Fraction(1, 4)))
     state = (net.initial_configuration(), 0, ())
     for sym in "10":
         state = protocol.advance(net, state, net.input_units[int(sym)])[0]
     stepped = state[0]
-    want = protocol.verdict(net, state, "1")  # stores the feeds from the stepped state
-    memo = net.__dict__["_feed_memo"]
-    size = len(memo)
+    want = protocol.verdict(net, state, "1")  # keeps the probe's point piece at the stepped state
+    table = net._segments
+    pieces = table.pieces
     start = Configuration(stepped.binary, stepped.analog)
     assert start is not stepped
+    steps = []
+    step = Network.step
+    monkeypatch.setattr(Network, "step", lambda *args: steps.append(args) or step(*args))
     assert probe_verdict(net, start, "1") is want
-    assert len(memo) == size  # every feed and the drain were replayed
+    assert table.pieces == pieces and not steps  # the same piece served it, with no step
 
 
 def test_validation_rejects_bad_structure():
@@ -330,7 +333,7 @@ def test_warm_rows_step_like_dense_steps(case, walk):
     for clamped, other in walk:
         got = net.step(cfg, clamp)
         assert got == step_dense(net, cfg, clamp)
-        assert cfg[0] in net.__dict__["_rows"]
+        assert cfg[0] in net._rows
         again = Configuration(cfg.binary, other)
         assert net.step(again, clamp) == step_dense(net, again, clamp)
         cfg, clamp = got, {2: 1} if clamped else None
@@ -357,7 +360,7 @@ def test_row_cache_is_bounded_and_refills(net, monkeypatch):
         clamp = rng.choice([None, {rng.choice(net.input_units): 1}])
         nxt = net.step(cfg, clamp)
         assert nxt == step_dense(net, cfg, clamp)
-        sizes.append(len(net.__dict__["_rows"]))
+        sizes.append(len(net._rows))
         assert sizes[-1] * (net.size - 1) <= network.ROW_CACHE_BITS
         cfg = nxt
     cleared = [k for k in range(1, len(sizes)) if sizes[k] < sizes[k - 1]]

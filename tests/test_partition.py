@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -333,8 +334,9 @@ def test_admitted_table_rows_are_constant(seed, delay, lengths, horizon):
     rng = random.Random(seed)
     words = ["0" * k for k in sorted(lengths)]
     results = [build_partition_refined(net, words[:1])]
-    try:  # a small budget keeps the tables, and the test, short
-        results.append(build_partition_exhaustive(net, horizon, budget=2**10))
+    try:  # a small budget for the build keeps the tables, and the test, short
+        with mock.patch.object(protocol, "ENDPOINT_BUDGET", 2**10):
+            results.append(build_partition_exhaustive(net, horizon))
     except ResourceBudgetError:
         pass
     for res in results:

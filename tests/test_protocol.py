@@ -171,7 +171,7 @@ def _start(net):
 
 
 def _fed(net, word):
-    """The state after feeding word from the start, through the memo."""
+    """The state after feeding word from the start, through the segment table."""
     state = _start(net)
     for sym in word:
         state = protocol.advance(net, state, net.input_units[int(sym)])[0]
@@ -186,7 +186,7 @@ def test_verdict_after_leaves_the_session_unchanged(cut_net):
             assert protocol.verdict(cut_net, state, word[k:]) == accepts(cut_net, word)
 
 
-# -- the feed memo -------------------------------------------------------------
+# -- feeds and walks over the segment table -------------------------------------
 
 
 def _mod3_reduction():
@@ -246,8 +246,8 @@ MEMO_NETS = ("cut", "parity", "mod3", "quotient", "toggle", "gap")
 @given(st.sampled_from(MEMO_NETS), st.text(alphabet="01", max_size=8))
 @settings(max_examples=150, deadline=None)
 def test_memoized_feeds_match_stepping(memo_nets, which, word):
-    # the networks persist across examples, and the second memoized run
-    # repeats the first one's feeds, so both memo misses and hits are compared
+    # the networks persist across examples, and the second run through the
+    # table repeats the first one's feeds, so both misses and hits are compared
     net = memo_nets[which]
     stepped = _run(protocol._steps, net, word)
     assert [_run(protocol.advance, net, word) for _ in range(2)] == [stepped, stepped]
@@ -266,8 +266,8 @@ PROBES = (("1", "1", SECOND_MINUS_FIRST), ("0", "1", FIRST_MINUS_SECOND))
 def _reference_walk(net, max_len):
     """(word, state) for every word of length at most max_len, depth first.
 
-    The reference for the shared walks: no memo and no sharing, a child's
-    state is one unmemoized feed from its parent's, and a query gap cuts
+    The reference for the shared walks: no table and no sharing, a child's
+    state is one stepped feed from its parent's, and a query gap cuts
     every child of a node or none.
     """
     stack = [("", _start(net))]
@@ -294,9 +294,9 @@ def _probe(net, state, suffix=""):
 def test_state_walks_match_stepping(memo_nets, monkeypatch, which):
     # the reference walk against one run_online per word up to length 6, then
     # the shared walks against the reference up to length 9, on the warm
-    # shared network and on a fresh copy, with the feed memo and the walk's
-    # subtree record holding at most one entry, at most three, and at most
-    # the real limit, so that they are cleared in the middle of a walk
+    # shared network and on a fresh copy, with the segment table and the
+    # walk's subtree record holding at most one entry, at most three, and at
+    # most the real limit, so that they are cleared in the middle of a walk
     net = memo_nets[which]
     nodes = list(_reference_walk(net, 9))
 
@@ -320,8 +320,8 @@ def test_state_walks_match_stepping(memo_nets, monkeypatch, which):
         }
         for first, second, mode in PROBES
     ]
-    for limit in (1, 3, protocol.FEED_MEMO_LIMIT):
-        monkeypatch.setattr(protocol, "FEED_MEMO_LIMIT", limit)
+    for limit in (1, 3, protocol.TABLE_LIMIT):
+        monkeypatch.setattr(protocol, "TABLE_LIMIT", limit)
         for run in (net, dataclasses.replace(net)):
             for n in range(10):
                 short = [(w, v) for w, v in verdicts if len(w) <= n]
@@ -339,18 +339,24 @@ def test_state_walks_match_stepping(memo_nets, monkeypatch, which):
 
 
 def test_gap_violating_feed_raises_again(cut_net):
-    # every time, and a call that raises stores nothing in the memo
+    # every time with the same message, which the first miss on each binary
+    # part keeps as its point piece, for a feed and for a probe alike
     tight = dataclasses.replace(cut_net, delta=2)
     state = _fed(tight, "1")
-    memo = tight.__dict__["_feed_memo"]
-    size = len(memo)
+    messages = set()
     for sym in "0011":
-        with pytest.raises(QueryGapError):
+        with pytest.raises(QueryGapError) as raised:
             protocol.advance(tight, state, tight.input_units[int(sym)])
+        messages.add(str(raised.value))
     for suffix in ("", "10"):
-        with pytest.raises(QueryGapError):
+        with pytest.raises(QueryGapError) as raised:
             protocol.verdict(tight, state, suffix)
-    assert len(memo) == size
+        messages.add(str(raised.value))
+    (message,) = messages
+    (mask, p, q), since, pending = state
+    zero, one = tight.input_units
+    for key in (zero, one, (), (one, zero)):
+        assert tight._segments[key, mask, since, pending] == [(p, q, 0, p, q, 0, message)]
 
 
 def _every_step_net():
@@ -360,32 +366,39 @@ def _every_step_net():
 
 def test_feed_memo_keys_on_steps_since_last_query():
     # a drained state is past its query deadline, while a run started in the
-    # same configuration is not
+    # same configuration is not: the segment table keys them apart on since
     net = _every_step_net()
     unit = net.input_units[0]
     drained = protocol.advance(net, _fed(net, "0"), None)[0]
+    assert drained[1] > 0 and drained[2] == ()
     protocol.advance(net, (drained[0], 0, ()), unit)
     with pytest.raises(QueryGapError):
         protocol.advance(net, drained, unit)
+    mask = drained[0][0]
+    assert {(unit, mask, 0, ()), (unit, mask, drained[1], ())} <= set(net._segments)
 
 
 def test_feed_memo_keys_on_pending_verdicts():
-    # the same configuration with and without a verdict still to settle
+    # the same configuration with and without a verdict still to settle: the
+    # segment table keys them apart on pending
     net = _every_step_net()
-    fed = protocol._steps(net, _start(net), net.input_units[0])[0]
+    unit = net.input_units[0]
+    fed = protocol._steps(net, _start(net), unit)[0]
     assert fed[2]
-    protocol.advance(net, (fed[0], 0, ()), net.input_units[0])
+    protocol.advance(net, (fed[0], 0, ()), unit)
     assert _run(protocol.advance, net, "0") == _run(protocol._steps, net, "0")
+    assert {(unit, fed[0][0], 0, ()), (unit, fed[0][0], 0, fed[2])} <= set(net._segments)
 
 
-def test_feed_memo_is_bounded(cut_net, monkeypatch):
-    net = dataclasses.replace(cut_net)  # a fresh network starts with an empty memo
+def test_segment_table_is_bounded(cut_net, monkeypatch):
+    net = dataclasses.replace(cut_net)  # a fresh network starts with an empty table
     assert len(enumerate_language(net, 13)) == 8192
-    assert 0 < len(net.__dict__["_feed_memo"]) <= protocol.FEED_MEMO_LIMIT
-    monkeypatch.setattr(protocol, "FEED_MEMO_LIMIT", 5)
+    table = net._segments
+    assert 0 < table.pieces == sum(map(len, table.values())) <= protocol.TABLE_LIMIT
+    monkeypatch.setattr(protocol, "TABLE_LIMIT", 5)
     net = dataclasses.replace(cut_net)
     assert enumerate_language(net, 7) == enumerate_language(cut_net, 7)
-    assert 0 < len(net.__dict__["_feed_memo"]) <= 5
+    assert 0 < net._segments.pieces <= 5
 
 
 def _count_calls(monkeypatch, owner, name) -> list:
@@ -403,7 +416,7 @@ def _count_calls(monkeypatch, owner, name) -> list:
 
 def test_enumeration_replays_repeated_feed_states(monkeypatch):
     # the mod-3 reduction visits a few hundred distinct feed states; without
-    # the memo this enumeration takes about 19,500 steps
+    # the segment table this enumeration takes about 19,500 steps
     net = _mod3_reduction()
     calls = _count_calls(monkeypatch, Network, "step")
     enumerate_language(net, 12)
@@ -411,23 +424,25 @@ def test_enumeration_replays_repeated_feed_states(monkeypatch):
 
 
 def test_enumeration_step_counts_are_pinned(cut_net, monkeypatch):
-    # the walk order, the feed memo, the segment table and the walk's shared
-    # subtrees fix these counts exactly; fresh networks start with an empty
-    # memo and table. The walk keys its subtree record on the state alone: on
-    # the cut acceptor leading zeros keep the analog value at 0, so the state
-    # of 0w is the state of w one level down, and half of the nodes copy the
-    # words of a walk with a larger remaining length. A verdict is one probe
+    # the walk order, the segment table and the walk's shared subtrees fix
+    # these counts exactly; fresh networks start with an empty table. The
+    # walk keys its subtree record on the state alone: on the cut acceptor
+    # leading zeros keep the analog value at 0, so the state of 0w is the
+    # state of w one level down, and half of the nodes copy the words of a
+    # walk with a larger remaining length. A verdict is one probe
     # lookup, so advance runs for the walk's children and, on the first miss
     # on each probe's binary part, for that probe's feeds; the verdicts' own
     # formal feeds and drains no longer pass through it (they made 16,422
     # advance calls before). Only the first miss on each binary part steps:
     # the cut acceptor's misses fall on 10 feed parts and 5 probe parts,
     # whose feeds step 26 times in all, and every later miss is served by
-    # one of the 15 pieces learned for them. The mod-3 reduction's 101 states
-    # fit the walk's record, which is then never cleared mid-walk; its 138
-    # probe parts share the segment table with its 200 feed parts, so the
-    # table passes FEED_MEMO_LIMIT and is cleared once, and 69 feeds whose
-    # mark was lost step again (602 steps when only feeds were marked)
+    # one of the pieces kept for them. The mod-3 reduction's 101 states fit
+    # the walk's record, which is then never cleared mid-walk; its 101 probe
+    # parts and 200 feed parts keep one point piece each, 301 in all, within
+    # TABLE_LIMIT, so the table is never cleared either and every binary
+    # part steps once. Under a whole-state memo in front of the table and a
+    # bound of 256 the table was cleared once, and the same walk took 722
+    # steps and 534 advance calls
     calls = _count_calls(monkeypatch, Network, "step")
     advances = _count_calls(monkeypatch, protocol, "advance")
     assert len(enumerate_language(dataclasses.replace(cut_net), 13)) == 8192
@@ -436,7 +451,7 @@ def test_enumeration_step_counts_are_pinned(cut_net, monkeypatch):
     calls.clear()
     advances.clear()
     assert len(enumerate_language(net, 14)) == 30
-    assert (len(calls), len(advances)) == (722, 534)
+    assert (len(calls), len(advances)) == (602, 497)
 
 
 WALKS = pytest.mark.parametrize(
@@ -499,16 +514,18 @@ def test_enumeration_builds_few_transition_rows(cut_net, monkeypatch):
 
 
 def test_walks_and_probes_keep_one_protocol_memo(cut_net):
-    # besides the step plan and the transition rows, the feed memo and the
-    # segment table behind it are the only caches a network holds after the
-    # walks and probes that read verdicts
+    # the transition rows and the segment table are created with the
+    # network, and the step plan on the first row build; after the walks and
+    # probes that read verdicts they are still the only caches it holds, and
+    # the segment table is the protocol's only one
     for net in (dataclasses.replace(cut_net), _mod3_reduction()):
+        assert sorted(key for key in net.__dict__ if key.startswith("_")) == ["_rows", "_segments"]
         enumerate_language(net, 6)
         quotient_difference_language(net, "1", "1", SECOND_MINUS_FIRST, 6)
         accepts(net, "0110")
         probe_verdict(net, net.initial_configuration(), "10")
         cached = sorted(key for key in net.__dict__ if key.startswith("_"))
-        assert cached == ["_feed_memo", "_plan_cache", "_rows", "_segments"]
+        assert cached == ["_plan", "_rows", "_segments"]
 
 
 # -- the segment table ----------------------------------------------------------
@@ -550,12 +567,17 @@ def _holds(piece, state):
     return (F(ln, ld) < y or (F(ln, ld) == y and not ls)) and (y < F(hn, hd) or (y == F(hn, hd) and not hs))
 
 
-def _check_segments(net, depth, cleared=False):
-    """Segment-served feeds and drains against _steps at every node to depth; returns the nodes.
+def _value(outcome, y):
+    """A piece's outcome at the analog value y: a feed's map applied, else the outcome itself."""
+    if type(outcome) is not tuple:
+        return outcome
+    *part, an, bn, d = outcome
+    return (*part, (an + bn * y) / d)
 
-    cleared: the table may be cleared mid-walk, and lose a piece just learned.
-    """
-    limit = protocol.FEED_MEMO_LIMIT
+
+def _check_segments(net, depth):
+    """Segment-served feeds and drains against _steps at every node to depth; returns the nodes."""
+    limit = protocol.TABLE_LIMIT
     stack, nodes = [("", _start(net))], 0
     while stack:
         word, state = stack.pop()
@@ -564,26 +586,26 @@ def _check_segments(net, depth, cleared=False):
         for unit in (*net.input_units, None):
             want = _outcome(protocol._steps, net, state, unit)
             children.append(want)
-            # the first call on a binary part marks it, the first one after
-            # that whose analog value lies in no known piece learns the piece
-            # that holds it, and from then on that piece serves the value; a
-            # gap-error piece raises the same error every time
+            # the first call on a binary part steps and keeps the point piece
+            # of its analog value, the first one after that whose analog
+            # value lies in no known piece learns the piece that holds it,
+            # and from then on that piece serves the value; a gap-error piece
+            # raises the same error every time
             assert [_outcome(protocol._segment_feed, net, state, unit) for _ in range(2)] == [want] * 2
-            table = net.__dict__["_segments"]
-            assert table.entries == len(table) + sum(map(len, table.values())) <= limit
+            table = net._segments
+            assert table.pieces == sum(map(len, table.values())) <= limit
             key = (unit, state[0][0], *state[1:])
-            held = [piece for piece in table.get(key, ()) if _holds(piece, state)]
-            # a learned piece holds the state it was learned from, and the
-            # pieces of a binary part are disjoint
-            assert len(held) == 1 or (cleared and not held)
-            if isinstance(want, str):  # the memo stores nothing on a raise
-                for _ in range(2):
-                    with pytest.raises(QueryGapError, match=want):
-                        protocol.advance(net, state, unit)
-                assert (unit, state) not in net.__dict__["_feed_memo"]
+            held = [piece for piece in table[key] if _holds(piece, state)]
+            # a kept piece holds the state it was learned from, and the pieces
+            # of a binary part overlap only at a point piece, where they agree
+            y = state[0].analog
+            assert len(held) == 1 or (len(held) == 2 and sum(p[:3] == p[3:6] for p in held) == 1)
+            assert len({_value(piece[-1], y) for piece in held}) == 1
+            if isinstance(want, str):  # the gap is kept as a piece's message
+                assert held[0][-1] == want
         if len(word) < depth and not isinstance(children[0], str):  # a gap cuts every child
             stack.extend((word + sym, child[0]) for sym, child in zip("01", children))
-    table = net.__dict__["_segments"]
+    table = net._segments
     for unit, mask, since, pending in table:
         assert unit is None or type(unit) is int
         assert type(mask) is int and type(since) is int and type(pending) is tuple
@@ -602,26 +624,29 @@ def test_segment_feeds_match_stepping(cut_net, monkeypatch):
     # six seeded cut acceptors, six quotient networks over the cut bases 27/8,
     # 27 and 8, verdicts lagging several queries, and a cut acceptor whose
     # tight query gap bound cuts the tree; then the table's bound, under
-    # limits of one entry and of three
-    for _ in range(3):  # the first call steps, later ones step symbolically
+    # limits of one piece and of three
+    start = _start(cut_net)
+    for _ in range(2):  # a feed that raises ValidationError keeps no piece
         with pytest.raises(ValidationError, match="not an input unit"):
-            protocol.advance(cut_net, _start(cut_net), cut_net.nxt)
+            protocol.advance(cut_net, start, cut_net.nxt)
+    with pytest.raises(ValidationError, match="not an input unit"):
+        protocol.symbolic_row(cut_net, start[0][0], 0, (), cut_net.nxt, start[0][1:])
     tight = dataclasses.replace(cut_net, delta=2)
     nets = _seeded_cut_acceptors() + _cut_base_quotients() + [_every_step_net(), tight]
     for net in nets:
         _check_segments(net, 8)
     assert _check_segments(dataclasses.replace(tight), 8) < 2**9 - 1
     for limit in (1, 3):
-        monkeypatch.setattr(protocol, "FEED_MEMO_LIMIT", limit)
+        monkeypatch.setattr(protocol, "TABLE_LIMIT", limit)
         for net in (nets[0], nets[6], tight):
-            _check_segments(dataclasses.replace(net), 8, cleared=True)
+            _check_segments(dataclasses.replace(net), 8)
 
 
 # -- probes ---------------------------------------------------------------------
 
 
 def _plain_probe(net, state, units):
-    """(verdict or "gap", where): a probe stepped feed by feed, past the memo and the table.
+    """(verdict or "gap", where): a probe stepped feed by feed, past the segment table.
 
     where is the part of the probe that raised, "suffix" or "formal", else
     "drain" when the drain ran past the query gap bound (a drain never
@@ -641,9 +666,10 @@ def _plain_probe(net, state, units):
 
 
 def _piece_probe(net, state, units, cleared):
-    """protocol.probe's verdict or "gap"; cleared empties the memo first, so the table answers."""
+    """protocol.probe's verdict or "gap"; cleared empties the segment table first, so the probe is a first miss."""
     if cleared:
-        net.__dict__.pop("_feed_memo", None)
+        net._segments.clear()
+        net._segments.pieces = 0
     try:
         return protocol.probe(net, state, units)
     except QueryGapError:
@@ -677,25 +703,22 @@ def test_probe_pieces_match_plain_feeds_where_the_gap_falls(memo_nets):
 
 
 def test_probe_pieces_survive_cleared_caches(cut_net, monkeypatch):
-    # a walk to length 9 meets far more than FEED_MEMO_LIMIT states, so the
-    # memo is cleared mid-walk; under a limit of 3 the segment table is too,
-    # and a piece learned at a clear is used once and not kept
-    for limit in (protocol.FEED_MEMO_LIMIT, 3):
-        monkeypatch.setattr(protocol, "FEED_MEMO_LIMIT", limit)
+    # a walk to length 9 meets 512 states of a few binary parts; under a
+    # limit of 3 pieces the segment table is cleared mid-walk, and a piece
+    # learned at a clear is kept in the emptied table
+    for limit in (protocol.TABLE_LIMIT, 3):
+        monkeypatch.setattr(protocol, "TABLE_LIMIT", limit)
         for cleared in (False, True):
             net = dataclasses.replace(cut_net)
             nodes = [state for _, state in _reference_walk(net, 9)]
-            assert len(set(nodes)) > protocol.FEED_MEMO_LIMIT
-            memo_sizes, table_sizes = [], []
+            sizes = []
             for state in nodes:
                 for suffix in ((), (net.input_units[1],), (net.input_units[0], net.input_units[1])):
                     assert _piece_probe(net, state, suffix, cleared) == _plain_probe(net, state, suffix)[0]
-                    memo_sizes.append(len(net.__dict__["_feed_memo"]))
-                    table_sizes.append(net.__dict__["_segments"].entries)
-            # a size that drops is a clear
-            assert cleared or any(b < a for a, b in zip(memo_sizes, memo_sizes[1:]))
-            if limit == 3:
-                assert any(b < a for a, b in zip(table_sizes, table_sizes[1:]))
+                    sizes.append(net._segments.pieces)
+                    assert 0 < sizes[-1] <= limit
+            if limit == 3:  # a size that drops is a clear
+                assert any(b < a for a, b in zip(sizes, sizes[1:]))
 
 
 def test_probe_keys_keep_suffixes_apart(cut_net):
@@ -714,30 +737,59 @@ def test_probe_keys_keep_suffixes_apart(cut_net):
                 assert got[suffix] == _plain_probe(net, state, suffix)[0]
             differ |= got[zero, one] != got[one, zero] or got[zero,] != got[one,]
         assert differ
-        table = net.__dict__["_segments"]
+        table = net._segments
         part = (start[0][0], *start[1:])
-        assert all((suffix, *part) in table for suffix in ((zero, one), (one, zero), (zero,), (one,)))
+        assert cleared or all((suffix, *part) in table for suffix in ((zero, one), (one, zero), (zero,), (one,)))
 
 
-def test_feed_memo_keys_hold_no_bit_tuples(cut_net):
-    # a feed is keyed on its unit, None for a drain, and a probe on the
-    # tuple of its suffix's units; both walks below store probe keys
+def test_segment_table_keys_hold_no_bit_tuples(cut_net):
+    # a feed's part is keyed on its unit, None for a drain, and a probe's on
+    # the tuple of its suffix's units; both walks below store probe keys.
+    # Every other part of a key, and every piece, is ints and tuples of them
     for net in (dataclasses.replace(cut_net), _mod3_reduction()):
         enumerate_language(net, 6)
         quotient_difference_language(net, "1", "01", SECOND_MINUS_FIRST, 6)
-        feeds = net.__dict__["_feed_memo"]
-        assert feeds
-        kinds = {type(key) for key, _ in feeds}
+        table = net._segments
+        kinds = {type(part[0]) for part in table}
         assert tuple in kinds and int in kinds
-        for key, _ in feeds:
+        for key, mask, since, pending in table:
             assert key is None or type(key) is int or (type(key) is tuple and all(type(u) is int for u in key))
-        zero, one = net.input_units
-        assert {key for key, _ in feeds if type(key) is tuple} <= {(), (one,), (zero, one, one)}  # 1 and 011
-        for _, (cfg, since, pending) in feeds:
-            assert type(cfg) is Configuration and all(type(x) is int for x in cfg)
-            assert type(since) is int and type(pending) is tuple
+            assert type(mask) is int and type(since) is int and type(pending) is tuple
             assert all(type(p) is int for p in pending)
-        assert all(type(mask) is int for mask in net.__dict__["_rows"])
+        zero, one = net.input_units
+        assert {part[0] for part in table if type(part[0]) is tuple} <= {(), (one,), (zero, one, one)}  # 1 and 011
+        for (key, *_), pieces in table.items():
+            for *ends, outcome in pieces:
+                assert all(type(x) is int for x in ends)
+                if type(key) is tuple:
+                    assert type(outcome) in (bool, str)
+                elif type(outcome) is tuple:
+                    mask, since, pending, settled, *affine = outcome
+                    assert all(type(x) is int for x in (mask, since, *pending, *affine))
+                    assert all(type(v) is bool for v in settled)
+        assert all(type(mask) is int for mask in net._rows)
+
+
+def test_first_misses_serve_exact_repeats(monkeypatch):
+    # the mod-3 reduction's analog value never moves, so each miss is the
+    # first on its binary part; it keeps the point piece of that value,
+    # which serves every exact repeat with no Network.step call. The table
+    # never holds more than its bound of pieces, also under a bound of 64
+    # that clears it mid-walk
+    steps = _count_calls(monkeypatch, Network, "step")
+    for limit in (protocol.TABLE_LIMIT, 64):
+        monkeypatch.setattr(protocol, "TABLE_LIMIT", limit)
+        net = _mod3_reduction()
+        zero, one = net.input_units
+        sizes = []
+        for _, state in _reference_walk(net, 6):
+            for key in (zero, one, None, (), (one,), (zero, one)):
+                first = _outcome(protocol._segment_feed, net, state, key)
+                sizes.append(net._segments.pieces)
+                before = len(steps)
+                assert _outcome(protocol._segment_feed, net, state, key) == first
+                assert len(steps) == before and net._segments.pieces == sizes[-1] <= limit
+        assert any(b < a for a, b in zip(sizes, sizes[1:])) == (limit == 64)  # a size that drops is a clear
 
 
 # -- random two-letter networks -------------------------------------------------

@@ -15,11 +15,12 @@ from a known state only compares the analog value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 from functools import cached_property, partial
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import ResourceBudgetError, ValidationError
 from .rationals import ZERO, ONE, RationalLike, format_rational, parse_rational, rational
@@ -32,6 +33,13 @@ _coprime = getattr(Fraction, "_from_coprime_ints", None) or partial(Fraction, _n
 # Transition rows kept per network, counted as rows times (size - 1) bits:
 # 16 rows at NETWORK_SIZE_LIMIT units.
 ROW_CACHE_BITS = 2**20
+
+# Exact integer arithmetic on Decimals for Network.analog_texts: a result
+# that would need rounding raises. Only this context's methods are called,
+# since Decimal operators use the thread's context, 28 digits by default.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX)  # with the default traps
+_EXACT.traps[Inexact] = _EXACT.traps[Rounded] = True
+_D0, _D1 = Decimal(0), Decimal(1)
 
 
 def saturation(xi: Fraction) -> Fraction:
@@ -218,6 +226,59 @@ class Network:
             g = gcd(num, scale)
             num, den = num // g, scale // g * den
         return tuple.__new__(Configuration, (mask, num, den))
+
+    def analog_texts(self, configs: Iterable[Configuration]) -> Iterator[str]:
+        """format_rational's text of each configuration's analog value, in time linear in its length.
+
+        str() of an int takes time quadratic in its digits. So a row that
+        step's analog update produces from the row before is rendered by that
+        update's own small-integer operations, applied to the previous row's
+        p and q held as integer-valued Decimals, whose str() is linear and has
+        no digit limit; any change to the update in step must be mirrored
+        here. Each row is first checked against the integer update of the row
+        before. A row that update does not produce (the first, or any row
+        when another network ran the configurations) is rendered by
+        format_rational, which may raise DigitLimitError, and the Decimals
+        restart from its value.
+        """
+        ctx, prev, dec = _EXACT, None, None  # dec: prev's p and q as Decimals, built when needed
+        for cfg in configs:
+            mask, p, q = cfg
+            text = None
+            if prev is not None and prev[0].bit_length() == self.size:  # a state of this network's size
+                state, pp, pq = prev
+                try:
+                    _, _, c_s, a_s, scale = self._rows[state]
+                except KeyError:
+                    _, _, c_s, a_s, scale = self._row(state)
+                g1 = gcd(a_s, pq)
+                num, den = c_s * pq + a_s * pp, pq
+                if g1 != 1:
+                    num, den = num // g1, den // g1
+                if num <= 0:
+                    stepped, stepped_dec = (0, 1), (_D0, _D1)
+                elif num >= scale * den:
+                    stepped, stepped_dec = (1, 1), (_D1, _D1)
+                else:
+                    g2 = gcd(num, scale)
+                    if g2 != 1:
+                        num //= g2
+                    stepped, stepped_dec = (num, scale // g2 * den), None
+                if (p, q) == stepped:
+                    if stepped_dec is None:
+                        dp, dq = dec or (Decimal(pp), Decimal(pq))
+                        dp = ctx.add(ctx.multiply(dq, c_s), ctx.multiply(dp, a_s))
+                        if g1 != 1:
+                            dp, dq = ctx.divide_int(dp, g1), ctx.divide_int(dq, g1)
+                        if g2 != 1:
+                            dp = ctx.divide_int(dp, g2)
+                        stepped_dec = dp, ctx.multiply(dq, scale // g2)
+                    dec = stepped_dec
+                    text = "%s/%s" % dec if q != 1 else str(dec[0])
+            if text is None:
+                text, dec = format_rational(cfg.analog), None
+            prev = cfg
+            yield text
 
     # -- transition rows and the step plan (cached, derived only from weights)
 

@@ -45,6 +45,7 @@ partition.probe_verdict count it as a rejection.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import partial
 from math import gcd
@@ -52,7 +53,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import QueryGapError, ResourceBudgetError, ValidationError
 from .network import _UNIT, Configuration, Network, _step_symbolic
-from .rationals import format_rational
+from .rationals import digit_limit_error
 
 _DIGITS = "0123456789"
 
@@ -424,7 +425,15 @@ def compare_languages(
 
 
 def trace_tsv(trace: RunTrace, net: Network) -> str:
-    """Tab separated trace: t, y_1 .. y_s in canonical rational text, note."""
+    """Tab separated trace: t, y_1 .. y_s in canonical rational text, note.
+
+    net.analog_texts renders the analog column. A trace whose analog values pass
+    Python's int-to-str digit limit is refused with DigitLimitError before
+    any row is rendered: since p <= q, a row passes it iff q >= 10**limit.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit and max((cfg[2] for _, cfg in trace.rows), default=1) >= 10**limit:
+        raise digit_limit_error()
     notes: dict[int, list[str]] = {}
     for k, tau in enumerate(trace.query_times):
         label = trace.symbols[k]
@@ -439,10 +448,10 @@ def trace_tsv(trace: RunTrace, net: Network) -> str:
             )
     header = ["t"] + ["y_%d" % j for j in range(1, net.size + 1)] + ["note"]
     lines = ["\t".join(header)]
-    for t, cfg in trace.rows:
+    for (t, cfg), analog in zip(trace.rows, net.analog_texts(cfg for _, cfg in trace.rows)):
         cells = [str(t)]
         cells.extend(str(b) for b in cfg.binary)
-        cells.append(format_rational(cfg.analog))
+        cells.append(analog)
         cells.append("; ".join(notes.get(t, [])))
         lines.append("\t".join(cells))
     lines.append("")  # the trailing newline, without a second copy of the whole text

@@ -79,10 +79,15 @@ def format_rational(q: Fraction) -> str:
     try:
         return str(q)
     except ValueError:  # only the digit limit makes str() of a Fraction raise
-        raise DigitLimitError(
-            "a rational with more than %d digits in its numerator or denominator cannot be printed"
-            " (Python's int-to-str limit, set by PYTHONINTMAXSTRDIGITS)" % sys.get_int_max_str_digits()
-        ) from None
+        raise digit_limit_error() from None
+
+
+def digit_limit_error() -> DigitLimitError:
+    """The error for a value to print past Python's int-to-str digit limit, naming the limit."""
+    return DigitLimitError(
+        "a rational with more than %d digits in its numerator or denominator cannot be printed"
+        " (Python's int-to-str limit, set by PYTHONINTMAXSTRDIGITS)" % sys.get_int_max_str_digits()
+    )
 
 
 @dataclass(frozen=True, order=True)

@@ -6,9 +6,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anet import protocol
+from anet import network, protocol
 from anet.cutlang import build_cut_acceptor, cut_params
-from anet.errors import QueryGapError, ResourceBudgetError, ValidationError
+from anet.errors import DigitLimitError, QueryGapError, ResourceBudgetError, ValidationError
 from anet.mealy import compile_mealy, machine_from_tsv
 from anet.network import Configuration, Network, make_network, unpack
 from anet.partition import build_partition_refined, fire_states, probe_verdict
@@ -29,8 +29,10 @@ from anet.quotient import (
     combine_verdicts,
     quotient_difference_language,
 )
+from anet.rationals import format_rational
 from anet.reduction import ReductionSpec, build_reduction
 from conftest import all_words, make_protocol_net
+from test_cli import _at_digit_limit
 
 # state evolution of the threshold-reversal acceptor for base 27/8 at 1/4 on
 # the word 101, frozen from an independent hand simulation; columns y_1..y_8.
@@ -94,6 +96,73 @@ def test_golden_trace_tsv_rendering(cut_net):
     assert last[0] == "10" and last[8] == "60268/177147"
     assert "101 rejected" in last[9]
     assert "formal" in lines[-1]
+
+
+def _analog_column(text):
+    return [line.split("\t")[-2] for line in text.split("\n")[1:-1]]
+
+
+def _rendering_cases(cut_net):
+    """name -> (trace, network rendering it); "other" traces were run by another network."""
+    from test_acceptance import PARITY_TSV
+
+    # a query every step; y' = sat(3y/2 - x_0 + x_1/3 - 1/10), x the input
+    # units at the instant before, so runs clamp to 0 and to 1 and leave them
+    clamp = make_network(
+        5, (2, 3), nxt=1, out=4, delta=1,
+        weights=[(1, 0, 1), (4, 5, 1), (5, 5, F(3, 2)), (5, 2, -1), (5, 3, F(1, 3)), (5, 0, F(-1, 10))],
+    )
+    # no analog self-weight (a_s = 0): y' is a binary sum over its scale
+    flat = make_network(
+        5, (2, 3), nxt=1, out=4, delta=1, weights=[(1, 0, 1), (5, 2, F(2, 7)), (5, 3, F(3, 11)), (5, 0, F(1, 13))]
+    )
+    parity = compile_mealy(machine_from_tsv(PARITY_TSV))[0]
+    other_base = build_cut_acceptor(cut_params(F(8), F(1, 3)))
+    assert other_base.size == cut_net.size != parity.size
+    rng = random.Random(3000)
+    words = {"one and zeros": "1" + "0" * 3200, "10 repeated": "10" * 1450}
+    words["random"] = "".join(rng.choice("01") for _ in range(3000))
+    cases = {name: (run_online(cut_net, w), cut_net) for name, w in words.items()}
+    cases["clamp"] = run_online(clamp, "1101111011010110100001111"), clamp
+    cases["flat"] = run_online(flat, "1101100"), flat
+    cases["parity"] = run_online(parity, "1101100"), parity
+    cases["other base"] = run_online(cut_net, "1011001" * 30), other_base
+    cases["other size"] = run_online(cut_net, "1011001"), parity
+    return cases
+
+
+def test_analog_column_matches_str_of_every_value(cut_net, monkeypatch):
+    # the recurrence has no digit limit; lifting str()'s gives the reference
+    cases = _rendering_cases(cut_net)
+    values = [cfg.analog for _, cfg in cases["clamp"][0].rows]
+    assert {(F(7, 12), 0), (F(7, 12), 1)} <= set(zip(values, values[1:]))  # both clamps, from inside
+    assert {cfg[2] for _, cfg in cases["parity"][0].rows} == {1}
+    fallbacks = _count_calls(monkeypatch, network, "format_rational")
+    for name, (trace, net) in cases.items():
+        fallbacks.clear()
+        want = _at_digit_limit(0, lambda: [str(cfg.analog) for _, cfg in trace.rows])
+        assert _at_digit_limit(0, lambda: _analog_column(trace_tsv(trace, net))) == want, name
+        if name.startswith("other"):  # rows the recurrence does not produce are rendered alone
+            assert len(fallbacks) > 1, name
+        else:
+            assert len(fallbacks) == 1, name  # the first row
+
+
+def test_trace_past_the_digit_limit_is_refused_before_rendering(cut_net, monkeypatch):
+    trace = run_online(cut_net, "1" + "0" * 500)
+    want = _at_digit_limit(0, lambda: [str(cfg.analog) for _, cfg in trace.rows])
+    digits = max(len(v.partition("/")[2]) for v in want)  # of the largest denominator
+    assert digits > 640  # the lowest limit Python allows
+    with pytest.raises(DigitLimitError) as expected:
+        _at_digit_limit(640, lambda: format_rational(F(1, 10**640)))
+    renders = _count_calls(monkeypatch, Network, "analog_texts")
+    with pytest.raises(DigitLimitError) as err:
+        _at_digit_limit(640, lambda: trace_tsv(trace, cut_net))
+    assert str(err.value) == str(expected.value)
+    with pytest.raises(DigitLimitError, match="more than %d digits" % (digits - 1)):
+        _at_digit_limit(digits - 1, lambda: trace_tsv(trace, cut_net))
+    assert not renders
+    assert _analog_column(_at_digit_limit(digits, lambda: trace_tsv(trace, cut_net))) == want
 
 
 def test_verdict_instants_only(cut_net):

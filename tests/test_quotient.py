@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from anet.cutlang import build_cut_acceptor, cut_params
-from anet.errors import ValidationError
+from anet.errors import QueryGapError, ValidationError
 from anet.mealy import compile_mealy, machine_from_tsv
 from anet.network import network_from_text, network_to_text
 from anet.partition import fire_states
@@ -92,6 +92,31 @@ def test_long_words_match_oracle_cut_base():
     )
     got = enumerate_language(build.network, 10)
     assert got == quotient_difference_language(base, "1", "0", SECOND_MINUS_FIRST, 10)
+
+
+@pytest.mark.parametrize("anchor", ["parity", "cut"])
+def test_anchor_quotients_match_plain_runs(parity_net, anchor):
+    # criterion 6's two anchors, checked past the segment table that both
+    # enumerate_language and the oracle read: each verdict is one run_online,
+    # on the built network for every word to length 10, and on the base for
+    # x+first and x+second+first, where a query gap counts as a rejection
+    if anchor == "parity":
+        base, first, second = parity_net, "1", "1"
+    else:
+        base, first, second = build_cut_acceptor(cut_params(F(27, 8), F(3, 8))), "1", "0"
+    spec = QuotientSpec(base=base, first=first, second=second, mode=SECOND_MINUS_FIRST)
+    net = build_quotient_network(spec).network
+
+    def accepted(word):
+        try:
+            return run_online(base, word).accepted
+        except QueryGapError:
+            return False
+
+    words = [w for n in range(11) for w in all_words("01", n)]
+    got = {w for w in words if run_online(net, w).accepted}
+    want = {w for w in words if combine_verdicts(SECOND_MINUS_FIRST, accepted(w + first), accepted(w + second + first))}
+    assert got == want and want
 
 
 @pytest.mark.parametrize("which", ["parity", "cut"])

@@ -384,10 +384,26 @@ class _StepPlan:
 _UNIT = (0, 1, 0, 1, 1, 0)  # [0, 1]
 
 
-class _Segments(dict):
-    """A network's segment table: binary part -> the pieces protocol has learned for it."""
+class Part:
+    """A protocol state's binary part (mask, since, pending), interned in a segment table; it hashes by identity.
 
-    pieces = 0  # held in all parts; protocol bounds it
+    feeds maps a key (a unit, None for the drain, or a tuple of units) to the pieces protocol learned for it.
+    """
+
+    __slots__ = ("mask", "since", "pending", "feeds")
+
+    def __init__(self, mask: int, since: int, pending: tuple[int, ...]) -> None:
+        self.mask, self.since, self.pending, self.feeds = mask, since, pending, {}
+
+
+class _Segments(dict):
+    """A network's segment table: binary part (mask, since, pending) -> its Part, interned on first use."""
+
+    pieces = 0  # held in all interned parts; protocol bounds it
+
+    def __missing__(self, part: tuple) -> Part:
+        new = self[part] = Part(*part)
+        return new
 
 
 def _split(piece: tuple, line: tuple) -> tuple[tuple | None, tuple | None]:

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import QueryGapError, ResourceBudgetError, ValidationError
 from .network import _UNIT, Configuration, Network, _step_symbolic, pack, unpack
 from . import protocol
-from .protocol import Alphabet, resolve_alphabet, suffix_units, symbolic_row, verdict
+from .protocol import Alphabet, make_state, resolve_alphabet, suffix_units, symbolic_row, verdict
 from .rationals import (
     CORNER_PAIRS,
     ONE,
@@ -296,6 +296,6 @@ def probe_verdict(
 ) -> bool:
     """Online verdict of word from an arbitrary start; gap violations reject."""
     try:
-        return verdict(net, (start, 0, ()), word, resolve_alphabet(net, alphabet))
+        return verdict(net, make_state(net, start), word, resolve_alphabet(net, alphabet))
     except QueryGapError:
         return False

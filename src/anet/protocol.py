@@ -7,25 +7,25 @@ for the prefix consumed so far appears on the out unit output_delay steps
 after the next query instant. One formal extra symbol (the first letter of the
 alphabet) is appended so the verdict of the full word can be read.
 
-A protocol state is the value (cfg, since, pending): the configuration, the
-steps since the last query (or the start) and the steps until each pending
-verdict is read, oldest first. advance(net, state, unit) is the one
-transition, a feed of unit or the drain when unit is None. probe(net, state,
-units) is the one verdict: the units fed in turn, then the formal extra
-symbol and the drain, with the last settled verdict as its outcome; verdict
-resolves a suffix to its units and probes. Feeds and probes are served
-alike, from the network's segment table, the protocol's only cache. It is
-keyed on the state's binary part (unit or units, mask, since, pending): from
-there the run is piecewise affine in the analog value, and its outcome
-piecewise constant. The table keeps the pieces learned so far, each an
-interval of the analog value with the feed's next binary part, settled
-verdicts and affine map, the probe's verdict, or a query-gap error, and is
-cleared when it holds TABLE_LIMIT pieces. The first miss on a binary part
-steps a feed and sends a probe's feeds through advance, and keeps the
-outcome as a point piece; a later miss whose analog value lies in no known
-piece learns that one piece with symbolic_row, which steps the binary part
-symbolically on the same clock as the stepping loop; the refined partition
-reads its pieces off whole rows of the same function. select_words walks the
+A protocol state is (part, p, q): the Part interned once per network for the
+binary part (mask, since, pending), and the analog value p/q. since counts
+the steps since the last query (or the start), pending the steps until each
+pending verdict is read, oldest first; make_state builds a state from a
+configuration and plain_state reads (cfg, since, pending) back.
+advance(net, state, unit) is the one transition, a feed of unit or the drain
+when unit is None. probe(net, state, units) is the one verdict: the units
+fed in turn, then the formal extra symbol and the drain, with the last
+settled verdict as its outcome; verdict resolves a suffix to its units and
+probes. Both are served from the network's segment table, the protocol's
+only cache, which interns the parts: from a part the run is piecewise affine
+in the analog value, and a part keeps per key the pieces learned so far,
+pairwise disjoint, each naming its successor part. The first miss on a key
+steps and keeps a point piece; a later miss learns its cell with
+symbolic_row, which steps the binary part symbolically on the stepping
+loop's clock, and the cell replaces the point piece it contains. The
+refined partition reads whole rows of the same function. A table of
+TABLE_LIMIT pieces is cleared, feeds first, before it takes a new one.
+select_words walks the
 word tree over states and keeps the words whose state passes a test; within
 one walk, a node copies the words below an earlier node of the same state at
 the same or a smaller depth, under the same bound, and the walk's nodes and
@@ -122,7 +122,18 @@ def resolve_alphabet(net: Network, alphabet: Alphabet | None = None) -> Alphabet
     return alphabet
 
 
-State = tuple  # (cfg, since, pending): a Configuration, an int and a tuple of ints
+State = tuple  # (part, p, q): an interned Part and the analog value p/q in lowest terms
+
+
+def make_state(net: Network, cfg: Configuration, since: int = 0, pending: tuple[int, ...] = ()) -> State:
+    """The protocol state of cfg, since steps past the last query, with verdicts pending after pending steps."""
+    return (net._segments[cfg[0], since, pending], cfg[1], cfg[2])
+
+
+def plain_state(state: State) -> tuple[Configuration, int, tuple[int, ...]]:
+    """(cfg, since, pending) of a protocol state."""
+    part, p, q = state
+    return tuple.__new__(Configuration, (part.mask, p, q)), part.since, part.pending
 
 
 def advance(net: Network, state: State, unit: int | None) -> tuple[State, tuple[bool, ...]]:
@@ -140,65 +151,76 @@ def probe(net: Network, state: State, units: tuple[int, ...] = ()) -> bool:
 
 
 def _segment_feed(net: Network, state: State, key):
-    """advance or probe: through a learned piece of the state's binary part, else by feeding.
+    """advance or probe: through a learned piece of the state's part, else by learning one.
 
-    key is a unit, None (the drain) or a tuple of units (a probe). From a
-    fixed binary part the run to the next query instant, or the end of the
-    drain, or the end of a whole probe, is piecewise affine in the analog
-    value y, and so is its outcome piecewise constant. A piece is (ln, ld,
-    ls, hn, hd, hs, outcome), an interval in network._step_symbolic's form.
-    outcome is the QueryGapError message, a probe's verdict, or (mask,
-    since, pending, settled, an, bn, d), the feed ending at the analog value
-    (an + bn*y)/d. The first miss on a binary part runs the feed by
-    stepping, or the probe's feeds through advance, and keeps the outcome as
-    the point piece [y, y]; a later miss in no known piece learns the one
-    that holds y with symbolic_row. That cell may hold an earlier point
-    piece, and the two agree there.
+    key is a unit, None (the drain) or a tuple of units (a probe). A piece
+    is (ln, ld, ls, hn, hd, hs, outcome), an interval of the analog value y
+    in network._step_symbolic's form; outcome is the QueryGapError message,
+    a probe's verdict, or (part, settled, an, bn, d), the feed ending on
+    part at (an + bn*y)/d. A miss on a part from before a clear learns into
+    the one interned now. The first miss on a key steps the feed, or runs
+    the probe's feeds through advance, and keeps the point piece [y, y] at
+    the head of the key's pieces; a cell learned later replaces it if it
+    holds it, as the two agree there. The state's part and the successor are
+    interned after a clear, also one the probe's own feeds set off.
     """
-    (mask, p, q), since, pending = state
-    part = (key, mask, since, pending)
-    table = net._segments
-    pieces = table.get(part)
+    part, p, q = state
+    pieces = part.feeds.get(key)
     for ln, ld, ls, hn, hd, hs, outcome in pieces or ():
         if p * ld - ln * q >= ls and hn * q - p * hd >= hs:
             break
     else:
+        table, mask, since, pending = net._segments, part.mask, part.since, part.pending
+        if table[mask, since, pending] is not part:
+            return _segment_feed(net, (table[mask, since, pending], p, q), key)
+        replace = False
         if pieces is not None:
-            (piece,) = symbolic_row(net, mask, since, pending, key, (p, q))
-        else:  # the first miss steps, and keeps its outcome as the point piece [y, y]
+            *ends, outcome = symbolic_row(net, mask, since, pending, key, (p, q))[0]
+            ln, ld, ls, hn, hd, hs = ends
+            pn, pd = pieces[0][:2]
+            replace = pieces[0][:3] == pieces[0][3:6] and pn * ld - ln * pd >= ls and hn * pd - pn * hd >= hs
+        else:
+            ends = (p, q, 0, p, q, 0)
             try:
                 if type(key) is tuple:  # the units, the formal extra symbol, then the drain if a verdict is pending
                     end = state
                     for unit in (*key, net.input_units[0]):
                         end, settled = advance(net, end, unit)
-                    outcome = (advance(net, end, None)[1] if end[2] else settled)[-1]
+                    outcome = (advance(net, end, None)[1] if end[0].pending else settled)[-1]
                 else:
-                    (cfg, *after), settled = _steps(net, state, key)
+                    (cfg, *after), settled = _steps(net, plain_state(state), key)
                     outcome = (cfg[0], *after, settled, cfg[1], 0, cfg[2])
             except QueryGapError as exc:
                 outcome = str(exc)
-            piece = (p, q, 0, p, q, 0, outcome)
-        if table.pieces >= TABLE_LIMIT:  # the table is cleared, and the new piece kept
-            table.clear()
-            table.pieces = 0
-        table.setdefault(part, []).append(piece)
-        table.pieces += 1
-        outcome = piece[-1]
+        if not replace:
+            if table.pieces >= TABLE_LIMIT:
+                for each in table.values():  # so no piece stays on a part that a live state still holds
+                    each.feeds.clear()
+                table.clear()
+                table.pieces = 0
+            table.pieces += 1
+        if type(outcome) is tuple:
+            outcome = (table[outcome[:3]], *outcome[3:])
+        pieces = table[mask, since, pending].feeds.setdefault(key, [])
+        if replace:
+            pieces[0] = (*ends, outcome)
+        else:
+            pieces.append((*ends, outcome))
     if type(outcome) is str:
         raise QueryGapError(outcome)
     if type(key) is tuple:
         return outcome
-    mask, since, pending, settled, an, bn, d = outcome
+    part, settled, an, bn, d = outcome
     if bn:  # else an/d is constant, and in lowest terms, as gcd(an, bn, d) = 1
         g = gcd(bn, q)  # gcd(p, q) = 1, so gcd(an*q + bn*p, q) = gcd(bn, q)
         num, den = (an * q + bn * p) // g, q // g
         g = gcd(num, d)  # num is now coprime to den, so only the small d shares factors
         an, d = num // g, d // g * den
-    return (tuple.__new__(Configuration, (mask, an, d)), since, pending), settled
+    return (part, an, d), settled
 
 
 def symbolic_row(net: Network, mask: int, since: int, pending: tuple, key, at: tuple[int, int] | None = None) -> list:
-    """The pieces of the binary part (key, mask, since, pending) over y in [0, 1], as _segment_feed keeps them.
+    """The pieces of key on the binary part (mask, since, pending) over y in [0, 1], which _segment_feed learns.
 
     key is a unit, None (the drain) or a tuple of units (a probe: the units
     in turn, the formal extra symbol, then the drain). The run is stepped on
@@ -209,6 +231,7 @@ def symbolic_row(net: Network, mask: int, since: int, pending: tuple, key, at: t
     no verdict pending. at = (p, q) keeps at each step only the successor
     whose piece holds p/q, so the row is the one piece that holds it; a full
     row (at None) that steps more than ENDPOINT_BUDGET branches is refused.
+    A feed's outcome names its successor part by (mask, since, pending).
     """
     feeds = (*key, net.input_units[0], None) if type(key) is tuple else (key,)
     nxt, out = net.nxt - 1, net.out - 1
@@ -243,8 +266,8 @@ def symbolic_row(net: Network, mask: int, since: int, pending: tuple, key, at: t
     return row
 
 
-def _steps(net: Network, state: State, unit: int | None, rows: list | None = None):
-    """Step to the next query instant, or until no verdict is pending when unit is None.
+def _steps(net: Network, state: tuple, unit: int | None, rows: list | None = None):
+    """Step (cfg, since, pending) to the next query instant, or until no verdict is pending when unit is None.
 
     Each configuration is appended to rows when rows is given.
     """
@@ -312,7 +335,7 @@ def run_online(net: Network, word: str | Sequence[str], alphabet: Alphabet | Non
     alphabet = resolve_alphabet(net, alphabet)
     word_str = word if isinstance(word, str) else "".join(word)
     symbols = tuple(word_str) + (alphabet.formal_extra,)
-    state: State = (net.initial_configuration(), 0, ())
+    state = (net.initial_configuration(), 0, ())
     rows, queries, verdicts = [state[0]], [], []
     for sym in symbols:
         state, settled = _steps(net, state, net.input_units[alphabet.index(sym)], rows)
@@ -330,7 +353,7 @@ def run_online(net: Network, word: str | Sequence[str], alphabet: Alphabet | Non
 
 def accepts(net: Network, word: str | Sequence[str], alphabet: Alphabet | None = None) -> bool:
     """Final verdict for the whole word."""
-    return verdict(net, (net.initial_configuration(), 0, ()), "".join(word), resolve_alphabet(net, alphabet))
+    return verdict(net, make_state(net, net.initial_configuration()), "".join(word), resolve_alphabet(net, alphabet))
 
 
 def select_words(net: Network, alphabet: Alphabet, max_len: int, keep: Callable[[State], bool]) -> list[str]:
@@ -360,7 +383,7 @@ def select_words(net: Network, alphabet: Alphabet, max_len: int, keep: Callable[
     used = 0
     # (remaining, word, state) is a node; (None, (remaining, len(word), start),
     # state) closes its subtree, whose words were appended from out[start] on
-    stack: list[tuple] = [(max_len, "", (net.initial_configuration(), 0, ()))]
+    stack: list[tuple] = [(max_len, "", make_state(net, net.initial_configuration()))]
     while stack:
         remaining, word, state = stack.pop()
         if remaining is None:  # any entry of this state has a smaller remaining length

@@ -174,7 +174,7 @@ def test_malformed_binary_vectors_are_refused():
     short = Configuration((1,), 0)
     for run in (
         lambda: net.step(short),
-        lambda: protocol.verdict(net, (short, 0, ()), "1"),
+        lambda: protocol.verdict(net, protocol.make_state(net, short), "1"),
         lambda: net.step(Configuration((0,) * 9, 0)),
         lambda: probe_verdict(net, Configuration((1,) * 6, 0), "1"),
     ):
@@ -187,15 +187,16 @@ def test_malformed_binary_vectors_are_refused():
 
 def test_constructed_start_hits_the_stepped_piece(monkeypatch):
     net = build_cut_acceptor(cut_params(Fraction(27, 8), Fraction(1, 4)))
-    state = (net.initial_configuration(), 0, ())
+    state = protocol.make_state(net, net.initial_configuration())
     for sym in "10":
         state = protocol.advance(net, state, net.input_units[int(sym)])[0]
-    stepped = state[0]
+    stepped, since, pending = protocol.plain_state(state)
+    assert (since, pending) == (0, ())  # the state probe_verdict constructs from a start
     want = protocol.verdict(net, state, "1")  # keeps the probe's point piece at the stepped state
     table = net._segments
     pieces = table.pieces
     start = Configuration(stepped.binary, stepped.analog)
-    assert start is not stepped
+    assert start is not stepped and protocol.make_state(net, start)[0] is state[0]
     steps = []
     step = Network.step
     monkeypatch.setattr(Network, "step", lambda *args: steps.append(args) or step(*args))

@@ -236,7 +236,16 @@ def test_unknown_symbol_rejected(cut_net):
 
 
 def _start(net):
+    return protocol.make_state(net, net.initial_configuration())
+
+
+def _plain_start(net):
     return (net.initial_configuration(), 0, ())
+
+
+def _plain(state):
+    """state as (cfg, since, pending), read back from its part when it is a protocol state."""
+    return protocol.plain_state(state) if type(state[0]) is network.Part else state
 
 
 def _fed(net, word):
@@ -295,17 +304,18 @@ def memo_nets():
 
 
 def _run(feed, net, word):
-    """(state, settled) after each feed of word and the formal symbol, and after the drain.
+    """(plain state, settled) after each feed of word and the formal symbol, and after the drain.
 
-    A QueryGapError ends the list with "gap".
+    feed is protocol._steps, on plain states, or protocol.advance, on
+    protocol states. A QueryGapError ends the list with "gap".
     """
-    state, run = _start(net), []
+    state, run = (_plain_start if feed is protocol._steps else _start)(net), []
     for unit in [net.input_units[int(sym)] for sym in word + "0"] + [None]:
         try:
             state, settled = feed(net, state, unit)
         except QueryGapError:
             return run + ["gap"]
-        run.append((state, settled))
+        run.append((_plain(state), settled))
     return run
 
 
@@ -333,13 +343,13 @@ PROBES = (("1", "1", SECOND_MINUS_FIRST), ("0", "1", FIRST_MINUS_SECOND))
 
 
 def _reference_walk(net, max_len):
-    """(word, state) for every word of length at most max_len, depth first.
+    """(word, plain state) for every word of length at most max_len, depth first.
 
     The reference for the shared walks: no table and no sharing, a child's
     state is one stepped feed from its parent's, and a query gap cuts
     every child of a node or none.
     """
-    stack = [("", _start(net))]
+    stack = [("", _plain_start(net))]
     while stack:
         word, state = stack.pop()
         yield word, state
@@ -352,9 +362,9 @@ def _reference_walk(net, max_len):
 
 
 def _probe(net, state, suffix=""):
-    """The verdict of state followed by suffix, None when a feed breaks the query gap."""
+    """The verdict of a plain state followed by suffix, None when a feed breaks the query gap."""
     try:
-        return protocol.verdict(net, state, suffix)
+        return protocol.verdict(net, protocol.make_state(net, *state), suffix)
     except QueryGapError:
         return None
 
@@ -422,10 +432,11 @@ def test_gap_violating_feed_raises_again(cut_net):
             protocol.verdict(tight, state, suffix)
         messages.add(str(raised.value))
     (message,) = messages
-    (mask, p, q), since, pending = state
+    part, p, q = state
+    assert tight._segments[part.mask, part.since, part.pending] is part
     zero, one = tight.input_units
     for key in (zero, one, (), (one, zero)):
-        assert tight._segments[key, mask, since, pending] == [(p, q, 0, p, q, 0, message)]
+        assert part.feeds[key] == [(p, q, 0, p, q, 0, message)]
 
 
 def _every_step_net():
@@ -439,12 +450,12 @@ def test_feed_memo_keys_on_steps_since_last_query():
     net = _every_step_net()
     unit = net.input_units[0]
     drained = protocol.advance(net, _fed(net, "0"), None)[0]
-    assert drained[1] > 0 and drained[2] == ()
-    protocol.advance(net, (drained[0], 0, ()), unit)
+    cfg, since, pending = protocol.plain_state(drained)
+    assert since > 0 and pending == ()
+    protocol.advance(net, protocol.make_state(net, cfg), unit)
     with pytest.raises(QueryGapError):
         protocol.advance(net, drained, unit)
-    mask = drained[0][0]
-    assert {(unit, mask, 0, ()), (unit, mask, drained[1], ())} <= set(net._segments)
+    assert all(unit in net._segments[cfg[0], at, ()].feeds for at in (0, since))
 
 
 def test_feed_memo_keys_on_pending_verdicts():
@@ -452,22 +463,27 @@ def test_feed_memo_keys_on_pending_verdicts():
     # segment table keys them apart on pending
     net = _every_step_net()
     unit = net.input_units[0]
-    fed = protocol._steps(net, _start(net), unit)[0]
+    fed = protocol._steps(net, _plain_start(net), unit)[0]
     assert fed[2]
-    protocol.advance(net, (fed[0], 0, ()), unit)
+    protocol.advance(net, protocol.make_state(net, fed[0]), unit)
     assert _run(protocol.advance, net, "0") == _run(protocol._steps, net, "0")
-    assert {(unit, fed[0][0], 0, ()), (unit, fed[0][0], 0, fed[2])} <= set(net._segments)
+    assert all(unit in net._segments[fed[0][0], 0, pending].feeds for pending in ((), fed[2]))
 
 
 def test_segment_table_is_bounded(cut_net, monkeypatch):
     net = dataclasses.replace(cut_net)  # a fresh network starts with an empty table
     assert len(enumerate_language(net, 13)) == 8192
     table = net._segments
-    assert 0 < table.pieces == sum(map(len, table.values())) <= protocol.TABLE_LIMIT
+    assert 0 < table.pieces == _pieces(net) <= protocol.TABLE_LIMIT
     monkeypatch.setattr(protocol, "TABLE_LIMIT", 5)
     net = dataclasses.replace(cut_net)
     assert enumerate_language(net, 7) == enumerate_language(cut_net, 7)
     assert 0 < net._segments.pieces <= 5
+
+
+def _pieces(net) -> int:
+    """The pieces held by every part interned in net's segment table."""
+    return sum(len(pieces) for part in net._segments.values() for pieces in part.feeds.values())
 
 
 def _count_calls(monkeypatch, owner, name) -> list:
@@ -500,27 +516,32 @@ def test_enumeration_step_counts_are_pinned(cut_net, monkeypatch):
     # state of w one level down, and half of the nodes copy the words of a
     # walk with a larger remaining length. A verdict is one probe
     # lookup, so advance runs for the walk's children and, on the first miss
-    # on each probe's binary part, for that probe's feeds; the verdicts' own
-    # formal feeds and drains no longer pass through it (they made 16,422
-    # advance calls before). Only the first miss on each binary part steps:
-    # the cut acceptor's misses fall on 10 feed parts and 5 probe parts,
-    # whose feeds step 26 times in all, and every later miss is served by
-    # one of the pieces kept for them. The mod-3 reduction's 101 states fit
-    # the walk's record, which is then never cleared mid-walk; its 101 probe
-    # parts and 200 feed parts keep one point piece each, 301 in all, within
-    # TABLE_LIMIT, so the table is never cleared either and every binary
-    # part steps once. Under a whole-state memo in front of the table and a
-    # bound of 256 the table was cleared once, and the same walk took 722
-    # steps and 534 advance calls
+    # on each probe key, for that probe's feeds; the verdicts' own formal
+    # feeds and drains no longer pass through it (they made 16,422 advance
+    # calls before). Only the first miss on each key of an interned part
+    # steps: the cut acceptor's misses fall on 5 parts, with 10 feed keys and
+    # 5 probe keys, whose feeds step 26 times in all; every later miss learns
+    # the cell that holds its analog value, and 12 of those cells replace
+    # their key's point piece, so 18 pieces serve the walk (30 when cells
+    # were appended). The mod-3 reduction's 101 states fit the walk's
+    # record, which is then never cleared mid-walk; its 101 parts hold 101
+    # probe keys and 200 feed keys with one point piece each, 301 in all,
+    # within TABLE_LIMIT, so the table is never cleared either and every key
+    # steps once. Under a whole-state memo in front of the table and a bound
+    # of 256 the table was cleared once, and the same walk took 722 steps and
+    # 534 advance calls
     calls = _count_calls(monkeypatch, Network, "step")
     advances = _count_calls(monkeypatch, protocol, "advance")
-    assert len(enumerate_language(dataclasses.replace(cut_net), 13)) == 8192
+    net = dataclasses.replace(cut_net)
+    assert len(enumerate_language(net, 13)) == 8192
     assert (len(calls), len(advances)) == (26, 8221)
+    assert (len(net._segments), net._segments.pieces) == (5, 18)
     net = _mod3_reduction()  # 113 units
     calls.clear()
     advances.clear()
     assert len(enumerate_language(net, 14)) == 30
     assert (len(calls), len(advances)) == (602, 497)
+    assert (len(net._segments), net._segments.pieces) == (101, 301)
 
 
 WALKS = pytest.mark.parametrize(
@@ -629,10 +650,15 @@ def _outcome(feed, net, state, unit):
         return str(exc)
 
 
-def _holds(piece, state):
-    """Whether the analog value of state lies in piece, read with Fractions."""
+def _served(net, state, key):
+    """protocol._segment_feed from the protocol state of a plain state, its new state read back plain."""
+    got = protocol._segment_feed(net, protocol.make_state(net, *state), key)
+    return got if type(key) is tuple else (protocol.plain_state(got[0]), got[1])
+
+
+def _holds(piece, y):
+    """Whether the analog value y lies in piece, read with Fractions."""
     ln, ld, ls, hn, hd, hs, _ = piece
-    y = state[0].analog
     return (F(ln, ld) < y or (F(ln, ld) == y and not ls)) and (y < F(hn, hd) or (y == F(hn, hd) and not hs))
 
 
@@ -640,14 +666,21 @@ def _value(outcome, y):
     """A piece's outcome at the analog value y: a feed's map applied, else the outcome itself."""
     if type(outcome) is not tuple:
         return outcome
-    *part, an, bn, d = outcome
-    return (*part, (an + bn * y) / d)
+    part, settled, an, bn, d = outcome
+    return (part.mask, part.since, part.pending, settled, (an + bn * y) / d)
+
+
+def _assert_disjoint(pieces):
+    """No two of the pieces share a value."""
+    ends = sorted((F(ln, ld), ls, F(hn, hd), hs) for ln, ld, ls, hn, hd, hs, _ in pieces)
+    for (_, _, hi, hs), (lo, ls, _, _) in zip(ends, ends[1:]):
+        assert hi < lo or (hi == lo and hs + ls > 0)
 
 
 def _check_segments(net, depth):
     """Segment-served feeds and drains against _steps at every node to depth; returns the nodes."""
     limit = protocol.TABLE_LIMIT
-    stack, nodes = [("", _start(net))], 0
+    stack, nodes = [("", _plain_start(net))], 0
     while stack:
         word, state = stack.pop()
         nodes += 1
@@ -655,37 +688,41 @@ def _check_segments(net, depth):
         for unit in (*net.input_units, None):
             want = _outcome(protocol._steps, net, state, unit)
             children.append(want)
-            # the first call on a binary part steps and keeps the point piece
-            # of its analog value, the first one after that whose analog
-            # value lies in no known piece learns the piece that holds it,
-            # and from then on that piece serves the value; a gap-error piece
-            # raises the same error every time
-            assert [_outcome(protocol._segment_feed, net, state, unit) for _ in range(2)] == [want] * 2
+            # the first call on a key steps and keeps the point piece of its
+            # analog value, the first one after that whose analog value lies
+            # in no known piece learns the piece that holds it, and from then
+            # on that piece serves the value; a gap-error piece raises the
+            # same error every time
+            assert [_outcome(_served, net, state, unit) for _ in range(2)] == [want] * 2
             table = net._segments
-            assert table.pieces == sum(map(len, table.values())) <= limit
-            key = (unit, state[0][0], *state[1:])
-            held = [piece for piece in table[key] if _holds(piece, state)]
-            # a kept piece holds the state it was learned from, and the pieces
-            # of a binary part overlap only at a point piece, where they agree
+            assert table.pieces == _pieces(net) <= limit
+            part = table[state[0][0], *state[1:]]
+            # a kept piece holds the state it was learned from, and a cell
+            # replaces the point piece it contains, so one piece holds it
             y = state[0].analog
-            assert len(held) == 1 or (len(held) == 2 and sum(p[:3] == p[3:6] for p in held) == 1)
-            assert len({_value(piece[-1], y) for piece in held}) == 1
+            (held,) = [piece for piece in part.feeds[unit] if _holds(piece, y)]
+            _assert_disjoint(part.feeds[unit])
             if isinstance(want, str):  # the gap is kept as a piece's message
-                assert held[0][-1] == want
+                assert held[-1] == want
+            else:
+                (cfg, *after), settled = want
+                assert _value(held[-1], y) == (cfg[0], *after, settled, cfg.analog)
         if len(word) < depth and not isinstance(children[0], str):  # a gap cuts every child
             stack.extend((word + sym, child[0]) for sym, child in zip("01", children))
     table = net._segments
-    for unit, mask, since, pending in table:
-        assert unit is None or type(unit) is int
+    for (mask, since, pending), part in table.items():
+        assert (part.mask, part.since, part.pending) == (mask, since, pending)
         assert type(mask) is int and type(since) is int and type(pending) is tuple
         assert all(type(p) is int for p in pending)
+        assert all(unit is None or type(unit) is int for unit in part.feeds)
     # the ends of every piece, where an open end belongs to the next piece
-    for (unit, mask, since, pending), pieces in list(table.items()):
-        for ln, ld, _, hn, hd, _, _ in pieces:
-            for y in {F(ln, ld), F(hn, hd)}:
-                state = (Configuration(unpack(mask), y), since, pending)
-                want = _outcome(protocol._steps, net, state, unit)
-                assert [_outcome(protocol._segment_feed, net, state, unit) for _ in range(2)] == [want] * 2
+    for (mask, since, pending), part in list(table.items()):
+        for unit, pieces in list(part.feeds.items()):
+            for ln, ld, _, hn, hd, _, _ in pieces:
+                for y in {F(ln, ld), F(hn, hd)}:
+                    state = (Configuration(unpack(mask), y), since, pending)
+                    want = _outcome(protocol._steps, net, state, unit)
+                    assert [_outcome(_served, net, state, unit) for _ in range(2)] == [want] * 2
     return nodes
 
 
@@ -699,7 +736,7 @@ def test_segment_feeds_match_stepping(cut_net, monkeypatch):
         with pytest.raises(ValidationError, match="not an input unit"):
             protocol.advance(cut_net, start, cut_net.nxt)
     with pytest.raises(ValidationError, match="not an input unit"):
-        protocol.symbolic_row(cut_net, start[0][0], 0, (), cut_net.nxt, start[0][1:])
+        protocol.symbolic_row(cut_net, start[0].mask, 0, (), cut_net.nxt, start[1:])
     tight = dataclasses.replace(cut_net, delta=2)
     nets = _seeded_cut_acceptors() + _cut_base_quotients() + [_every_step_net(), tight]
     for net in nets:
@@ -735,12 +772,18 @@ def _plain_probe(net, state, units):
 
 
 def _piece_probe(net, state, units, cleared):
-    """protocol.probe's verdict or "gap"; cleared empties the segment table first, so the probe is a first miss."""
+    """protocol.probe's verdict from a plain state, or "gap".
+
+    cleared empties the segment table first, as a clear does, so the probe
+    is a first miss.
+    """
     if cleared:
+        for part in net._segments.values():
+            part.feeds.clear()
         net._segments.clear()
         net._segments.pieces = 0
     try:
-        return protocol.probe(net, state, units)
+        return protocol.probe(net, protocol.make_state(net, *state), units)
     except QueryGapError:
         return "gap"
 
@@ -797,7 +840,7 @@ def test_probe_keys_keep_suffixes_apart(cut_net):
     zero, one = cut_net.input_units
     for cleared in (False, True):
         net = dataclasses.replace(cut_net)
-        start = _fed(net, "1")
+        start = protocol.plain_state(_fed(net, "1"))
         differ = False
         for state in _on_grid(start, 64):
             got = {}
@@ -806,45 +849,51 @@ def test_probe_keys_keep_suffixes_apart(cut_net):
                 assert got[suffix] == _plain_probe(net, state, suffix)[0]
             differ |= got[zero, one] != got[one, zero] or got[zero,] != got[one,]
         assert differ
-        table = net._segments
-        part = (start[0][0], *start[1:])
-        assert cleared or all((suffix, *part) in table for suffix in ((zero, one), (one, zero), (zero,), (one,)))
+        feeds = net._segments[start[0][0], *start[1:]].feeds
+        assert cleared or all(suffix in feeds for suffix in ((zero, one), (one, zero), (zero,), (one,)))
 
 
 def test_segment_table_keys_hold_no_bit_tuples(cut_net):
-    # a feed's part is keyed on its unit, None for a drain, and a probe's on
-    # the tuple of its suffix's units; both walks below store probe keys.
-    # Every other part of a key, and every piece, is ints and tuples of them
+    # the table interns each binary part (mask, since, pending) once, and a
+    # part's feeds are keyed on a unit, None for a drain, or for a probe the
+    # tuple of its suffix's units; both walks below store probe keys. Every
+    # part of a triple and a key, every piece's ends and every outcome but
+    # the successor part it names are ints and tuples of them
     for net in (dataclasses.replace(cut_net), _mod3_reduction()):
         enumerate_language(net, 6)
         quotient_difference_language(net, "1", "01", SECOND_MINUS_FIRST, 6)
         table = net._segments
-        kinds = {type(part[0]) for part in table}
-        assert tuple in kinds and int in kinds
-        for key, mask, since, pending in table:
-            assert key is None or type(key) is int or (type(key) is tuple and all(type(u) is int for u in key))
+        assert table.pieces == _pieces(net)  # never cleared, so every successor is interned
+        keys = [key for part in table.values() for key in part.feeds]
+        assert {type(key) for key in keys} >= {tuple, int}
+        for (mask, since, pending), part in table.items():
+            assert type(part) is network.Part and (part.mask, part.since, part.pending) == (mask, since, pending)
             assert type(mask) is int and type(since) is int and type(pending) is tuple
             assert all(type(p) is int for p in pending)
+        for key in keys:
+            assert key is None or type(key) is int or (type(key) is tuple and all(type(u) is int for u in key))
         zero, one = net.input_units
-        assert {part[0] for part in table if type(part[0]) is tuple} <= {(), (one,), (zero, one, one)}  # 1 and 011
-        for (key, *_), pieces in table.items():
-            for *ends, outcome in pieces:
-                assert all(type(x) is int for x in ends)
-                if type(key) is tuple:
-                    assert type(outcome) in (bool, str)
-                elif type(outcome) is tuple:
-                    mask, since, pending, settled, *affine = outcome
-                    assert all(type(x) is int for x in (mask, since, *pending, *affine))
-                    assert all(type(v) is bool for v in settled)
+        assert {key for key in keys if type(key) is tuple} <= {(), (one,), (zero, one, one)}  # 1 and 011
+        for part in table.values():
+            for key, pieces in part.feeds.items():
+                for *ends, outcome in pieces:
+                    assert all(type(x) is int for x in ends)
+                    if type(key) is tuple:
+                        assert type(outcome) in (bool, str)
+                    elif type(outcome) is tuple:
+                        after, settled, *affine = outcome
+                        assert table[after.mask, after.since, after.pending] is after
+                        assert all(type(x) is int for x in affine)
+                        assert all(type(v) is bool for v in settled)
         assert all(type(mask) is int for mask in net._rows)
 
 
 def test_first_misses_serve_exact_repeats(monkeypatch):
     # the mod-3 reduction's analog value never moves, so each miss is the
-    # first on its binary part; it keeps the point piece of that value,
-    # which serves every exact repeat with no Network.step call. The table
-    # never holds more than its bound of pieces, also under a bound of 64
-    # that clears it mid-walk
+    # first on its key; it keeps the point piece of that value, which serves
+    # every exact repeat with no Network.step call, from a protocol state
+    # built again by make_state. The table never holds more than its bound
+    # of pieces, also under a bound of 64 that clears it mid-walk
     steps = _count_calls(monkeypatch, Network, "step")
     for limit in (protocol.TABLE_LIMIT, 64):
         monkeypatch.setattr(protocol, "TABLE_LIMIT", limit)
@@ -853,12 +902,70 @@ def test_first_misses_serve_exact_repeats(monkeypatch):
         sizes = []
         for _, state in _reference_walk(net, 6):
             for key in (zero, one, None, (), (one,), (zero, one)):
-                first = _outcome(protocol._segment_feed, net, state, key)
+                first = _outcome(_served, net, state, key)
                 sizes.append(net._segments.pieces)
                 before = len(steps)
-                assert _outcome(protocol._segment_feed, net, state, key) == first
+                assert _outcome(_served, net, state, key) == first
                 assert len(steps) == before and net._segments.pieces == sizes[-1] <= limit
         assert any(b < a for a, b in zip(sizes, sizes[1:])) == (limit == 64)  # a size that drops is a clear
+
+
+def _gap_or(fn):
+    """fn(), or "gap" when it raises QueryGapError."""
+    try:
+        return fn()
+    except QueryGapError:
+        return "gap"
+
+
+@pytest.mark.parametrize("limit", (5, 40))
+def test_stale_parts_after_clears(cut_net, monkeypatch, limit):
+    # a walk to length 6 through protocol states, every node kept, on the cut
+    # acceptor and make_protocol_net 0-19, under bounds that clear the table
+    # mid-walk: the table counts exactly the pieces its interned parts hold,
+    # and states whose parts were interned before a clear still advance and
+    # probe as run_online runs their words
+    monkeypatch.setattr(protocol, "TABLE_LIMIT", limit)
+    stale = 0
+    for net in [dataclasses.replace(cut_net), *map(make_protocol_net, range(20))]:
+        table = net._segments
+        nodes = [("", _start(net))]
+        for word, state in nodes:  # breadth first, children appended behind
+            if len(word) < 6:
+                try:
+                    nodes += [(word + sym, protocol.advance(net, state, unit)[0]) for sym, unit in zip("01", net.input_units)]
+                except QueryGapError:
+                    pass
+            assert table.pieces == _pieces(net) <= limit
+        for word, state in nodes:
+            part = state[0]
+            if table.get((part.mask, part.since, part.pending)) is not part:
+                stale += 1
+                assert not part.feeds  # a clear left no piece on it
+            assert _gap_or(lambda: protocol.probe(net, state)) == _gap_or(lambda: run_online(net, word).accepted)
+            for sym, unit in zip("01", net.input_units):
+                try:
+                    run = run_online(net, word + sym)
+                except QueryGapError:
+                    run = None
+                try:
+                    after = protocol.advance(net, state, unit)[0]
+                except QueryGapError:
+                    assert run is None
+                    continue
+                if run is None:  # the formal symbol after word + sym breaks the gap bound
+                    with pytest.raises(QueryGapError):
+                        protocol.probe(net, after)
+                else:
+                    assert protocol.plain_state(after)[0] == run.rows[run.query_times[len(word)]][1]
+                    assert protocol.probe(net, after) == run.accepted
+                assert table.pieces == _pieces(net) <= limit
+        for part in table.values():
+            for pieces in part.feeds.values():
+                _assert_disjoint(pieces)
+        cfg = protocol.plain_state(nodes[-1][1])[0]
+        assert protocol.make_state(net, cfg)[0] is protocol.make_state(net, cfg)[0]
+    assert stale > 0
 
 
 # -- random two-letter networks -------------------------------------------------

@@ -401,9 +401,9 @@ class _Segments(dict):
 
     pieces = 0  # held in all interned parts; protocol bounds it
 
-    def __missing__(self, part: tuple) -> Part:
-        new = self[part] = Part(*part)
-        return new
+    def __missing__(self, triple: tuple) -> Part:
+        part = self[triple] = Part(*triple)
+        return part
 
 
 def _split(piece: tuple, line: tuple) -> tuple[tuple | None, tuple | None]:

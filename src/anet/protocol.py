@@ -25,13 +25,12 @@ symbolic_row, which steps the binary part symbolically on the stepping
 loop's clock, and the cell replaces the point piece it contains. The
 refined partition reads whole rows of the same function. A table of
 TABLE_LIMIT pieces is cleared, feeds first, before it takes a new one.
-select_words walks the
-word tree over states and keeps the words whose state passes a test; within
-one walk, a node copies the words below an earlier node of the same state at
-the same or a smaller depth, under the same bound, and the walk's nodes and
-kept words, each weighed by its length plus one, are held to WALK_BUDGET.
-run_online steps every instant past the table and records every
-configuration, query instant and verdict.
+select_words walks the word tree over states and keeps the words whose
+state passes a test; within one walk, a node copies the words below an
+earlier node of the same state at the same or a smaller depth, under the
+same bound, and the walk's nodes and kept words, each weighed by its length
+plus one, are held to WALK_BUDGET. run_online steps every instant past the
+table and records every configuration, query instant and verdict.
 
 Query gaps have one rule. A feed that finds no query instant within the
 declared bound of the previous one raises QueryGapError, and so does a probe

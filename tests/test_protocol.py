@@ -963,6 +963,10 @@ def test_stale_parts_after_clears(cut_net, monkeypatch, limit):
         for part in table.values():
             for pieces in part.feeds.values():
                 _assert_disjoint(pieces)
+                for *_, outcome in pieces:  # a kept piece names a part interned since the last clear
+                    if type(outcome) is tuple:
+                        after = outcome[0]
+                        assert table.get((after.mask, after.since, after.pending)) is after
         cfg = protocol.plain_state(nodes[-1][1])[0]
         assert protocol.make_state(net, cfg)[0] is protocol.make_state(net, cfg)[0]
     assert stale > 0

@@ -299,10 +299,19 @@ class Network:
             if (len(rows) + 1) * (self.size - 1) > ROW_CACHE_BITS:
                 rows.clear()
             plan = self._plan
-            acc = plan.binary_sums(mask)
-            fixed = pack([x >= 0 for x in acc[1 : self.size]])
-            for u in (*self.input_units, *(j for j, _ in plan.tested)):
-                fixed &= ~(1 << (u - 1))
+            acc, fixed, rest = list(plan.bias), plan.fires, mask ^ 1 << (self.size - 1)  # set bits, no sentinel
+            reached = []
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                for j, w in plan.out_edges.get(low.bit_length(), ()):
+                    acc[j] += w
+                reached += plan.free_edges.get(low.bit_length(), ())
+            for j, bit in reached:  # only a target some active unit reaches can differ from fires
+                if acc[j] >= 0:
+                    fixed |= bit
+                else:
+                    fixed &= ~bit
             tests = tuple((1 << (j - 1), acc[j], a) for j, a in plan.tested)
             row = rows[mask] = (fixed, tests, acc[self.size], plan.analog_weight, plan.analog_scale)
         return row
@@ -319,7 +328,10 @@ class _StepPlan:
 
     tested lists, by unit, every binary target with an analog weight that is
     not an input unit; the analog unit's own weight a_s = analog_weight may be
-    0, and analog_scale is L_s.
+    0, and analog_scale is L_s. The other binary targets that are not input
+    units are free: fires is the mask, sentinel included, of the free targets
+    whose bias alone fires them, and free_edges[i] lists (j, 1 << j-1) for
+    each free target j of source i.
     """
 
     bias: tuple[int, ...]
@@ -327,6 +339,8 @@ class _StepPlan:
     tested: tuple[tuple[int, int], ...]
     analog_weight: int
     analog_scale: int
+    fires: int
+    free_edges: Mapping[int, tuple[tuple[int, int], ...]]
 
     @staticmethod
     def build(net: Network) -> "_StepPlan":
@@ -347,20 +361,10 @@ class _StepPlan:
                 out[i].append((j, v))
         edges = {i: tuple(v) for i, v in out.items() if v}
         tested = tuple(sorted((j, a) for j, a in analog_in.items() if j != s and j not in net.input_units))
-        return _StepPlan(tuple(bias), edges, tested, analog_in[s], scale[s])
-
-    def binary_sums(self, mask: int) -> list[int]:
-        """Per target j, L_j times its bias plus its weights from the active binary units.
-
-        mask holds the states of units 1..size-1; the analog term is the caller's.
-        """
-        acc, rest = list(self.bias), mask ^ 1 << (mask.bit_length() - 1)  # set bits, no sentinel
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            for j, w in self.out_edges.get(low.bit_length(), ()):
-                acc[j] += w
-        return acc
+        free = set(range(1, s)).difference(net.input_units, analog_in)
+        fires = pack([j in free and bias[j] >= 0 for j in range(1, s)])
+        free_edges = {i: tuple((j, 1 << (j - 1)) for j, _ in v if j in free) for i, v in edges.items()}
+        return _StepPlan(tuple(bias), edges, tested, analog_in[s], scale[s], fires, free_edges)
 
 
 # -- symbolic stepping ---------------------------------------------------

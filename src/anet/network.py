@@ -391,13 +391,15 @@ _UNIT = (0, 1, 0, 1, 1, 0)  # [0, 1]
 class Part:
     """A protocol state's binary part (mask, since, pending), interned in a segment table; it hashes by identity.
 
-    feeds maps a key (a unit, None for the drain, or a tuple of units) to the pieces protocol learned for it.
+    triple is (mask, since, pending), which names the part across clears of the table. feeds maps a key
+    (a unit, None for the drain, or a tuple of units) to the pieces protocol learned for it.
     """
 
-    __slots__ = ("mask", "since", "pending", "feeds")
+    __slots__ = ("mask", "since", "pending", "triple", "feeds")
 
     def __init__(self, mask: int, since: int, pending: tuple[int, ...]) -> None:
         self.mask, self.since, self.pending, self.feeds = mask, since, pending, {}
+        self.triple = (mask, since, pending)
 
 
 class _Segments(dict):

@@ -16,21 +16,23 @@ advance(net, state, unit) is the one transition, a feed of unit or the drain
 when unit is None. probe(net, state, units) is the one verdict: the units
 fed in turn, then the formal extra symbol and the drain, with the last
 settled verdict as its outcome; verdict resolves a suffix to its units and
-probes. Both are served from the network's segment table, the protocol's
-only cache, which interns the parts: from a part the run is piecewise affine
-in the analog value, and a part keeps per key the pieces learned so far,
-pairwise disjoint, each naming its successor part. The first miss on a key
-steps and keeps a point piece; a later miss learns its cell with
-symbolic_row, which steps the binary part symbolically on the stepping
-loop's clock, and the cell replaces the point piece it contains. The
-refined partition reads whole rows of the same function. A table of
-TABLE_LIMIT pieces is cleared, feeds first, before it takes a new one.
-select_words walks the word tree over states and keeps the words whose
-state passes a test; within one walk, a node copies the words below an
-earlier node of the same state at the same or a smaller depth, under the
-same bound, and the walk's nodes and kept words, each weighed by its length
-plus one, are held to WALK_BUDGET. run_online steps every instant past the
-table and records every configuration, query instant and verdict.
+probes. Both are thin readers of the piece that _segment_feed hands back
+from the network's segment table, the protocol's only cache, which interns
+the parts: from a part the run is piecewise affine in the analog value, and
+a part keeps per key the pieces learned so far, pairwise disjoint, each
+naming its successor part. The first miss on a key steps and keeps a point
+piece; a later miss learns its cell with symbolic_row, which steps the
+binary part symbolically on the stepping loop's clock, and the cell
+replaces the point piece it contains. The refined partition reads whole
+rows of the same function. A table of TABLE_LIMIT pieces is cleared, feeds
+first, before it takes a new one. select_words walks the word tree over
+states and keeps the words whose probe outcomes pass a test; within one
+walk, a node copies the words below an earlier node of the same part whose
+proven cell of analog values holds its own, at the same or a smaller
+depth, under the same bound, and the walk's nodes and kept words, each
+weighed by its length plus one, are held to WALK_BUDGET. run_online steps
+every instant past the table and records every configuration, query
+instant and verdict.
 
 Query gaps have one rule. A feed that finds no query instant within the
 declared bound of the previous one raises QueryGapError, and so does a probe
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import partial
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
@@ -137,7 +138,10 @@ def plain_state(state: State) -> tuple[Configuration, int, tuple[int, ...]]:
 
 def advance(net: Network, state: State, unit: int | None) -> tuple[State, tuple[bool, ...]]:
     """One feed of unit, or the drain when unit is None: the new state and the verdicts it settled."""
-    return _segment_feed(net, state, unit)
+    outcome = _segment_feed(net, state, unit)[6]
+    if type(outcome) is str:
+        raise QueryGapError(outcome)
+    return _image(outcome, state[1], state[2]), outcome[1]
 
 
 def probe(net: Network, state: State, units: tuple[int, ...] = ()) -> bool:
@@ -146,11 +150,25 @@ def probe(net: Network, state: State, units: tuple[int, ...] = ()) -> bool:
     One lookup in the segment table that serves advance, keyed on units;
     QueryGapError passes through.
     """
-    return _segment_feed(net, state, units)
+    outcome = _segment_feed(net, state, units)[6]
+    if type(outcome) is str:
+        raise QueryGapError(outcome)
+    return outcome
 
 
-def _segment_feed(net: Network, state: State, key):
-    """advance or probe: through a learned piece of the state's part, else by learning one.
+def _image(outcome: tuple, p: int, q: int) -> State:
+    """The state a feed piece's outcome (part, settled, an, bn, d) maps the analog value p/q to."""
+    part, _, an, bn, d = outcome
+    if bn:  # else an/d is constant, and in lowest terms, as gcd(an, bn, d) = 1
+        g = gcd(bn, q)  # gcd(p, q) = 1, so gcd(an*q + bn*p, q) = gcd(bn, q)
+        num, den = (an * q + bn * p) // g, q // g
+        g = gcd(num, d)  # num is now coprime to den, so only the small d shares factors
+        an, d = num // g, d // g * den
+    return part, an, d
+
+
+def _segment_feed(net: Network, state: State, key) -> tuple:
+    """The piece of the state's part that serves key at its analog value, learned on a miss.
 
     key is a unit, None (the drain) or a tuple of units (a probe). A piece
     is (ln, ld, ls, hn, hd, hs, outcome), an interval of the analog value y
@@ -165,57 +183,47 @@ def _segment_feed(net: Network, state: State, key):
     """
     part, p, q = state
     pieces = part.feeds.get(key)
-    for ln, ld, ls, hn, hd, hs, outcome in pieces or ():
-        if p * ld - ln * q >= ls and hn * q - p * hd >= hs:
-            break
+    for piece in pieces or ():
+        if p * piece[1] - piece[0] * q >= piece[2] and piece[3] * q - p * piece[4] >= piece[5]:
+            return piece
+    table, mask, since, pending = net._segments, part.mask, part.since, part.pending
+    if table[mask, since, pending] is not part:
+        return _segment_feed(net, (table[mask, since, pending], p, q), key)
+    replace = False
+    if pieces is not None:
+        *ends, outcome = symbolic_row(net, mask, since, pending, key, (p, q))[0]
+        ln, ld, ls, hn, hd, hs = ends
+        pn, pd = pieces[0][:2]
+        replace = pieces[0][:3] == pieces[0][3:6] and pn * ld - ln * pd >= ls and hn * pd - pn * hd >= hs
     else:
-        table, mask, since, pending = net._segments, part.mask, part.since, part.pending
-        if table[mask, since, pending] is not part:
-            return _segment_feed(net, (table[mask, since, pending], p, q), key)
-        replace = False
-        if pieces is not None:
-            *ends, outcome = symbolic_row(net, mask, since, pending, key, (p, q))[0]
-            ln, ld, ls, hn, hd, hs = ends
-            pn, pd = pieces[0][:2]
-            replace = pieces[0][:3] == pieces[0][3:6] and pn * ld - ln * pd >= ls and hn * pd - pn * hd >= hs
-        else:
-            ends = (p, q, 0, p, q, 0)
-            try:
-                if type(key) is tuple:  # the units, the formal extra symbol, then the drain if a verdict is pending
-                    end = state
-                    for unit in (*key, net.input_units[0]):
-                        end, settled = advance(net, end, unit)
-                    outcome = (advance(net, end, None)[1] if end[0].pending else settled)[-1]
-                else:
-                    (cfg, *after), settled = _steps(net, plain_state(state), key)
-                    outcome = (cfg[0], *after, settled, cfg[1], 0, cfg[2])
-            except QueryGapError as exc:
-                outcome = str(exc)
-        if not replace:
-            if table.pieces >= TABLE_LIMIT:
-                for each in table.values():  # so no piece stays on a part that a live state still holds
-                    each.feeds.clear()
-                table.clear()
-                table.pieces = 0
-            table.pieces += 1
-        if type(outcome) is tuple:
-            outcome = (table[outcome[:3]], *outcome[3:])
-        pieces = table[mask, since, pending].feeds.setdefault(key, [])
-        if replace:
-            pieces[0] = (*ends, outcome)
-        else:
-            pieces.append((*ends, outcome))
-    if type(outcome) is str:
-        raise QueryGapError(outcome)
-    if type(key) is tuple:
-        return outcome
-    part, settled, an, bn, d = outcome
-    if bn:  # else an/d is constant, and in lowest terms, as gcd(an, bn, d) = 1
-        g = gcd(bn, q)  # gcd(p, q) = 1, so gcd(an*q + bn*p, q) = gcd(bn, q)
-        num, den = (an * q + bn * p) // g, q // g
-        g = gcd(num, d)  # num is now coprime to den, so only the small d shares factors
-        an, d = num // g, d // g * den
-    return (part, an, d), settled
+        ends = (p, q, 0, p, q, 0)
+        try:
+            if type(key) is tuple:  # the units, the formal extra symbol, then the drain if a verdict is pending
+                end = state
+                for unit in (*key, net.input_units[0]):
+                    end, settled = advance(net, end, unit)
+                outcome = (advance(net, end, None)[1] if end[0].pending else settled)[-1]
+            else:
+                (cfg, *after), settled = _steps(net, plain_state(state), key)
+                outcome = (cfg[0], *after, settled, cfg[1], 0, cfg[2])
+        except QueryGapError as exc:
+            outcome = str(exc)
+    if not replace:
+        if table.pieces >= TABLE_LIMIT:
+            for each in table.values():  # so no piece stays on a part that a live state still holds
+                each.feeds.clear()
+            table.clear()
+            table.pieces = 0
+        table.pieces += 1
+    if type(outcome) is tuple:
+        outcome = (table[outcome[:3]], *outcome[3:])
+    piece = (*ends, outcome)
+    pieces = table[mask, since, pending].feeds.setdefault(key, [])
+    if replace:
+        pieces[0] = piece
+    else:
+        pieces.append(piece)
+    return piece
 
 
 def symbolic_row(net: Network, mask: int, since: int, pending: tuple, key, at: tuple[int, int] | None = None) -> list:
@@ -355,68 +363,139 @@ def accepts(net: Network, word: str | Sequence[str], alphabet: Alphabet | None =
     return verdict(net, make_state(net, net.initial_configuration()), "".join(word), resolve_alphabet(net, alphabet))
 
 
-def select_words(net: Network, alphabet: Alphabet, max_len: int, keep: Callable[[State], bool]) -> list[str]:
-    """Every word of length at most max_len whose state passes keep, depth first.
+def select_words(
+    net: Network, alphabet: Alphabet, max_len: int, keep: tuple[tuple[tuple[int, ...], ...], Callable[..., bool]]
+) -> list[str]:
+    """Every word of length at most max_len whose state keep passes, depth first.
 
-    A child's state is one advance from its parent's. A feed raises
-    QueryGapError for every symbol or for none, and keep meets the error
-    first if it feeds; such a node gets no children. A node's words depend
-    only on its state and remaining length, and a subtree walked to a smaller
-    remaining length is the larger one's preorder with the longer words
-    dropped. So the walk records, per state, the remaining length, prefix
-    length and span in its output of the last finished subtree, at most
-    TABLE_LIMIT states at a time, and a node that meets its state
-    recorded with at least its own remaining length copies those words under
-    its own prefix, longer ones dropped, instead of walking the subtree again.
-    A subtree whose walk raised is never recorded. Each node walked and each
-    word kept, copies included, costs its length plus one, so the budget
-    bounds the walk's memory whatever max_len is; a walk whose cost would
-    pass WALK_BUDGET raises ResourceBudgetError, before a copy that would
-    pass it.
+    keep is (keys, decide): a node is kept when decide, given the outcome of
+    each probe key at its state in turn (a verdict, or a QueryGapError's
+    message), returns true; decide may raise. A child's state is one feed
+    from its parent's. A feed raises QueryGapError for every symbol or for
+    none; such a node gets no children.
+
+    A node's words depend only on its part, its analog value y and its
+    remaining length, and a subtree walked to a smaller remaining length is
+    the larger one's preorder with the longer words dropped. The walk
+    proves, for each subtree, a cell: an interval of y on which its words
+    are the same. It is the intersection of the segment-table pieces that
+    served the node's probes and feeds (a gap piece that stopped the feeds
+    included) and of each child's cell pulled back through its feed's map
+    (an + bn*y)/d, which bounds nothing when bn is 0. The walk records, per
+    part, the remaining length, cell, prefix length and output span of each
+    finished subtree but the leaves, at most TABLE_LIMIT at a time, and a
+    node whose value lies in a record of its part with at least its own
+    remaining length copies those words under its own prefix, longer ones
+    dropped, instead of walking the subtree again. A record is keyed on the
+    part's (mask, since, pending), so it outlives a clear of the segment
+    table. A subtree whose walk raised is never recorded. Each node walked
+    and each word kept, copies included, costs its length plus one, so the
+    budget bounds the walk's memory whatever max_len is; a walk whose cost
+    would pass WALK_BUDGET raises ResourceBudgetError, before a copy that
+    would pass it.
     """
     if max_len < 0:
         raise ValidationError("length bound must be nonnegative, got %d" % max_len)
+    keys, decide = keep
     steps = [(sym, net.input_units[k]) for k, sym in enumerate(alphabet.symbols)]
     out: list[str] = []
-    spans: dict[State, tuple[int, int, int, int]] = {}
-    used = 0
-    # (remaining, word, state) is a node; (None, (remaining, len(word), start),
-    # state) closes its subtree, whose words were appended from out[start] on
-    stack: list[tuple] = [(max_len, "", make_state(net, net.initial_configuration()))]
+    records: dict[tuple, list[tuple]] = {}
+    recorded = used = 0
+    # (remaining, word, state, up, via) is a node that the feed outcome via
+    # (part, settled, an, bn, d) reached from its parent; its cell, pulled back
+    # through (an + bn*y)/d, joins up, the list of intervals whose meet is the
+    # parent's cell (up and via are None at the root). (None, (remaining,
+    # len(word), start, held), triple, up, via) closes its subtree, whose
+    # words were appended from out[start] on
+    stack: list[tuple] = [(max_len, "", make_state(net, net.initial_configuration()), None, None)]
     while stack:
-        remaining, word, state = stack.pop()
-        if remaining is None:  # any entry of this state has a smaller remaining length
-            if len(spans) >= TABLE_LIMIT:
-                spans.clear()
-            spans[state] = word + (len(out),)
-            continue
-        used += len(word) + 1
-        if used > WALK_BUDGET:
-            raise _walk_budget_error(max_len)
-        if remaining <= 0:  # not recorded: sharing a leaf saves one keep call and crowds the record
-            if keep(state):
-                out.append(word)
-                used += len(word) + 1
-            continue
-        span = spans.get(state)
-        if span is not None and span[0] >= remaining:
-            _, n, start, end = span  # symbols are one character each
-            copied = [word + w[n:] for w in out[start:end] if len(w) - n <= remaining]
-            used += len(copied) + sum(map(len, copied))
+        remaining, word, state, up, via = stack.pop()
+        if remaining is None:
+            remaining, n, start, held = word
+            cell = _meet(held)
+            if recorded >= TABLE_LIMIT:
+                records.clear()
+                recorded = 0
+            mine = records.setdefault(state, [])
+            if mine:  # drop the records that the new one covers
+                recorded -= len(mine)
+                mine[:] = [r for r in mine if r[0] > remaining or not _within(r[1:7], cell)]
+                recorded += len(mine)
+            mine.append((remaining, *cell, n, start, len(out)))
+            recorded += 1
+        else:
+            used += len(word) + 1
             if used > WALK_BUDGET:
                 raise _walk_budget_error(max_len)
-            out.extend(copied)
-            continue
-        stack.append((None, (remaining, len(word), len(out)), state))
-        if keep(state):
-            out.append(word)
-            used += len(word) + 1
-        for sym, unit in steps:
-            try:
-                stack.append((remaining - 1, word + sym, advance(net, state, unit)[0]))
-            except QueryGapError:
-                break
+            part, p, q = state
+            # leaves are not recorded: sharing one saves one probe and crowds the record
+            for rec in records.get(part.triple, ()) if remaining > 0 else ():
+                if rec[0] >= remaining and p * rec[2] - rec[1] * q >= rec[3] and rec[4] * q - p * rec[5] >= rec[6]:
+                    n, start, end = rec[7:]  # symbols are one character each
+                    copied = [word + w[n:] for w in out[start:end] if len(w) - n <= remaining]
+                    used += len(copied) + sum(map(len, copied))
+                    if used > WALK_BUDGET:
+                        raise _walk_budget_error(max_len)
+                    out.extend(copied)
+                    cell = rec[1:7]
+                    break
+            else:
+                held, outcomes = [], []
+                for key in keys:
+                    piece = _segment_feed(net, state, key)
+                    held.append(piece)
+                    outcomes.append(piece[6])
+                if remaining > 0:
+                    stack.append((None, (remaining, len(word), len(out), held), part.triple, up, via))
+                if decide(*outcomes):
+                    out.append(word)
+                    used += len(word) + 1
+                if remaining > 0:  # held gains the feeds' pieces now and the children's cells as they close
+                    for sym, unit in steps:
+                        piece = _segment_feed(net, state, unit)
+                        held.append(piece)
+                        outcome = piece[6]
+                        if type(outcome) is str:
+                            break
+                        stack.append((remaining - 1, word + sym, _image(outcome, p, q), held, outcome))
+                    continue
+                cell = _meet(held)
+        if up is not None and via[3]:  # a subtree's cell, pulled back, narrows its parent's
+            up.append(pullback(cell, *via[2:]))
     return out
+
+
+def _meet(intervals: Iterable[Sequence[int]]) -> tuple[int, int, int, int, int, int]:
+    """The meet of [0, 1] and the intervals, each given by its first six entries in _step_symbolic's form."""
+    ln, ld, ls, hn, hd, hs = _UNIT
+    for each in intervals:
+        if each[0] == each[3] and each[1] == each[4]:  # a point (the first miss's piece): nothing narrows it
+            return each[:6]
+        c = each[0] * ld - ln * each[1]
+        if c > 0 or c == 0 and each[2]:
+            ln, ld, ls = each[0], each[1], each[2]
+        c = each[3] * hd - hn * each[4]
+        if c < 0 or c == 0 and each[5]:
+            hn, hd, hs = each[3], each[4], each[5]
+    return ln, ld, ls, hn, hd, hs
+
+
+def _within(inner: Sequence[int], outer: Sequence[int]) -> bool:
+    """Whether the interval inner lies in the interval outer, both in _step_symbolic's form."""
+    ln, ld, ls, hn, hd, hs = inner
+    c = ln * outer[1] - outer[0] * ld
+    if c < 0 or c == 0 and outer[2] > ls:
+        return False
+    c = hn * outer[4] - outer[3] * hd
+    return c < 0 or c == 0 and outer[5] <= hs
+
+
+def pullback(cell: Sequence[int], an: int, bn: int, d: int) -> tuple[int, ...]:
+    """The interval of y whose image (an + bn*y)/d lies in cell, both in _step_symbolic's form; bn != 0."""
+    ln, ld, ls, hn, hd, hs = cell
+    if bn > 0:
+        return ln * d - an * ld, bn * ld, ls, hn * d - an * hd, bn * hd, hs
+    return an * hd - hn * d, -bn * hd, hs, an * ld - ln * d, -bn * ld, ls
 
 
 def _walk_budget_error(max_len: int) -> ResourceBudgetError:
@@ -428,7 +507,14 @@ def _walk_budget_error(max_len: int) -> ResourceBudgetError:
 
 def enumerate_language(net: Network, max_len: int, alphabet: Alphabet | None = None) -> set[str]:
     """All accepted words of length at most max_len; QueryGapError passes through."""
-    return set(select_words(net, resolve_alphabet(net, alphabet), max_len, partial(probe, net)))
+    return set(select_words(net, resolve_alphabet(net, alphabet), max_len, (((),), _accepted)))
+
+
+def _accepted(outcome: bool | str) -> bool:
+    """A probe's verdict; a QueryGapError's message raises it again."""
+    if type(outcome) is str:
+        raise QueryGapError(outcome)
+    return outcome
 
 
 def compare_languages(

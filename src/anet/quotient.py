@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import QueryGapError, ValidationError
+from .errors import ValidationError
 from .network import Network, make_network
-from .protocol import Alphabet, State, probe, resolve_alphabet, select_words, suffix_units
+from .protocol import Alphabet, resolve_alphabet, select_words, suffix_units
 from .partition import (
     ExtrapolationTable,
     PartitionResult,
@@ -93,10 +93,10 @@ def quotient_difference_language(
 ) -> set[str]:
     """Brute-force reference: probe x+first and x+second+first for every x.
 
-    Prefixes share one state each, and a node copies the words below an
-    earlier node of the same state at the same or a smaller depth, so the
-    cost is two probe runs per node walked. Probes that break the query gap
-    bound count as rejecting.
+    One select_words walk with the two probes as its keys, so a node copies
+    the words below an earlier node whose proven cell holds its state, and
+    the cost is two probe lookups per node walked. Probes that break the
+    query gap bound count as rejecting.
     """
     if mode not in _MODES:
         raise ValidationError("mode must be one of %s" % (_MODES,))
@@ -104,16 +104,10 @@ def quotient_difference_language(
     first_units = suffix_units(base, first, alphabet)
     second_units = suffix_units(base, second + first, alphabet)
 
-    def gap_rejects(state: State, units: tuple[int, ...]) -> bool:
-        try:
-            return probe(base, state, units)
-        except QueryGapError:
-            return False
+    def keep(first_outcome: bool | str, second_outcome: bool | str) -> bool:  # a gap's message rejects
+        return combine_verdicts(mode, first_outcome is True, second_outcome is True)
 
-    def keep(state: State) -> bool:
-        return combine_verdicts(mode, gap_rejects(state, first_units), gap_rejects(state, second_units))
-
-    return set(select_words(base, alphabet, max_len, keep))
+    return set(select_words(base, alphabet, max_len, ((first_units, second_units), keep)))
 
 
 def build_quotient_network(spec: QuotientSpec) -> QuotientBuild:

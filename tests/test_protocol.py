@@ -31,7 +31,7 @@ from anet.quotient import (
 )
 from anet.rationals import format_rational
 from anet.reduction import ReductionSpec, build_reduction
-from conftest import all_words, make_protocol_net
+from conftest import all_words, make_protocol_net, make_skeleton_net
 from test_cli import _at_digit_limit
 
 # state evolution of the threshold-reversal acceptor for base 27/8 at 1/4 on
@@ -412,9 +412,78 @@ def test_state_walks_match_stepping(memo_nets, monkeypatch, which):
             for (first, second, mode), want in zip(PROBES, quotients):
                 assert quotient_difference_language(run, first, second, mode, 9) == want
             # every node kept: truncated copies keep the reference's order
-            assert select_words(run, Alphabet.of("01"), 9, lambda s: True) == [w for w, _ in nodes]
+            assert select_words(run, Alphabet.of("01"), 9, ((), lambda: True)) == [w for w, _ in nodes]
     if which == "gap":  # the gaps cut the tree below length 9
         assert len(nodes) < 2**10 - 1 and any(v is None for _, v in verdicts)
+
+
+def _cut_acceptor_family(count, seed):
+    """count cut acceptors over cube bases (a/b)^3 with 1 <= b < a <= 5 coprime and thresholds n/d, d <= 9."""
+    rng = random.Random(seed)
+    bases = [(a, b) for a in range(2, 6) for b in range(1, a) if gcd(a, b) == 1]
+    nets = []
+    for _ in range(count):
+        a, b = rng.choice(bases)
+        d = rng.randint(2, 9)
+        nets.append(build_cut_acceptor(cut_params(F(a**3, b**3), F(rng.randint(1, d - 1), d))))
+    return nets
+
+
+def test_cell_walks_match_the_unshared_walk():
+    # the walks share subtrees by proven cells of the analog value, so they
+    # are checked against the reference walk, which shares nothing: its states
+    # are stepped past the segment table and each is probed on its own, while
+    # the walks run on a fresh copy of the network. Enumeration to lengths 0,
+    # 3 and 8 and two quotient oracles to length 7, on make_protocol_net 0-199
+    # (state dependent query gaps, late verdicts), make_skeleton_net 0-59 (one
+    # letter) and 40 cut acceptors, whose cells are wider than points. A
+    # probe that breaks the query gap bound raises in enumeration and
+    # rejects in the oracle
+    nets = [*map(make_protocol_net, range(200)), *map(make_skeleton_net, range(60)), *_cut_acceptor_family(40, 27)]
+    for net in nets:
+        symbols = "01"[: len(net.input_units)]
+        nodes = list(_reference_walk(net, 8))
+        suffixes = {"", symbols[0], symbols[-1], symbols[0] + symbols[-1], symbols[-1] + symbols[0]}
+        units = {suffix: tuple(net.input_units[int(sym)] for sym in suffix) for suffix in suffixes}
+        verdict = {}
+        for word, state in nodes:
+            state = protocol.make_state(net, *state)
+            for suffix in suffixes if len(word) <= 7 else ("",):
+                verdict[word + "|" + suffix] = _gap_or(lambda: protocol.probe(net, state, units[suffix]))
+        fresh = dataclasses.replace(net)
+        for n in (0, 3, 8):
+            short = [word for word, _ in nodes if len(word) <= n]
+            if any(verdict[word + "|"] == "gap" for word in short):
+                with pytest.raises(QueryGapError):
+                    enumerate_language(fresh, n)
+            else:
+                assert enumerate_language(fresh, n) == {word for word in short if verdict[word + "|"]}, net.comment
+        probes = (symbols[-1], symbols[0], SECOND_MINUS_FIRST), (symbols[0], symbols[-1], FIRST_MINUS_SECOND)
+        for first, second, mode in probes:
+            want = {
+                word
+                for word, _ in nodes
+                if len(word) <= 7
+                and combine_verdicts(
+                    mode, verdict[word + "|" + first] is True, verdict[word + "|" + second + first] is True
+                )
+            }
+            assert quotient_difference_language(fresh, first, second, mode, 7) == want, net.comment
+
+
+_ENDS = st.tuples(st.integers(-9, 9), st.integers(1, 9), st.integers(0, 1))
+
+
+@given(_ENDS, _ENDS, st.integers(-9, 9), st.integers(-9, 9).filter(bool), st.integers(1, 9))
+@settings(max_examples=200, deadline=None)
+def test_pullback_is_the_preimage_of_a_cell(low, high, an, bn, d):
+    # y lies in the pulled-back interval exactly when (an + bn*y)/d lies in
+    # the cell, at every sixth from -3 to 3 and at the preimages of the ends
+    cell = (*low, *high)
+    back = protocol.pullback(cell, an, bn, d)
+    ends = (F(low[0], low[1]), F(high[0], high[1]))
+    for y in {F(k, 6) for k in range(-18, 19)} | {(e * d - an) / bn for e in ends}:
+        assert _holds((*back, None), y) == _holds((*cell, None), (an + bn * y) / d)
 
 
 def test_gap_violating_feed_raises_again(cut_net):
@@ -509,39 +578,56 @@ def test_enumeration_replays_repeated_feed_states(monkeypatch):
 
 
 def test_enumeration_step_counts_are_pinned(cut_net, monkeypatch):
-    # the walk order, the segment table and the walk's shared subtrees fix
-    # these counts exactly; fresh networks start with an empty table. The
-    # walk keys its subtree record on the state alone: on the cut acceptor
-    # leading zeros keep the analog value at 0, so the state of 0w is the
-    # state of w one level down, and half of the nodes copy the words of a
-    # walk with a larger remaining length. A verdict is one probe
-    # lookup, so advance runs for the walk's children and, on the first miss
-    # on each probe key, for that probe's feeds; the verdicts' own formal
-    # feeds and drains no longer pass through it (they made 16,422 advance
-    # calls before). Only the first miss on each key of an interned part
-    # steps: the cut acceptor's misses fall on 5 parts, with 10 feed keys and
-    # 5 probe keys, whose feeds step 26 times in all; every later miss learns
-    # the cell that holds its analog value, and 12 of those cells replace
-    # their key's point piece, so 18 pieces serve the walk (30 when cells
-    # were appended). The mod-3 reduction's 101 states fit the walk's
-    # record, which is then never cleared mid-walk; its 101 parts hold 101
-    # probe keys and 200 feed keys with one point piece each, 301 in all,
-    # within TABLE_LIMIT, so the table is never cleared either and every key
-    # steps once. Under a whole-state memo in front of the table and a bound
-    # of 256 the table was cleared once, and the same walk took 722 steps and
-    # 534 advance calls
-    calls = _count_calls(monkeypatch, Network, "step")
-    advances = _count_calls(monkeypatch, protocol, "advance")
+    # the walk order, the segment table and the walk's proven cells fix
+    # these counts exactly; fresh networks start with an empty table. A
+    # lookup is one _segment_feed call: the walk probes each node it walks
+    # and feeds each symbol at an interior one, and the first miss on a
+    # probe key runs the probe's feeds through advance. Only the first miss
+    # on each key of an interned part steps: the cut acceptor's misses fall
+    # on 5 parts, with 10 feed keys and 5 probe keys, whose feeds step 26
+    # times in all; every later miss learns the cell that holds its analog
+    # value, and 12 of those cells replace their key's point piece, so 18
+    # pieces serve the walk. A subtree is shared by the cell proven for it,
+    # so of the acceptor's 16,383 nodes to length 13 the walk probes 83, 67
+    # of them interior: 83 + 2*67 + 5 = 222 lookups. When only exact repeats
+    # of a state shared, 8,190 nodes were walked, with 8,221 advance calls
+    # and 16,427 lookups. The mod-3 reduction's analog value never moves, so
+    # its pieces and cells are points and it shares exact repeats only, as
+    # before: its 101 states fit the walk's record, which is never cleared
+    # mid-walk, and the walk probes 252 nodes, 198 of them interior, so 252
+    # + 2*198 + 101 = 749 lookups. Its 101 parts hold 101 probe keys and 200
+    # feed keys with one point piece each, 301 in all, within TABLE_LIMIT,
+    # so the table is never cleared either and every key steps once
+    steps = _count_calls(monkeypatch, Network, "step")
+    lookups = _count_calls(monkeypatch, protocol, "_segment_feed")
     net = dataclasses.replace(cut_net)
     assert len(enumerate_language(net, 13)) == 8192
-    assert (len(calls), len(advances)) == (26, 8221)
+    assert (len(steps), len(lookups)) == (26, 222)
     assert (len(net._segments), net._segments.pieces) == (5, 18)
     net = _mod3_reduction()  # 113 units
-    calls.clear()
-    advances.clear()
+    steps.clear()
+    lookups.clear()
     assert len(enumerate_language(net, 14)) == 30
-    assert (len(calls), len(advances)) == (602, 497)
+    assert (len(steps), len(lookups)) == (602, 749)
     assert (len(net._segments), net._segments.pieces) == (101, 301)
+
+
+@pytest.mark.parametrize("limit, counts", ((1, (6070, 4759)), (512, (211, 675))))
+def test_walk_records_outlive_table_clears(cut_net, monkeypatch, limit, counts):
+    # enumerating the cut acceptor to each length 0-9, a fresh network each
+    # time. A record names its part by (mask, since, pending), so a state
+    # still holding a part interned before a clear of the segment table
+    # finds the subtrees recorded after it. Under a limit of 1 the table
+    # holds one piece and the record one subtree, so nearly every lookup
+    # misses; when the record was keyed on the part itself these walks took
+    # 11,368 steps and 8,883 lookups (and 211 and 2,214 under 512, where
+    # only exact repeats shared). Steps, then lookups
+    want = [enumerate_language(cut_net, n) for n in range(10)]
+    monkeypatch.setattr(protocol, "TABLE_LIMIT", limit)
+    steps = _count_calls(monkeypatch, Network, "step")
+    lookups = _count_calls(monkeypatch, protocol, "_segment_feed")
+    assert [enumerate_language(dataclasses.replace(cut_net), n) for n in range(10)] == want
+    assert (len(steps), len(lookups)) == counts
 
 
 WALKS = pytest.mark.parametrize(
@@ -564,8 +650,9 @@ def test_walks_refuse_a_negative_length_bound(cut_net, walk):
 
 @WALKS
 def test_walks_are_bounded(cut_net, monkeypatch, walk):
-    # to length 9 the cut acceptor's tree has 1,023 nodes, half of them
-    # copied from a shared subtree
+    # to length 9 the cut acceptor's tree has 1,023 nodes, nearly all of
+    # them copied from a subtree shared by its cell; the three walks cost
+    # 5,210, 5,210 and 611, mostly for the words they keep
     walk(cut_net, 9)
     monkeypatch.setattr(protocol, "WALK_BUDGET", 300)
     with pytest.raises(ResourceBudgetError, match="passed its budget of 300 "):
@@ -577,13 +664,15 @@ def test_walk_budget_counts_copied_words(monkeypatch):
     # the walk visits 166 nodes. Each node and each kept word costs its
     # length plus one, so that memory is bounded whatever the length bound;
     # the kept words cost 9,217 and the nodes 1,247, so the walk needs
-    # exactly 10,464
+    # exactly 10,464. The reduction's analog value never moves, so its cells
+    # are points and it shares exactly the subtrees of repeated states, as
+    # when the record was keyed on whole states: the count did not move
     net, everything = _mod3_reduction(), Alphabet.of("ab")
     monkeypatch.setattr(protocol, "WALK_BUDGET", 10463)
     with pytest.raises(ResourceBudgetError):
-        select_words(net, everything, 9, lambda s: True)
+        select_words(net, everything, 9, ((), lambda: True))
     monkeypatch.setattr(protocol, "WALK_BUDGET", 10464)
-    assert len(select_words(net, everything, 9, lambda s: True)) == 1023
+    assert len(select_words(net, everything, 9, ((), lambda: True))) == 1023
 
 
 def test_enumeration_builds_few_transition_rows(cut_net, monkeypatch):
@@ -622,15 +711,7 @@ def test_walks_and_probes_keep_one_protocol_memo(cut_net):
 
 
 def _seeded_cut_acceptors():
-    # cube bases (a/b)^3 with 1 <= b < a <= 5 coprime and thresholds n/d
-    rng = random.Random(16)
-    bases = [(a, b) for a in range(2, 6) for b in range(1, a) if gcd(a, b) == 1]
-    nets = []
-    for _ in range(6):
-        a, b = rng.choice(bases)
-        d = rng.randint(2, 9)
-        nets.append(build_cut_acceptor(cut_params(F(a**3, b**3), F(rng.randint(1, d - 1), d))))
-    return nets
+    return _cut_acceptor_family(6, 16)
 
 
 def _cut_base_quotients():
@@ -651,9 +732,12 @@ def _outcome(feed, net, state, unit):
 
 
 def _served(net, state, key):
-    """protocol._segment_feed from the protocol state of a plain state, its new state read back plain."""
-    got = protocol._segment_feed(net, protocol.make_state(net, *state), key)
-    return got if type(key) is tuple else (protocol.plain_state(got[0]), got[1])
+    """probe, or advance with its new state read back plain, from the protocol state of a plain state."""
+    state = protocol.make_state(net, *state)
+    if type(key) is tuple:
+        return protocol.probe(net, state, key)
+    after, settled = protocol.advance(net, state, key)
+    return protocol.plain_state(after), settled
 
 
 def _holds(piece, y):

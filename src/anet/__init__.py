@@ -33,7 +33,6 @@ from .network import (
     make_network,
     network_from_text,
     network_to_text,
-    saturation,
     save_network,
     save_network_path,
 )

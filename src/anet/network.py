@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import ResourceBudgetError, ValidationError
-from .rationals import ZERO, ONE, RationalLike, format_rational, parse_rational, rational
+from .rationals import ZERO, RationalLike, format_rational, parse_rational, rational
 
 
 # Fraction from a numerator and a positive denominator already in lowest
@@ -40,15 +40,6 @@ ROW_CACHE_BITS = 2**20
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX)  # with the default traps
 _EXACT.traps[Inexact] = _EXACT.traps[Rounded] = True
 _D0, _D1 = Decimal(0), Decimal(1)
-
-
-def saturation(xi: Fraction) -> Fraction:
-    """Analog activation: identity clipped to [0, 1]."""
-    if xi <= 0:
-        return ZERO
-    if xi >= 1:
-        return ONE
-    return xi
 
 
 class Configuration(tuple):

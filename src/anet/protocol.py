@@ -20,11 +20,10 @@ probes. Both are thin readers of the piece that _segment_feed hands back
 from the network's segment table, the protocol's only cache, which interns
 the parts: from a part the run is piecewise affine in the analog value, and
 a part keeps per key the pieces learned so far, pairwise disjoint, each
-naming its successor part. The first miss on a key steps and keeps a point
-piece; a later miss learns its cell with symbolic_row, which steps the
-binary part symbolically on the stepping loop's clock, and the cell
-replaces the point piece it contains. The refined partition reads whole
-rows of the same function. A table of TABLE_LIMIT pieces is cleared, feeds
+naming its successor part. Every miss learns the one cell that holds its
+analog value with symbolic_row, which steps the binary part symbolically
+on the stepping loop's clock, so a key's pieces are cells of one
+refinement. The refined partition reads whole rows of the same function. A table of TABLE_LIMIT pieces is cleared, feeds
 first, before it takes a new one. select_words walks the word tree over
 states and keeps the words whose probe outcomes pass a test; within one
 walk, a node copies the words below an earlier node of the same part whose
@@ -175,54 +174,28 @@ def _segment_feed(net: Network, state: State, key) -> tuple:
     in network._step_symbolic's form; outcome is the QueryGapError message,
     a probe's verdict, or (part, settled, an, bn, d), the feed ending on
     part at (an + bn*y)/d. A miss on a part from before a clear learns into
-    the one interned now. The first miss on a key steps the feed, or runs
-    the probe's feeds through advance, and keeps the point piece [y, y] at
-    the head of the key's pieces; a cell learned later replaces it if it
-    holds it, as the two agree there. The state's part and the successor are
-    interned after a clear, also one the probe's own feeds set off.
+    the one interned now. Every miss appends to the key's pieces the one
+    cell of symbolic_row that holds y, so they stay disjoint, and a full
+    table is cleared first; the successor is interned after the clear.
     """
     part, p, q = state
-    pieces = part.feeds.get(key)
-    for piece in pieces or ():
+    for piece in part.feeds.get(key, ()):
         if p * piece[1] - piece[0] * q >= piece[2] and piece[3] * q - p * piece[4] >= piece[5]:
             return piece
     table, mask, since, pending = net._segments, part.mask, part.since, part.pending
     if table[mask, since, pending] is not part:
         return _segment_feed(net, (table[mask, since, pending], p, q), key)
-    replace = False
-    if pieces is not None:
-        *ends, outcome = symbolic_row(net, mask, since, pending, key, (p, q))[0]
-        ln, ld, ls, hn, hd, hs = ends
-        pn, pd = pieces[0][:2]
-        replace = pieces[0][:3] == pieces[0][3:6] and pn * ld - ln * pd >= ls and hn * pd - pn * hd >= hs
-    else:
-        ends = (p, q, 0, p, q, 0)
-        try:
-            if type(key) is tuple:  # the units, the formal extra symbol, then the drain if a verdict is pending
-                end = state
-                for unit in (*key, net.input_units[0]):
-                    end, settled = advance(net, end, unit)
-                outcome = (advance(net, end, None)[1] if end[0].pending else settled)[-1]
-            else:
-                (cfg, *after), settled = _steps(net, plain_state(state), key)
-                outcome = (cfg[0], *after, settled, cfg[1], 0, cfg[2])
-        except QueryGapError as exc:
-            outcome = str(exc)
-    if not replace:
-        if table.pieces >= TABLE_LIMIT:
-            for each in table.values():  # so no piece stays on a part that a live state still holds
-                each.feeds.clear()
-            table.clear()
-            table.pieces = 0
-        table.pieces += 1
+    *ends, outcome = symbolic_row(net, mask, since, pending, key, (p, q))[0]
+    if table.pieces >= TABLE_LIMIT:
+        for each in table.values():  # so no piece stays on a part that a live state still holds
+            each.feeds.clear()
+        table.clear()
+        table.pieces = 0
+    table.pieces += 1
     if type(outcome) is tuple:
         outcome = (table[outcome[:3]], *outcome[3:])
     piece = (*ends, outcome)
-    pieces = table[mask, since, pending].feeds.setdefault(key, [])
-    if replace:
-        pieces[0] = piece
-    else:
-        pieces.append(piece)
+    table[mask, since, pending].feeds.setdefault(key, []).append(piece)
     return piece
 
 
@@ -469,8 +442,6 @@ def _meet(intervals: Iterable[Sequence[int]]) -> tuple[int, int, int, int, int, 
     """The meet of [0, 1] and the intervals, each given by its first six entries in _step_symbolic's form."""
     ln, ld, ls, hn, hd, hs = _UNIT
     for each in intervals:
-        if each[0] == each[3] and each[1] == each[4]:  # a point (the first miss's piece): nothing narrows it
-            return each[:6]
         c = each[0] * ld - ln * each[1]
         if c > 0 or c == 0 and each[2]:
             ln, ld, ls = each[0], each[1], each[2]

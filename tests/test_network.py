@@ -21,7 +21,6 @@ from anet.network import (
     make_network,
     network_from_text,
     network_to_text,
-    saturation,
     save_network,
 )
 from anet.partition import probe_verdict
@@ -31,6 +30,11 @@ from conftest import make_skeleton_net
 def heaviside(xi: Fraction) -> int:
     """Reference binary activation: fires exactly when the excitation is nonnegative."""
     return 1 if xi >= 0 else 0
+
+
+def saturation(xi: Fraction) -> Fraction:
+    """Reference analog activation: the identity clipped to [0, 1]."""
+    return min(max(xi, Fraction(0)), Fraction(1))
 
 
 def test_heaviside_fires_at_zero():
@@ -192,16 +196,16 @@ def test_constructed_start_hits_the_stepped_piece(monkeypatch):
         state = protocol.advance(net, state, net.input_units[int(sym)])[0]
     stepped, since, pending = protocol.plain_state(state)
     assert (since, pending) == (0, ())  # the state probe_verdict constructs from a start
-    want = protocol.verdict(net, state, "1")  # keeps the probe's point piece at the stepped state
+    want = protocol.verdict(net, state, "1")  # keeps the probe's cell that holds the stepped state
     table = net._segments
     pieces = table.pieces
     start = Configuration(stepped.binary, stepped.analog)
     assert start is not stepped and protocol.make_state(net, start)[0] is state[0]
-    steps = []
-    step = Network.step
-    monkeypatch.setattr(Network, "step", lambda *args: steps.append(args) or step(*args))
+    branches = []
+    step = protocol._step_symbolic
+    monkeypatch.setattr(protocol, "_step_symbolic", lambda *args: branches.append(args) or step(*args))
     assert probe_verdict(net, start, "1") is want
-    assert table.pieces == pieces and not steps  # the same piece served it, with no step
+    assert table.pieces == pieces and not branches  # the same piece served it, with no symbolic step
 
 
 def test_validation_rejects_bad_structure():

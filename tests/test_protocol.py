@@ -487,8 +487,9 @@ def test_pullback_is_the_preimage_of_a_cell(low, high, an, bn, d):
 
 
 def test_gap_violating_feed_raises_again(cut_net):
-    # every time with the same message, which the first miss on each binary
-    # part keeps as its point piece, for a feed and for a probe alike
+    # every time with the same message, which the miss on each key keeps in
+    # the one cell it learns, the one that holds the state's analog value,
+    # for a feed and for a probe alike
     tight = dataclasses.replace(cut_net, delta=2)
     state = _fed(tight, "1")
     messages = set()
@@ -505,7 +506,8 @@ def test_gap_violating_feed_raises_again(cut_net):
     assert tight._segments[part.mask, part.since, part.pending] is part
     zero, one = tight.input_units
     for key in (zero, one, (), (one, zero)):
-        assert part.feeds[key] == [(p, q, 0, p, q, 0, message)]
+        (piece,) = part.feeds[key]
+        assert _holds(piece, F(p, q)) and piece[6] == message
 
 
 def _every_step_net():
@@ -569,10 +571,11 @@ def _count_calls(monkeypatch, owner, name) -> list:
 
 
 def test_enumeration_replays_repeated_feed_states(monkeypatch):
-    # the mod-3 reduction visits a few hundred distinct feed states; without
-    # the segment table this enumeration takes about 19,500 steps
+    # the mod-3 reduction visits a few hundred distinct feed states, each
+    # learned once by stepping its part symbolically, in 866 branches;
+    # without the segment table this enumeration takes about 19,500 steps
     net = _mod3_reduction()
-    calls = _count_calls(monkeypatch, Network, "step")
+    calls = _count_calls(monkeypatch, protocol, "_step_symbolic")
     enumerate_language(net, 12)
     assert len(calls) < 2000
 
@@ -581,53 +584,64 @@ def test_enumeration_step_counts_are_pinned(cut_net, monkeypatch):
     # the walk order, the segment table and the walk's proven cells fix
     # these counts exactly; fresh networks start with an empty table. A
     # lookup is one _segment_feed call: the walk probes each node it walks
-    # and feeds each symbol at an interior one, and the first miss on a
-    # probe key runs the probe's feeds through advance. Only the first miss
-    # on each key of an interned part steps: the cut acceptor's misses fall
-    # on 5 parts, with 10 feed keys and 5 probe keys, whose feeds step 26
-    # times in all; every later miss learns the cell that holds its analog
-    # value, and 12 of those cells replace their key's point piece, so 18
-    # pieces serve the walk. A subtree is shared by the cell proven for it,
-    # so of the acceptor's 16,383 nodes to length 13 the walk probes 83, 67
-    # of them interior: 83 + 2*67 + 5 = 222 lookups. When only exact repeats
-    # of a state shared, 8,190 nodes were walked, with 8,221 advance calls
-    # and 16,427 lookups. The mod-3 reduction's analog value never moves, so
-    # its pieces and cells are points and it shares exact repeats only, as
-    # before: its 101 states fit the walk's record, which is never cleared
+    # and feeds each symbol at an interior one. A walk never calls
+    # Network.step: every miss learns the one cell that holds its analog
+    # value with symbolic_row, and a branch is one _step_symbolic call. The
+    # cut acceptor's misses fall on 5 parts, with 10 feed keys holding 12
+    # cells and 5 probe keys holding 6, 18 misses that step 48 branches in
+    # all. A subtree is shared by the cell proven for it, so of the
+    # acceptor's 16,383 nodes to length 13 the walk probes 66, 56 of them
+    # interior: 66 + 2*56 = 178 lookups. (When each key's first miss stepped
+    # concretely, 26 steps in all, and kept the point piece of its analog
+    # value, those points narrowed the cells: the walk probed 83 nodes and
+    # made 222 lookups.) The mod-3
+    # reduction's analog value never moves, so it shares exact repeats
+    # only: its 101 states fit the walk's record, which is never cleared
     # mid-walk, and the walk probes 252 nodes, 198 of them interior, so 252
-    # + 2*198 + 101 = 749 lookups. Its 101 parts hold 101 probe keys and 200
-    # feed keys with one point piece each, 301 in all, within TABLE_LIMIT,
-    # so the table is never cleared either and every key steps once
+    # + 2*198 = 648 lookups. Its 101 parts hold 101 probe keys and 198 feed
+    # keys with one cell each, 299 in all, within TABLE_LIMIT, so the table
+    # is never cleared either and every key misses once; a probe key's miss
+    # steps its whole chain of feeds symbolically, 902 branches in all.
+    # (When a probe's first miss ran its feeds through advance, they added
+    # 101 lookups and 2 feed keys, and the walk took 602 steps.) Branches,
+    # then lookups
     steps = _count_calls(monkeypatch, Network, "step")
+    branches = _count_calls(monkeypatch, protocol, "_step_symbolic")
     lookups = _count_calls(monkeypatch, protocol, "_segment_feed")
     net = dataclasses.replace(cut_net)
     assert len(enumerate_language(net, 13)) == 8192
-    assert (len(steps), len(lookups)) == (26, 222)
+    assert (len(branches), len(lookups)) == (48, 178)
     assert (len(net._segments), net._segments.pieces) == (5, 18)
     net = _mod3_reduction()  # 113 units
-    steps.clear()
+    branches.clear()
     lookups.clear()
     assert len(enumerate_language(net, 14)) == 30
-    assert (len(steps), len(lookups)) == (602, 749)
-    assert (len(net._segments), net._segments.pieces) == (101, 301)
+    assert (len(branches), len(lookups)) == (902, 648)
+    assert (len(net._segments), net._segments.pieces) == (101, 299)
+    assert not steps
 
 
-@pytest.mark.parametrize("limit, counts", ((1, (6070, 4759)), (512, (211, 675))))
+@pytest.mark.parametrize("limit, counts", ((1, (2539, 1620)), (512, (367, 526))))
 def test_walk_records_outlive_table_clears(cut_net, monkeypatch, limit, counts):
     # enumerating the cut acceptor to each length 0-9, a fresh network each
     # time. A record names its part by (mask, since, pending), so a state
     # still holding a part interned before a clear of the segment table
     # finds the subtrees recorded after it. Under a limit of 1 the table
     # holds one piece and the record one subtree, so nearly every lookup
-    # misses; when the record was keyed on the part itself these walks took
-    # 11,368 steps and 8,883 lookups (and 211 and 2,214 under 512, where
-    # only exact repeats shared). Steps, then lookups
+    # misses; when the record was keyed on the part itself, and first
+    # misses stepped concretely, these walks took 11,368 steps and 8,883
+    # lookups (and 211 and 2,214 under 512, where only exact repeats
+    # shared; 6,070 and 4,759, and 211 and 675, with the record on triples).
+    # Every miss now learns its cell by stepping symbolically, so the walks
+    # make no Network.step call. _step_symbolic branches, then lookups
     want = [enumerate_language(cut_net, n) for n in range(10)]
     monkeypatch.setattr(protocol, "TABLE_LIMIT", limit)
     steps = _count_calls(monkeypatch, Network, "step")
+    branches = _count_calls(monkeypatch, protocol, "_step_symbolic")
     lookups = _count_calls(monkeypatch, protocol, "_segment_feed")
     assert [enumerate_language(dataclasses.replace(cut_net), n) for n in range(10)] == want
-    assert (len(steps), len(lookups)) == counts
+    assert (len(branches), len(lookups)) == counts
+    assert not steps
 
 
 WALKS = pytest.mark.parametrize(
@@ -664,9 +678,10 @@ def test_walk_budget_counts_copied_words(monkeypatch):
     # the walk visits 166 nodes. Each node and each kept word costs its
     # length plus one, so that memory is bounded whatever the length bound;
     # the kept words cost 9,217 and the nodes 1,247, so the walk needs
-    # exactly 10,464. The reduction's analog value never moves, so its cells
-    # are points and it shares exactly the subtrees of repeated states, as
-    # when the record was keyed on whole states: the count did not move
+    # exactly 10,464. The reduction's analog value never moves from 0, so
+    # its cells, each all of [0, 1], share exactly the subtrees of repeated
+    # states, as when the record was keyed on whole states: the count did
+    # not move
     net, everything = _mod3_reduction(), Alphabet.of("ab")
     monkeypatch.setattr(protocol, "WALK_BUDGET", 10463)
     with pytest.raises(ResourceBudgetError):
@@ -676,8 +691,9 @@ def test_walk_budget_counts_copied_words(monkeypatch):
 
 
 def test_enumeration_builds_few_transition_rows(cut_net, monkeypatch):
-    # Network.step asks _row only when the state has no row yet, so on a
-    # concrete enumeration every call builds one
+    # _step_symbolic, like Network.step, asks _row only when the binary
+    # state has no row yet, so every call builds a new one; a walk steps
+    # only symbolically
     built = []
     row = Network._row
 
@@ -688,7 +704,7 @@ def test_enumeration_builds_few_transition_rows(cut_net, monkeypatch):
     monkeypatch.setattr(Network, "_row", counting_row)
     calls = _count_calls(monkeypatch, Network, "step")
     assert len(enumerate_language(dataclasses.replace(cut_net), 13)) == 8192
-    assert len(calls) == 26  # pinned with the reason above
+    assert not calls  # pinned with the reason above
     assert len(built) <= 8 and len(set(built)) == len(built)
 
 
@@ -772,17 +788,16 @@ def _check_segments(net, depth):
         for unit in (*net.input_units, None):
             want = _outcome(protocol._steps, net, state, unit)
             children.append(want)
-            # the first call on a key steps and keeps the point piece of its
-            # analog value, the first one after that whose analog value lies
-            # in no known piece learns the piece that holds it, and from then
-            # on that piece serves the value; a gap-error piece raises the
-            # same error every time
+            # a call whose analog value lies in no known piece of its key
+            # learns the cell that holds it, and from then on that cell
+            # serves the value; a gap-error piece raises the same error
+            # every time
             assert [_outcome(_served, net, state, unit) for _ in range(2)] == [want] * 2
             table = net._segments
             assert table.pieces == _pieces(net) <= limit
             part = table[state[0][0], *state[1:]]
-            # a kept piece holds the state it was learned from, and a cell
-            # replaces the point piece it contains, so one piece holds it
+            # a kept piece holds the state it was learned from, and a key's
+            # cells are cells of one refinement, so one piece holds it
             y = state[0].analog
             (held,) = [piece for piece in part.feeds[unit] if _holds(piece, y)]
             _assert_disjoint(part.feeds[unit])
@@ -859,7 +874,7 @@ def _piece_probe(net, state, units, cleared):
     """protocol.probe's verdict from a plain state, or "gap".
 
     cleared empties the segment table first, as a clear does, so the probe
-    is a first miss.
+    misses and learns its cell into the emptied table.
     """
     if cleared:
         for part in net._segments.values():
@@ -901,7 +916,9 @@ def test_probe_pieces_match_plain_feeds_where_the_gap_falls(memo_nets):
 def test_probe_pieces_survive_cleared_caches(cut_net, monkeypatch):
     # a walk to length 9 meets 512 states of a few binary parts; under a
     # limit of 3 pieces the segment table is cleared mid-walk, and a piece
-    # learned at a clear is kept in the emptied table
+    # learned at a clear is kept in the emptied table. A probe's miss
+    # learns one piece and feeds nothing, so a table emptied before each
+    # probe holds one piece after it and is never cleared by the probe
     for limit in (protocol.TABLE_LIMIT, 3):
         monkeypatch.setattr(protocol, "TABLE_LIMIT", limit)
         for cleared in (False, True):
@@ -914,7 +931,7 @@ def test_probe_pieces_survive_cleared_caches(cut_net, monkeypatch):
                     sizes.append(net._segments.pieces)
                     assert 0 < sizes[-1] <= limit
             if limit == 3:  # a size that drops is a clear
-                assert any(b < a for a, b in zip(sizes, sizes[1:]))
+                assert any(b < a for a, b in zip(sizes, sizes[1:])) != cleared
 
 
 def test_probe_keys_keep_suffixes_apart(cut_net):
@@ -974,11 +991,11 @@ def test_segment_table_keys_hold_no_bit_tuples(cut_net):
 
 def test_first_misses_serve_exact_repeats(monkeypatch):
     # the mod-3 reduction's analog value never moves, so each miss is the
-    # first on its key; it keeps the point piece of that value, which serves
-    # every exact repeat with no Network.step call, from a protocol state
+    # first on its key; it keeps the cell that holds that value, which
+    # serves every exact repeat with no symbolic step, from a protocol state
     # built again by make_state. The table never holds more than its bound
     # of pieces, also under a bound of 64 that clears it mid-walk
-    steps = _count_calls(monkeypatch, Network, "step")
+    steps = _count_calls(monkeypatch, protocol, "_step_symbolic")
     for limit in (protocol.TABLE_LIMIT, 64):
         monkeypatch.setattr(protocol, "TABLE_LIMIT", limit)
         net = _mod3_reduction()

@@ -21,17 +21,17 @@ from the network's segment table, the protocol's only cache, which interns
 the parts: from a part the run is piecewise affine in the analog value, and
 a part keeps per key the pieces learned so far, pairwise disjoint, each
 naming its successor part. Every miss learns the one cell that holds its
-analog value with symbolic_row, which steps the binary part symbolically
-on the stepping loop's clock, so a key's pieces are cells of one
-refinement. The refined partition reads whole rows of the same function. A table of TABLE_LIMIT pieces is cleared, feeds
-first, before it takes a new one. select_words walks the word tree over
-states and keeps the words whose probe outcomes pass a test; within one
-walk, a node copies the words below an earlier node of the same part whose
-proven cell of analog values holds its own, at the same or a smaller
-depth, under the same bound, and the walk's nodes and kept words, each
-weighed by its length plus one, are held to WALK_BUDGET. run_online steps
-every instant past the table and records every configuration, query
-instant and verdict.
+analog value with symbolic_row, which steps the binary part symbolically on
+the stepping loop's clock, so a key's pieces are cells of one refinement.
+The refined partition reads whole rows of the same function. A table of
+TABLE_LIMIT pieces is cleared, feeds first, before it takes a new one.
+select_words walks the word tree over states and keeps the words whose
+probe outcomes pass a test; within one walk, a node copies the words below
+an earlier node of the same part whose proven cell of analog values holds
+its own, at the same or a smaller depth, under the same bound, and the
+walk's nodes and kept words, each weighed by its length plus one, are held
+to WALK_BUDGET. run_online steps every instant past the table and records
+every configuration, query instant and verdict.
 
 Query gaps have one rule. A feed that finds no query instant within the
 declared bound of the previous one raises QueryGapError, and so does a probe

@@ -581,30 +581,28 @@ def test_enumeration_replays_repeated_feed_states(monkeypatch):
 
 
 def test_enumeration_step_counts_are_pinned(cut_net, monkeypatch):
-    # the walk order, the segment table and the walk's proven cells fix
-    # these counts exactly; fresh networks start with an empty table. A
-    # lookup is one _segment_feed call: the walk probes each node it walks
-    # and feeds each symbol at an interior one. A walk never calls
-    # Network.step: every miss learns the one cell that holds its analog
-    # value with symbolic_row, and a branch is one _step_symbolic call. The
-    # cut acceptor's misses fall on 5 parts, with 10 feed keys holding 12
-    # cells and 5 probe keys holding 6, 18 misses that step 48 branches in
-    # all. A subtree is shared by the cell proven for it, so of the
-    # acceptor's 16,383 nodes to length 13 the walk probes 66, 56 of them
-    # interior: 66 + 2*56 = 178 lookups. (When each key's first miss stepped
-    # concretely, 26 steps in all, and kept the point piece of its analog
-    # value, those points narrowed the cells: the walk probed 83 nodes and
-    # made 222 lookups.) The mod-3
-    # reduction's analog value never moves, so it shares exact repeats
-    # only: its 101 states fit the walk's record, which is never cleared
-    # mid-walk, and the walk probes 252 nodes, 198 of them interior, so 252
-    # + 2*198 = 648 lookups. Its 101 parts hold 101 probe keys and 198 feed
-    # keys with one cell each, 299 in all, within TABLE_LIMIT, so the table
-    # is never cleared either and every key misses once; a probe key's miss
-    # steps its whole chain of feeds symbolically, 902 branches in all.
-    # (When a probe's first miss ran its feeds through advance, they added
-    # 101 lookups and 2 feed keys, and the walk took 602 steps.) Branches,
-    # then lookups
+    # the walk order, the segment table and the walk's proven cells fix these
+    # counts exactly; fresh networks start with an empty table. A lookup is
+    # one _segment_feed call: the walk probes each node it walks and feeds
+    # each symbol at an interior one. A walk never calls Network.step: every
+    # miss learns the one cell that holds its analog value with symbolic_row,
+    # and a branch is one _step_symbolic call. The cut acceptor's misses fall
+    # on 5 parts, with 10 feed keys holding 12 cells and 5 probe keys holding
+    # 6, 18 misses that step 48 branches in all. A subtree is shared by the
+    # cell proven for it, so of the acceptor's 16,383 nodes to length 13 the
+    # walk probes 66, 56 of them interior: 66 + 2*56 = 178 lookups. (When each
+    # key's first miss stepped concretely, 26 steps in all, and kept the point
+    # piece of its analog value, those points narrowed the cells: the walk
+    # probed 83 nodes and made 222 lookups.) The mod-3 reduction's analog
+    # value never moves, so it shares exact repeats only: its 101 states fit
+    # the walk's record, which is never cleared mid-walk, and the walk probes
+    # 252 nodes, 198 of them interior, so 252 + 2*198 = 648 lookups. Its 101
+    # parts hold 101 probe keys and 198 feed keys with one cell each, 299 in
+    # all, within TABLE_LIMIT, so the table is never cleared either and every
+    # key misses once; a probe key's miss steps its whole chain of feeds
+    # symbolically, 902 branches in all. (When a probe's first miss ran its
+    # feeds through advance, they added 101 lookups and 2 feed keys, and the
+    # walk took 602 steps.) Branches, then lookups
     steps = _count_calls(monkeypatch, Network, "step")
     branches = _count_calls(monkeypatch, protocol, "_step_symbolic")
     lookups = _count_calls(monkeypatch, protocol, "_segment_feed")

@@ -21,17 +21,19 @@ from the network's segment table, the protocol's only cache, which interns
 the parts: from a part the run is piecewise affine in the analog value, and
 a part keeps per key the pieces learned so far, pairwise disjoint, each
 naming its successor part. Every miss learns the one cell that holds its
-analog value with symbolic_row, which steps the binary part symbolically on
-the stepping loop's clock, so a key's pieces are cells of one refinement.
-The refined partition reads whole rows of the same function. A table of
-TABLE_LIMIT pieces is cleared, feeds first, before it takes a new one.
-select_words walks the word tree over states and keeps the words whose
-probe outcomes pass a test; within one walk, a node copies the words below
-an earlier node of the same part whose proven cell of analog values holds
-its own, at the same or a smaller depth, under the same bound, and the
-walk's nodes and kept words, each weighed by its length plus one, are held
-to WALK_BUDGET. run_online steps every instant past the table and records
-every configuration, query instant and verdict.
+analog value, so a key's pieces are cells of one refinement: a feed's or a
+drain's with symbolic_row, which steps the binary part symbolically on the
+stepping loop's clock, and a probe's as the meet of the feed and drain
+pieces its chain looks up, pulled back through the chain's affine map. The
+refined partition reads whole rows of symbolic_row, probe chains included.
+A table of TABLE_LIMIT pieces is cleared, feeds first, before it takes a
+new one. select_words walks the word tree over states and keeps the words
+whose probe outcomes pass a test; within one walk, a node copies the words
+below an earlier node of the same part whose proven cell of analog values
+holds its own, at the same or a smaller depth, under the same bound, and
+the walk's nodes and kept words, each weighed by its length plus one, are
+held to WALK_BUDGET. run_online steps every instant past the table and
+records every configuration, query instant and verdict.
 
 Query gaps have one rule. A feed that finds no query instant within the
 declared bound of the previous one raises QueryGapError, and so does a probe
@@ -175,8 +177,11 @@ def _segment_feed(net: Network, state: State, key) -> tuple:
     a probe's verdict, or (part, settled, an, bn, d), the feed ending on
     part at (an + bn*y)/d. A miss on a part from before a clear learns into
     the one interned now. Every miss appends to the key's pieces the one
-    cell of symbolic_row that holds y, so they stay disjoint, and a full
-    table is cleared first; the successor is interned after the clear.
+    cell that holds y, so they stay disjoint, and a full table is cleared
+    first; the successor is interned after the clear. A feed's or a drain's
+    cell is symbolic_row's; a probe's is met by _chain_piece from the
+    pieces of its chain, whose own lookups may clear the table, so the
+    piece is kept on the part interned after them.
     """
     part, p, q = state
     for piece in part.feeds.get(key, ()):
@@ -185,7 +190,10 @@ def _segment_feed(net: Network, state: State, key) -> tuple:
     table, mask, since, pending = net._segments, part.mask, part.since, part.pending
     if table[mask, since, pending] is not part:
         return _segment_feed(net, (table[mask, since, pending], p, q), key)
-    *ends, outcome = symbolic_row(net, mask, since, pending, key, (p, q))[0]
+    if type(key) is tuple:
+        *ends, outcome = _chain_piece(net, state, key)
+    else:
+        *ends, outcome = symbolic_row(net, mask, since, pending, key, (p, q))[0]
     if table.pieces >= TABLE_LIMIT:
         for each in table.values():  # so no piece stays on a part that a live state still holds
             each.feeds.clear()
@@ -199,8 +207,39 @@ def _segment_feed(net: Network, state: State, key) -> tuple:
     return piece
 
 
+def _chain_piece(net: Network, state: State, units: tuple[int, ...]) -> tuple:
+    """The probe piece of units that holds state's analog value y, met from the pieces its chain looks up.
+
+    The chain is the units in turn, the formal extra symbol, then the drain,
+    each an ordinary lookup from the state the previous one reached. Each
+    piece is pulled back to y through the chain's map (an + bn*y)/d so far,
+    and bounds nothing once that map is constant. The outcome is the gap
+    message of the first piece that carries one, else the last verdict
+    settled, as in symbolic_row.
+    """
+    cells, an, bn, d, verdict = [], 0, 1, 1, None
+    for unit in (*units, net.input_units[0], None):
+        piece = _segment_feed(net, state, unit)
+        if bn:
+            cells.append(pullback(piece[:6], an, bn, d))
+        outcome = piece[6]
+        if type(outcome) is str:
+            return (*_meet(cells), outcome)
+        _, settled, fn, fb, fd = outcome
+        if settled:
+            verdict = settled[-1]
+        state = _image(outcome, state[1], state[2])
+        an, bn, d = fn * d + fb * an, fb * bn, fd * d
+        g = gcd(an, bn, d)
+        an, bn, d = an // g, bn // g, d // g
+    return (*_meet(cells), verdict)
+
+
 def symbolic_row(net: Network, mask: int, since: int, pending: tuple, key, at: tuple[int, int] | None = None) -> list:
-    """The pieces of key on the binary part (mask, since, pending) over y in [0, 1], which _segment_feed learns.
+    """The pieces of key on the binary part (mask, since, pending) over y in [0, 1].
+
+    _segment_feed learns a feed's or a drain's cells from it; a probe key's
+    whole row is what the refined partition reads.
 
     key is a unit, None (the drain) or a tuple of units (a probe: the units
     in turn, the formal extra symbol, then the drain). The run is stepped on
@@ -361,11 +400,14 @@ def select_words(
     remaining length copies those words under its own prefix, longer ones
     dropped, instead of walking the subtree again. A record is keyed on the
     part's (mask, since, pending), so it outlives a clear of the segment
-    table. A subtree whose walk raised is never recorded. Each node walked
-    and each word kept, copies included, costs its length plus one, so the
-    budget bounds the walk's memory whatever max_len is; a walk whose cost
-    would pass WALK_BUDGET raises ResourceBudgetError, before a copy that
-    would pass it.
+    table. A node that copies from a record with a larger remaining length
+    records its own remaining length, the same cell and the span it just
+    copied, ahead of its part's other records, so later copies scan fewer
+    words they drop. A subtree whose walk raised is never recorded. Each
+    node walked and each word kept, copies included, costs its length plus
+    one, so the budget bounds the walk's memory whatever max_len is; a walk
+    whose cost would pass WALK_BUDGET raises ResourceBudgetError, before a
+    copy that would pass it.
     """
     if max_len < 0:
         raise ValidationError("length bound must be nonnegative, got %d" % max_len)
@@ -411,6 +453,13 @@ def select_words(
                         raise _walk_budget_error(max_len)
                     out.extend(copied)
                     cell = rec[1:7]
+                    if rec[0] > remaining:  # the span just copied serves later copies at most this deep
+                        if recorded >= TABLE_LIMIT:
+                            records.clear()
+                            recorded = 0
+                        mine = (remaining, *cell, len(word), len(out) - len(copied), len(out))
+                        records.setdefault(part.triple, []).insert(0, mine)
+                        recorded += 1
                     break
             else:
                 held, outcomes = [], []

@@ -586,40 +586,46 @@ def test_enumeration_step_counts_are_pinned(cut_net, monkeypatch):
     # one _segment_feed call: the walk probes each node it walks and feeds
     # each symbol at an interior one. A walk never calls Network.step: every
     # miss learns the one cell that holds its analog value with symbolic_row,
-    # and a branch is one _step_symbolic call. The cut acceptor's misses fall
-    # on 5 parts, with 10 feed keys holding 12 cells and 5 probe keys holding
-    # 6, 18 misses that step 48 branches in all. A subtree is shared by the
-    # cell proven for it, so of the acceptor's 16,383 nodes to length 13 the
-    # walk probes 66, 56 of them interior: 66 + 2*56 = 178 lookups. (When each
-    # key's first miss stepped concretely, 26 steps in all, and kept the point
-    # piece of its analog value, those points narrowed the cells: the walk
-    # probed 83 nodes and made 222 lookups.) The mod-3 reduction's analog
-    # value never moves, so it shares exact repeats only: its 101 states fit
-    # the walk's record, which is never cleared mid-walk, and the walk probes
-    # 252 nodes, 198 of them interior, so 252 + 2*198 = 648 lookups. Its 101
-    # parts hold 101 probe keys and 198 feed keys with one cell each, 299 in
-    # all, within TABLE_LIMIT, so the table is never cleared either and every
-    # key misses once; a probe key's miss steps its whole chain of feeds
-    # symbolically, 902 branches in all. (When a probe's first miss ran its
-    # feeds through advance, they added 101 lookups and 2 feed keys, and the
-    # walk took 602 steps.) Branches, then lookups
+    # and a branch is one _step_symbolic call. A probe key's miss is met from
+    # its chain's own lookups, the suffix's feeds, the formal symbol's feed
+    # and the drain, each a lookup that hits or learns its cell. A subtree is
+    # shared by the cell proven for it, so of the cut acceptor's 16,383 nodes
+    # to length 13 the walk probes 66, 56 of them interior: 66 + 2*56 = 178
+    # walk lookups, and its 6 probe misses add 2 lookups each, 190 in all.
+    # The misses fall on 5 parts, with 10 feed keys holding 12 cells, 5 probe
+    # keys holding 6 and 2 drain keys holding 2, 20 pieces learned in 32
+    # branches. (When a probe key's miss stepped its whole chain
+    # symbolically, it made no lookups and learned no drain piece: 18 pieces
+    # in 48 branches and 178 lookups; when first misses stepped concretely
+    # and kept point pieces, those narrowed the cells, and the walk probed 83
+    # nodes in 222 lookups.) The mod-3 reduction's analog value never moves,
+    # so it shares exact repeats only: its 101 states fit the walk's record,
+    # which is never cleared mid-walk, and the walk probes 252 nodes, 198 of
+    # them interior, so 252 + 2*198 = 648 walk lookups, and its 101 probe
+    # misses add 202, 850 in all. Its 101 parts hold 101 probe keys, 200 feed
+    # keys and 50 drain keys with one cell each, 351 in all, within
+    # TABLE_LIMIT, so the table is never cleared either and every key misses
+    # once, in 602 branches. (A probe key's miss that stepped its whole chain
+    # took 902 branches and 648 lookups, with 299 pieces; the first misses
+    # that ran a probe's feeds through advance took 602 steps.) Branches,
+    # then lookups
     steps = _count_calls(monkeypatch, Network, "step")
     branches = _count_calls(monkeypatch, protocol, "_step_symbolic")
     lookups = _count_calls(monkeypatch, protocol, "_segment_feed")
     net = dataclasses.replace(cut_net)
     assert len(enumerate_language(net, 13)) == 8192
-    assert (len(branches), len(lookups)) == (48, 178)
-    assert (len(net._segments), net._segments.pieces) == (5, 18)
+    assert (len(branches), len(lookups)) == (32, 190)
+    assert (len(net._segments), net._segments.pieces) == (5, 20)
     net = _mod3_reduction()  # 113 units
     branches.clear()
     lookups.clear()
     assert len(enumerate_language(net, 14)) == 30
-    assert (len(branches), len(lookups)) == (902, 648)
-    assert (len(net._segments), net._segments.pieces) == (101, 299)
+    assert (len(branches), len(lookups)) == (602, 850)
+    assert (len(net._segments), net._segments.pieces) == (101, 351)
     assert not steps
 
 
-@pytest.mark.parametrize("limit, counts", ((1, (2539, 1620)), (512, (367, 526))))
+@pytest.mark.parametrize("limit, counts", ((1, (2539, 2379)), (512, (250, 628))))
 def test_walk_records_outlive_table_clears(cut_net, monkeypatch, limit, counts):
     # enumerating the cut acceptor to each length 0-9, a fresh network each
     # time. A record names its part by (mask, since, pending), so a state
@@ -631,7 +637,12 @@ def test_walk_records_outlive_table_clears(cut_net, monkeypatch, limit, counts):
     # lookups (and 211 and 2,214 under 512, where only exact repeats
     # shared; 6,070 and 4,759, and 211 and 675, with the record on triples).
     # Every miss now learns its cell by stepping symbolically, so the walks
-    # make no Network.step call. _step_symbolic branches, then lookups
+    # make no Network.step call. A probe key's miss is met from its chain's
+    # own lookups: under 1 each of them misses and steps its feed, as many
+    # branches as stepping the whole chain took (2,539 then too, with 1,620
+    # lookups), and under 512 they mostly hit feeds the walk learned (367
+    # branches and 526 lookups when the chain was stepped whole).
+    # _step_symbolic branches, then lookups
     want = [enumerate_language(cut_net, n) for n in range(10)]
     monkeypatch.setattr(protocol, "TABLE_LIMIT", limit)
     steps = _count_calls(monkeypatch, Network, "step")
@@ -914,22 +925,24 @@ def test_probe_pieces_match_plain_feeds_where_the_gap_falls(memo_nets):
 def test_probe_pieces_survive_cleared_caches(cut_net, monkeypatch):
     # a walk to length 9 meets 512 states of a few binary parts; under a
     # limit of 3 pieces the segment table is cleared mid-walk, and a piece
-    # learned at a clear is kept in the emptied table. A probe's miss
-    # learns one piece and feeds nothing, so a table emptied before each
-    # probe holds one piece after it and is never cleared by the probe
+    # learned at a clear is kept in the emptied table. A probe key's miss
+    # learns the pieces of its chain's feeds and drain, at least two, so
+    # under a limit of 3 the probe's own lookups clear the table, also one
+    # emptied before each probe; under the real limit nothing is cleared
+    clears = _count_calls(monkeypatch, network._Segments, "clear")
     for limit in (protocol.TABLE_LIMIT, 3):
         monkeypatch.setattr(protocol, "TABLE_LIMIT", limit)
         for cleared in (False, True):
             net = dataclasses.replace(cut_net)
             nodes = [state for _, state in _reference_walk(net, 9)]
-            sizes = []
+            by_probes = 0
             for state in nodes:
                 for suffix in ((), (net.input_units[1],), (net.input_units[0], net.input_units[1])):
+                    before = len(clears)
                     assert _piece_probe(net, state, suffix, cleared) == _plain_probe(net, state, suffix)[0]
-                    sizes.append(net._segments.pieces)
-                    assert 0 < sizes[-1] <= limit
-            if limit == 3:  # a size that drops is a clear
-                assert any(b < a for a, b in zip(sizes, sizes[1:])) != cleared
+                    by_probes += len(clears) - before - cleared  # _piece_probe's own clear left out
+                    assert 0 < net._segments.pieces <= limit
+            assert (by_probes > 0) == (limit == 3)
 
 
 def test_probe_keys_keep_suffixes_apart(cut_net):
@@ -950,6 +963,41 @@ def test_probe_keys_keep_suffixes_apart(cut_net):
         assert differ
         feeds = net._segments[start[0][0], *start[1:]].feeds
         assert cleared or all(suffix in feeds for suffix in ((zero, one), (one, zero), (zero,), (one,)))
+
+
+def _rational(piece):
+    """A piece's ends as Fractions with their openness, and its outcome."""
+    ln, ld, ls, hn, hd, hs, outcome = piece
+    return F(ln, ld), ls, F(hn, hd), hs, outcome
+
+
+def test_probe_pieces_are_met_from_their_chains(cut_net, monkeypatch):
+    # a probe key's miss meets the pieces its chain looks up, the suffix's
+    # feeds, the formal symbol's and the drain's, each pulled back through
+    # the chain's map so far, and takes the last verdict settled or the
+    # first gap message. From every state of the walk to length 4, on
+    # make_protocol_net 0-59 (state dependent query gaps, late verdicts) and
+    # five cut acceptors, the piece that serves each key is the cell of its
+    # whole chain stepped symbolically: the same rational ends, the same
+    # openness and the same outcome
+    for net in [*map(make_protocol_net, range(60)), *_cut_acceptor_family(5, 3)]:
+        zero, one = net.input_units
+        for _, (cfg, since, pending) in _reference_walk(net, 4):
+            state = protocol.make_state(net, cfg, since, pending)
+            for key in ((), (zero,), (one,), (one, zero), (zero, one, one)):
+                want = protocol.symbolic_row(net, cfg[0], since, pending, key, (cfg[1], cfg[2]))[0]
+                assert _rational(protocol._segment_feed(net, state, key)) == _rational(want), (net.comment, key)
+    # under a limit of 2 pieces the chain's own lookups clear the table, so
+    # the start's part is stale once the probe is met: its piece is kept on
+    # the part interned now, which the table counts
+    monkeypatch.setattr(protocol, "TABLE_LIMIT", 2)
+    net = dataclasses.replace(cut_net)
+    start = _start(net)
+    piece = protocol._segment_feed(net, start, (net.input_units[1],))
+    table = net._segments
+    assert table.get(start[0].triple) is not start[0] and not start[0].feeds
+    assert table[start[0].triple].feeds == {(net.input_units[1],): [piece]}
+    assert table.pieces == _pieces(net) == 2
 
 
 def test_segment_table_keys_hold_no_bit_tuples(cut_net):

@@ -582,33 +582,32 @@ def test_enumeration_replays_repeated_feed_states(monkeypatch):
 
 def test_enumeration_step_counts_are_pinned(cut_net, monkeypatch):
     # the walk order, the segment table and the walk's proven cells fix these
-    # counts exactly; fresh networks start with an empty table. A lookup is
-    # one _segment_feed call: the walk probes each node it walks and feeds
-    # each symbol at an interior one. A walk never calls Network.step: every
-    # miss learns the one cell that holds its analog value with symbolic_row,
-    # and a branch is one _step_symbolic call. A probe key's miss is met from
-    # its chain's own lookups, the suffix's feeds, the formal symbol's feed
-    # and the drain, each a lookup that hits or learns its cell. A subtree is
-    # shared by the cell proven for it, so of the cut acceptor's 16,383 nodes
-    # to length 13 the walk probes 66, 56 of them interior: 66 + 2*56 = 178
-    # walk lookups, and its 6 probe misses add 2 lookups each, 190 in all.
-    # The misses fall on 5 parts, with 10 feed keys holding 12 cells, 5 probe
-    # keys holding 6 and 2 drain keys holding 2, 20 pieces learned in 32
-    # branches. (When a probe key's miss stepped its whole chain
-    # symbolically, it made no lookups and learned no drain piece: 18 pieces
-    # in 48 branches and 178 lookups; when first misses stepped concretely
-    # and kept point pieces, those narrowed the cells, and the walk probed 83
-    # nodes in 222 lookups.) The mod-3 reduction's analog value never moves,
-    # so it shares exact repeats only: its 101 states fit the walk's record,
-    # which is never cleared mid-walk, and the walk probes 252 nodes, 198 of
-    # them interior, so 252 + 2*198 = 648 walk lookups, and its 101 probe
-    # misses add 202, 850 in all. Its 101 parts hold 101 probe keys, 200 feed
-    # keys and 50 drain keys with one cell each, 351 in all, within
-    # TABLE_LIMIT, so the table is never cleared either and every key misses
-    # once, in 602 branches. (A probe key's miss that stepped its whole chain
-    # took 902 branches and 648 lookups, with 299 pieces; the first misses
-    # that ran a probe's feeds through advance took 602 steps.) Branches,
-    # then lookups
+    # counts exactly; fresh networks start with an empty table. A lookup is one
+    # _segment_feed call: the walk probes each node it walks and feeds each
+    # symbol at an interior one. A walk never calls Network.step: every feed or
+    # drain miss learns the one cell that holds its analog value with
+    # symbolic_row, and a branch is one _step_symbolic call. A probe key's miss
+    # is met from its chain's own lookups, the suffix's feeds, the formal
+    # symbol's feed and the drain, each a lookup that hits or learns its cell. A
+    # subtree is shared by the cell proven for it, so of the cut acceptor's
+    # 16,383 nodes to length 13 the walk probes 66, 56 of them interior: 66 +
+    # 2*56 = 178 walk lookups, and its 6 probe misses add 2 lookups each, 190 in
+    # all. The misses fall on 5 parts, with 10 feed keys holding 12 cells, 5
+    # probe keys holding 6 and 2 drain keys holding 2, 20 pieces learned in 32
+    # branches. (When a probe key's miss stepped its whole chain symbolically, it
+    # made no lookups and learned no drain piece: 18 pieces in 48 branches and
+    # 178 lookups; when first misses stepped concretely and kept point pieces,
+    # those narrowed the cells, and the walk probed 83 nodes in 222 lookups.) The
+    # mod-3 reduction's analog value never moves, so it shares exact repeats
+    # only: its 101 states fit the walk's record, which is never cleared
+    # mid-walk, and the walk probes 252 nodes, 198 of them interior, so 252 +
+    # 2*198 = 648 walk lookups, and its 101 probe misses add 202, 850 in all. Its
+    # 101 parts hold 101 probe keys, 200 feed keys and 50 drain keys with one
+    # cell each, 351 in all, within TABLE_LIMIT, so the table is never cleared
+    # either and every key misses once, in 602 branches. (A probe key's miss that
+    # stepped its whole chain took 902 branches and 648 lookups, with 299 pieces;
+    # the first misses that ran a probe's feeds through advance took 602 steps.)
+    # Branches, then lookups
     steps = _count_calls(monkeypatch, Network, "step")
     branches = _count_calls(monkeypatch, protocol, "_step_symbolic")
     lookups = _count_calls(monkeypatch, protocol, "_segment_feed")

@@ -28,7 +28,7 @@ from anet.errors import AnetError
 from anet.mealy import compile_mealy, machine_from_tsv
 from anet.network import network_to_text
 from anet.partition import build_partition_refined, fire_states
-from anet.protocol import Alphabet, enumerate_language
+from anet.protocol import Alphabet, enumerate_language, run_online, trace_tsv
 from anet.quotient import FIRST_MINUS_SECOND, SECOND_MINUS_FIRST, QuotientSpec, build_quotient_network
 from anet.rationals import format_rational
 from anet.reduction import ReductionSpec, build_reduction
@@ -145,6 +145,19 @@ def languages() -> dict[str, str]:
     }
 
 
+def traces() -> dict[str, str]:
+    """anet trace's text of seeded words of lengths 0, 5, ..., 40 on the cut acceptors and the machines."""
+    rng = random.Random(1503)
+    nets = [(_name(*bt), build_cut_acceptor(cut_params(*bt))) for bt in _cut_bases()]
+    nets += [(name, compile_mealy(machine_from_tsv(tsv))[0]) for name, tsv in _machines()]
+    out = {}
+    for name, net in nets:
+        for n in range(0, 41, 5):
+            word = "".join(rng.choice("01") for _ in range(n))
+            out["%s | %s" % (name, word or "eps")] = _raised(lambda: trace_tsv(run_online(net, word), net))
+    return out
+
+
 FAMILIES = {
     "cut acceptor texts": cut_acceptor_texts,
     "compiled machine texts": compiled_machine_texts,
@@ -152,6 +165,7 @@ FAMILIES = {
     "fire states and refined pairs": fire_states_and_refined_pairs,
     "reduction texts": reduction_texts,
     "languages": languages,
+    "traces": traces,
 }
 
 

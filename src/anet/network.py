@@ -191,32 +191,10 @@ class Network:
         inputs_next gives the clamped states of the input units at the new
         instant (one-hot symbol code at a query instant); input units not
         listed, or all of them when inputs_next is None, are forced to zero.
+        The update is _step_symbolic's on the constant branch of cfg.
         """
-        state, p, q = cfg
-        try:
-            mask, tests, c_s, a_s, scale = self._rows[state]
-        except KeyError:
-            mask, tests, c_s, a_s, scale = self._row(state)
-        for bit, c, a in tests:  # with analog value p/q, excitation times L_j * q
-            if c * q + a * p >= 0:
-                mask |= bit
-        if inputs_next:
-            for u, v in inputs_next.items():
-                if u not in self.input_units:
-                    raise ValidationError("unit %d is not an input unit" % u)
-                if v:
-                    mask |= 1 << (u - 1)
-
-        g = gcd(a_s, q)  # gcd(p, q) = 1, so gcd(num, q) = gcd(a_s, q)
-        num, den = (c_s * q + a_s * p) // g, q // g
-        if num <= 0:
-            num, den = 0, 1
-        elif num >= scale * den:
-            num, den = 1, 1
-        else:  # num is now coprime to den, so only the small scale shares factors
-            g = gcd(num, scale)
-            num, den = num // g, scale // g * den
-        return tuple.__new__(Configuration, (mask, num, den))
+        ((_, mask, p, _, q),) = _step_symbolic(self, (_UNIT, cfg[0], cfg[1], 0, cfg[2]), inputs_next)
+        return tuple.__new__(Configuration, (mask, p, q))
 
     def analog_texts(self, configs: Iterable[Configuration]) -> Iterator[str]:
         """format_rational's text of each configuration's analog value, in time linear in its length.
@@ -225,7 +203,8 @@ class Network:
         step's analog update produces from the row before is rendered by that
         update's own small-integer operations, applied to the previous row's
         p and q held as integer-valued Decimals, whose str() is linear and has
-        no digit limit; any change to the update in step must be mirrored
+        no digit limit. They mirror _step_symbolic's update of a constant
+        branch (bn = 0), which step runs; any change to it must be mirrored
         here. Each row is first checked against the integer update of the row
         before. A row that update does not produce (the first, or any row
         when another network ran the configurations) is rendered by
@@ -363,10 +342,11 @@ class _StepPlan:
 # With the binary state fixed a step is affine in the analog value, so a run
 # from an unknown analog value y in [0, 1] can be followed exactly: the analog
 # value stays (an + bn*y)/d on a piece of the y range, and a piece splits where
-# a tested unit's excitation or the analog unit's saturation changes sign. The
-# fire-state search and protocol.symbolic_row, which serves both the refined
-# partition and the protocol's segment table, step through _step_symbolic, on
-# integers only:
+# a tested unit's excitation or the analog unit's saturation changes sign.
+# _step_symbolic is the one step update, on integers only: Network.step is its
+# constant branch (bn = 0, piece [0, 1]), and the fire-state search and
+# protocol.symbolic_row, which serves both the refined partition and the
+# protocol's segment table, step through it from y in [0, 1]:
 #
 # - a piece is (ln, ld, ls, hn, hd, hs), the interval from ln/ld to hn/hd with
 #   ld, hd > 0, ls and hs 1 at an open end and 0 at a closed one, so y = p/q
@@ -438,23 +418,26 @@ def _step_symbolic(net, br: tuple, clamp) -> list[tuple]:
     piece splits on the half-line where a tested unit fires, and on those
     where the analog unit saturates at 0 (n + m*y <= 0) and at 1 (n + m*y >=
     L_s*d). A successor's piece has a new end only where such a half-line cut
-    its piece in two.
+    its piece in two. clamp maps input units to their states, as Network.step's
+    inputs_next, and may be None.
     """
     piece, bits, an, bn, d = br
-    try:  # read like Network.step: _row is called only to build a missing row
+    try:  # _row is called only to build a missing row
         fixed, tests, c_s, w, scale = net._rows[bits]
     except KeyError:
         fixed, tests, c_s, w, scale = net._row(bits)
-    for u, v in clamp.items():
-        if u not in net.input_units:
-            raise ValidationError("unit %d is not an input unit" % u)
-        fixed |= v << (u - 1)
-    parts: list[tuple[tuple, int]] = [(piece, fixed)]
+    if clamp:
+        for u, v in clamp.items():
+            if u not in net.input_units:
+                raise ValidationError("unit %d is not an input unit" % u)
+            if v:
+                fixed |= 1 << (u - 1)
+    parts: list[tuple[tuple, int]] = [(piece, 0)]  # the tested bits each part adds to fixed
     for bit, c, a in tests:
         n, m = c * d + a * an, a * bn
         if m == 0:
             if n >= 0:
-                parts = [(part, mask | bit) for part, mask in parts]
+                fixed |= bit
             continue
         fire = _line(n, m, -1)
         split: list[tuple[tuple, int]] = []
@@ -466,21 +449,25 @@ def _step_symbolic(net, br: tuple, clamp) -> list[tuple]:
                 split.append((part, mask | bit if on is not None else mask))
         parts = split
 
-    n, m, den = c_s * d + w * an, w * bn, scale * d
-    if m == 0:
+    n, m = c_s * d + w * an, w * bn
+    if m == 0:  # gcd(n, d) = gcd(w, d): an/d is in lowest terms when bn is 0, and n = c_s*d when w is 0
+        g = gcd(w, d)
+        n, d = n // g, d // g
         if n <= 0:
-            n, den = 0, 1
-        elif n >= den:
-            n, den = 1, 1
-        else:
-            g = gcd(n, den)
-            n, den = n // g, den // g
-        return [(part, mask, n, 0, den) for part, mask in parts]
+            n, d = 0, 1
+        elif n >= scale * d:
+            n, d = 1, 1
+        else:  # n is now coprime to d, so only the small scale shares factors
+            g = gcd(n, scale)
+            n, d = n // g, scale // g * d
+        return [(part, fixed | mask, n, 0, d) for part, mask in parts]
+    den = scale * d
     dead_line, full_line = _line(n, m, 1), _line(n - den, m, -1)
     g = gcd(n, m, den)
     mid_n, mid_m, mid_d = n // g, m // g, den // g
     successors: list[tuple] = []
     for part, mask in parts:
+        mask |= fixed
         dead, rest = _split(part, dead_line)
         full, mid = _split(rest, full_line) if rest is not None else (None, None)
         if dead is not None:

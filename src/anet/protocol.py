@@ -215,24 +215,27 @@ def _chain_piece(net: Network, state: State, units: tuple[int, ...]) -> tuple:
     piece is pulled back to y through the chain's map (an + bn*y)/d so far,
     and bounds nothing once that map is constant. The outcome is the gap
     message of the first piece that carries one, else the last verdict
-    settled, as in symbolic_row.
+    settled, as in symbolic_row, and the met ends are in lowest terms, as
+    symbolic_row's are.
     """
-    cells, an, bn, d, verdict = [], 0, 1, 1, None
+    cells, an, bn, d, outcome = [], 0, 1, 1, None
     for unit in (*units, net.input_units[0], None):
         piece = _segment_feed(net, state, unit)
         if bn:
             cells.append(pullback(piece[:6], an, bn, d))
-        outcome = piece[6]
-        if type(outcome) is str:
-            return (*_meet(cells), outcome)
-        _, settled, fn, fb, fd = outcome
+        if type(piece[6]) is str:
+            outcome = piece[6]
+            break
+        _, settled, fn, fb, fd = piece[6]
         if settled:
-            verdict = settled[-1]
-        state = _image(outcome, state[1], state[2])
+            outcome = settled[-1]
+        state = _image(piece[6], state[1], state[2])
         an, bn, d = fn * d + fb * an, fb * bn, fd * d
         g = gcd(an, bn, d)
         an, bn, d = an // g, bn // g, d // g
-    return (*_meet(cells), verdict)
+    ln, ld, ls, hn, hd, hs = _meet(cells)
+    g, h = gcd(ln, ld), gcd(hn, hd)  # pullback's ends are not in lowest terms
+    return ln // g, ld // g, ls, hn // h, hd // h, hs, outcome
 
 
 def symbolic_row(net: Network, mask: int, since: int, pending: tuple, key, at: tuple[int, int] | None = None) -> list:

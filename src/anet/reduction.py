@@ -365,6 +365,8 @@ def load_reduction_spec(path: str) -> ReductionSpec:
     if missing:
         raise ValidationError("%s: missing keys %s" % (path, ", ".join(missing)))
     inner_path = fields["inner"]
+    if "\0" in inner_path:  # open() would raise ValueError
+        raise ValidationError("%s: inner path %r holds a NUL byte" % (path, inner_path[:40]))
     if not os.path.isabs(inner_path):
         inner_path = os.path.join(os.path.dirname(os.path.abspath(path)), inner_path)
     inner = load_network_path(inner_path)

@@ -325,8 +325,22 @@ def assert_canonical(x):
 def test_sparse_and_dense_steps_agree(case):
     net, cfg, clamp = case
     got = net.step(cfg, clamp)
-    assert got == step_dense(net, cfg, clamp)
+    want = step_dense(net, cfg, clamp)
+    assert got == want
     assert_canonical(got.analog)
+    # the identity branch y over [0, 1]: the successor whose piece holds cfg's
+    # value steps it like step_dense, and every successor keeps the kernel's
+    # invariant d > 0 and gcd(an, bn, d) = 1, which its constant path relies on
+    y, successors = cfg.analog, network._step_symbolic(net, (network._UNIT, cfg[0], 0, 1, 1), clamp)
+    held = [
+        (mask, Fraction(an, d) + Fraction(bn, d) * y)
+        for (ln, ld, ls, hn, hd, hs), mask, an, bn, d in successors
+        if (Fraction(ln, ld) < y or Fraction(ln, ld) == y and not ls)
+        and (y < Fraction(hn, hd) or y == Fraction(hn, hd) and not hs)
+    ]
+    assert held == [(want[0], want.analog)]
+    for _, _, an, bn, d in successors:
+        assert d > 0 and gcd(an, bn, d) == 1
 
 
 @given(nets_and_states(), st.lists(st.tuples(st.booleans(), wide_analog), min_size=6, max_size=10))

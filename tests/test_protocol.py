@@ -964,12 +964,6 @@ def test_probe_keys_keep_suffixes_apart(cut_net):
         assert cleared or all(suffix in feeds for suffix in ((zero, one), (one, zero), (zero,), (one,)))
 
 
-def _rational(piece):
-    """A piece's ends as Fractions with their openness, and its outcome."""
-    ln, ld, ls, hn, hd, hs, outcome = piece
-    return F(ln, ld), ls, F(hn, hd), hs, outcome
-
-
 def test_probe_pieces_are_met_from_their_chains(cut_net, monkeypatch):
     # a probe key's miss meets the pieces its chain looks up, the suffix's
     # feeds, the formal symbol's and the drain's, each pulled back through
@@ -977,15 +971,15 @@ def test_probe_pieces_are_met_from_their_chains(cut_net, monkeypatch):
     # first gap message. From every state of the walk to length 4, on
     # make_protocol_net 0-59 (state dependent query gaps, late verdicts) and
     # five cut acceptors, the piece that serves each key is the cell of its
-    # whole chain stepped symbolically: the same rational ends, the same
-    # openness and the same outcome
+    # whole chain stepped symbolically: the same integer ends, in lowest
+    # terms as symbolic_row's, the same openness and the same outcome
     for net in [*map(make_protocol_net, range(60)), *_cut_acceptor_family(5, 3)]:
         zero, one = net.input_units
         for _, (cfg, since, pending) in _reference_walk(net, 4):
             state = protocol.make_state(net, cfg, since, pending)
             for key in ((), (zero,), (one,), (one, zero), (zero, one, one)):
                 want = protocol.symbolic_row(net, cfg[0], since, pending, key, (cfg[1], cfg[2]))[0]
-                assert _rational(protocol._segment_feed(net, state, key)) == _rational(want), (net.comment, key)
+                assert protocol._segment_feed(net, state, key) == want, (net.comment, key)
     # under a limit of 2 pieces the chain's own lookups clear the table, so
     # the start's part is stale once the probe is met: its piece is kept on
     # the part interned now, which the table counts

@@ -1,12 +1,19 @@
+import contextlib
 import dataclasses
+import io
+import os
 import random
+import tempfile
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from anet.cutlang import build_cut_acceptor, cut_params, reversal_member
-from anet.errors import ValidationError
+from anet.cli import main
+from anet.errors import AnetError, QueryGapError, ResourceBudgetError, UsageError, ValidationError
 from anet.mealy import MealyMachine, compile_mealy, machine_from_tsv, run_mealy
+from anet.network import network_to_text
 from anet.protocol import Alphabet, accepts, enumerate_language, run_online
 from anet.reduction import (
     INIT,
@@ -19,6 +26,7 @@ from anet.reduction import (
     pad_words,
     word_scheme,
 )
+from test_acceptance import MOD3_TSV
 from test_cutlang import beta_value_by_fractions
 
 ALL_TSV = "A\t0\tA\t-\t1\nA\t1\tA\t-\t1\n"
@@ -294,3 +302,63 @@ def test_readme_spec_example_loads(tmp_path):
     p.write_text(example)
     spec = load_reduction_spec(str(p))
     assert spec.words == ("0000",) * 5 and spec.alphabet == Alphabet.of("01")
+
+
+# -- mutated reduction specs: each builds, or ends with the README's exit code
+
+MOD3_INNER_TEXT = network_to_text(compile_mealy(machine_from_tsv(MOD3_TSV))[0])
+MOD3_SPEC = ("inner = inner.anet", "v1 = aaaa", "v2 = aaaa", "v3 = bbbb", "v4 = bbbb", "v5 = bbbb", "alphabet = ab")
+spec_key = st.sampled_from(("inner", "v1", "v5", "alphabet", "v6", "Inner", "", "# v1", "inner = x"))
+spec_value = st.one_of(
+    st.sampled_from(("", "a", "ab", "ba", "abc", "aa", "b" * 12, "inner.anet", "missing.anet", ".", "/", "mod3.spec")),
+    st.text(alphabet="ab01=#. /\x00", max_size=6),
+)
+README_EXIT_CODES = ((UsageError, 1), (ValidationError, 2), (ResourceBudgetError, 3), (QueryGapError, 4), (OSError, 1))
+
+
+@st.composite
+def mutated_mod3_specs(draw) -> str:
+    """Criterion 7's mod-3 spec after one to three line mutations."""
+    lines = list(MOD3_SPEC)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        k = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        kind = draw(st.sampled_from(("key", "value", "drop", "duplicate", "truncate")))
+        key, _, value = lines[k].partition(" = ")
+        if kind == "key":
+            lines[k] = "%s = %s" % (draw(spec_key), value)
+        elif kind == "value":
+            lines[k] = "%s = %s" % (key, draw(spec_value))
+        elif kind == "drop":
+            del lines[k]
+            if not lines:
+                break
+        elif kind == "duplicate":
+            lines.insert(k, lines[k])
+        else:
+            lines[k] = lines[k][: draw(st.integers(min_value=0, max_value=len(lines[k])))]
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_mod3_specs())
+@example("".join(line + "\n" for line in MOD3_SPEC))
+@example("".join(line + "\n" for line in MOD3_SPEC).replace("inner.anet", "in\0ner.anet"))
+def test_mutated_reduction_specs_build_or_exit_with_their_code(text):
+    # unknown, repeated or missing keys, bad inner paths, multi-character or
+    # empty alphabets and empty words: the spec builds, or anet reduce ends
+    # with one error line and the README's exit code for what was raised
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, out = os.path.join(tmp, "mod3.spec"), os.path.join(tmp, "out.anet")
+        with open(os.path.join(tmp, "inner.anet"), "w", encoding="utf-8") as fp:
+            fp.write(MOD3_INNER_TEXT)
+        with open(spec, "w", encoding="utf-8") as fp:
+            fp.write(text)
+        try:
+            build_reduction(load_reduction_spec(spec))
+            want = 0
+        except (AnetError, OSError) as exc:
+            want = next(code for kind, code in README_EXIT_CODES if isinstance(exc, kind))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(["reduce", spec, out]) == want
+        assert err.getvalue().startswith("error: ") == (want != 0) and err.getvalue().count("\n") == (want != 0)

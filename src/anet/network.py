@@ -39,7 +39,6 @@ ROW_CACHE_BITS = 2**20
 # since Decimal operators use the thread's context, 28 digits by default.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX)  # with the default traps
 _EXACT.traps[Inexact] = _EXACT.traps[Rounded] = True
-_D0, _D1 = Decimal(0), Decimal(1)
 
 
 class Configuration(tuple):
@@ -199,52 +198,36 @@ class Network:
     def analog_texts(self, configs: Iterable[Configuration]) -> Iterator[str]:
         """format_rational's text of each configuration's analog value, in time linear in its length.
 
-        str() of an int takes time quadratic in its digits. So a row that
-        step's analog update produces from the row before is rendered by that
-        update's own small-integer operations, applied to the previous row's
-        p and q held as integer-valued Decimals, whose str() is linear and has
-        no digit limit. They mirror _step_symbolic's update of a constant
-        branch (bn = 0), which step runs; any change to it must be mirrored
-        here. Each row is first checked against the integer update of the row
-        before. A row that update does not produce (the first, or any row
-        when another network ran the configurations) is rendered by
+        str() of an int takes time quadratic in its digits. So a row p/q after
+        a row pp/pq of this network's size is checked against the previous
+        binary state's transition row (c_s, a_s, L_s): with g = L_s*pq // q,
+        q*g == L_s*pq and p*g == c_s*pq + a_s*pp say that p/q is the unclamped
+        update of pp/pq. Such a row is rendered from pp and pq held as
+        integer-valued Decimals, whose str() is linear and has no digit limit:
+        they advance to ((pq*c_s + pp*a_s)/g, pq*L_s/g), which are p and q. A
+        row 0 or 1 is printed as is. Any other row is rendered by
         format_rational, which may raise DigitLimitError, and the Decimals
         restart from its value.
         """
         ctx, prev, dec = _EXACT, None, None  # dec: prev's p and q as Decimals, built when needed
         for cfg in configs:
-            mask, p, q = cfg
+            _, p, q = cfg
             text = None
-            if prev is not None and prev[0].bit_length() == self.size:  # a state of this network's size
+            if q == 1:
+                text, dec = str(p), (Decimal(p), Decimal(1))
+            elif prev is not None and prev[0].bit_length() == self.size:  # a state of this network's size
                 state, pp, pq = prev
                 try:
                     _, _, c_s, a_s, scale = self._rows[state]
                 except KeyError:
                     _, _, c_s, a_s, scale = self._row(state)
-                g1 = gcd(a_s, pq)
-                num, den = c_s * pq + a_s * pp, pq
-                if g1 != 1:
-                    num, den = num // g1, den // g1
-                if num <= 0:
-                    stepped, stepped_dec = (0, 1), (_D0, _D1)
-                elif num >= scale * den:
-                    stepped, stepped_dec = (1, 1), (_D1, _D1)
-                else:
-                    g2 = gcd(num, scale)
-                    if g2 != 1:
-                        num //= g2
-                    stepped, stepped_dec = (num, scale // g2 * den), None
-                if (p, q) == stepped:
-                    if stepped_dec is None:
-                        dp, dq = dec or (Decimal(pp), Decimal(pq))
-                        dp = ctx.add(ctx.multiply(dq, c_s), ctx.multiply(dp, a_s))
-                        if g1 != 1:
-                            dp, dq = ctx.divide_int(dp, g1), ctx.divide_int(dq, g1)
-                        if g2 != 1:
-                            dp = ctx.divide_int(dp, g2)
-                        stepped_dec = dp, ctx.multiply(dq, scale // g2)
-                    dec = stepped_dec
-                    text = "%s/%s" % dec if q != 1 else str(dec[0])
+                whole = scale * pq
+                g = whole // q
+                if q * g == whole and p * g == c_s * pq + a_s * pp:
+                    dp, dq = dec or (Decimal(pp), Decimal(pq))
+                    dp = ctx.divide_int(ctx.add(ctx.multiply(dq, c_s), ctx.multiply(dp, a_s)), g)
+                    dec = dp, ctx.divide_int(ctx.multiply(dq, scale), g)
+                    text = "%s/%s" % dec
             if text is None:
                 text, dec = format_rational(cfg.analog), None
             prev = cfg

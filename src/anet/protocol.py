@@ -216,7 +216,7 @@ def _chain_piece(net: Network, state: State, units: tuple[int, ...]) -> tuple:
     and bounds nothing once that map is constant. The outcome is the gap
     message of the first piece that carries one, else the last verdict
     settled, as in symbolic_row, and the met ends are in lowest terms, as
-    symbolic_row's are.
+    pullback's and symbolic_row's are.
     """
     cells, an, bn, d, outcome = [], 0, 1, 1, None
     for unit in (*units, net.input_units[0], None):
@@ -233,9 +233,7 @@ def _chain_piece(net: Network, state: State, units: tuple[int, ...]) -> tuple:
         an, bn, d = fn * d + fb * an, fb * bn, fd * d
         g = gcd(an, bn, d)
         an, bn, d = an // g, bn // g, d // g
-    ln, ld, ls, hn, hd, hs = _meet(cells)
-    g, h = gcd(ln, ld), gcd(hn, hd)  # pullback's ends are not in lowest terms
-    return ln // g, ld // g, ls, hn // h, hd // h, hs, outcome
+    return (*_meet(cells), outcome)
 
 
 def symbolic_row(net: Network, mask: int, since: int, pending: tuple, key, at: tuple[int, int] | None = None) -> list:
@@ -514,11 +512,17 @@ def _within(inner: Sequence[int], outer: Sequence[int]) -> bool:
 
 
 def pullback(cell: Sequence[int], an: int, bn: int, d: int) -> tuple[int, ...]:
-    """The interval of y whose image (an + bn*y)/d lies in cell, both in _step_symbolic's form; bn != 0."""
+    """The interval of y whose image (an + bn*y)/d lies in cell, both in _step_symbolic's form; bn != 0.
+
+    Its ends are in lowest terms, one gcd each.
+    """
     ln, ld, ls, hn, hd, hs = cell
     if bn > 0:
-        return ln * d - an * ld, bn * ld, ls, hn * d - an * hd, bn * hd, hs
-    return an * hd - hn * d, -bn * hd, hs, an * ld - ln * d, -bn * ld, ls
+        ln, ld, hn, hd = ln * d - an * ld, bn * ld, hn * d - an * hd, bn * hd
+    else:
+        ln, ld, ls, hn, hd, hs = an * hd - hn * d, -bn * hd, hs, an * ld - ln * d, -bn * ld, ls
+    g, h = gcd(ln, ld), gcd(hn, hd)
+    return ln // g, ld // g, ls, hn // h, hd // h, hs
 
 
 def _walk_budget_error(max_len: int) -> ResourceBudgetError:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,16 @@ from anet.network import Network, make_network
 def all_words(symbols, length: int) -> list[str]:
     """Every word of the given length over symbols, in the order of the symbols."""
     return ["".join(w) for w in itertools.product(symbols, repeat=length)]
+
+
+def _at_digit_limit(limit, fn):
+    """fn() with Python's int-to-str digit limit set to limit (0 lifts it), restored after."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        return fn()
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def make_skeleton_net(seed: int, max_size: int = 6) -> Network:

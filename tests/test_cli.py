@@ -6,20 +6,29 @@ code contract: 0 success, 1 usage, 2 validation, 3 budget, 4 query gap.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import inspect
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import anet
+from anet import errors
 from anet.cli import main
+from anet.errors import AnetError
 from anet.network import NETWORK_DELAY_LIMIT, load_network_path, make_network, save_network_path
-from anet.protocol import enumerate_language
+from anet.protocol import Alphabet, enumerate_language, run_online, trace_tsv
+from conftest import _at_digit_limit
+from test_network import CUT_LINES, mutated_cut_files
+from test_reduction import README_EXIT_CODES
 
 PARITY_TSV = "e\t0\te\t-\t1\ne\t1\to\t-\t1\no\t0\to\t-\t0\no\t1\te\t-\t0\n"
 ACCEPT_ALL_TSV = "s\t0\ts\t-\t1\ns\t1\ts\t-\t1\n"
@@ -258,16 +267,6 @@ def test_rational_past_digit_limit_exits_two(tmp_path, capsys):
     rc = main(["build-cut", "9" * 5000, "1/4", str(tmp_path / "x.anet")])
     assert rc == 2
     assert "ValidationError" in capsys.readouterr().err
-
-
-def _at_digit_limit(limit, fn):
-    """fn() with Python's int-to-str digit limit lowered to limit, restored after."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        return fn()
-    finally:
-        sys.set_int_max_str_digits(old)
 
 
 def test_values_past_the_print_digit_limit_exit_three(cut_path, tmp_path, capsys):
@@ -513,3 +512,49 @@ def test_missing_file_exits_one(tmp_path, capsys):
 def test_exports_are_names_not_submodules():
     assert "enumerate_language" in anet.__all__
     assert [n for n in anet.__all__ if inspect.ismodule(getattr(anet, n))] == []
+
+
+# -- anet trace on fuzzed argv: the trace, or one error line and the README's exit code
+
+trace_words = st.one_of(
+    st.sampled_from(("eps", "", "101", "1" * 12, "10\x00", "e\u0301")),
+    st.text(alphabet="01ab2 \x00\xe9\u0301\U0001f642", max_size=8),
+)
+# repeated symbols, a symbol of two code points that reads as one, the wrong size
+trace_alphabets = st.one_of(st.none(), st.sampled_from(("01", "10", "ab", "a\u0301", "00", "aa", "0", "012", "", "\x00")))
+trace_nets = st.one_of(st.sampled_from((None, "missing", "directory")), mutated_cut_files(most=1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(trace_nets, trace_words, trace_alphabets)
+@example(None, "101", None)
+@example(None, "a\u0301a", "a\u0301")
+@example("directory", "101", "00")
+@example("\n".join(CUT_LINES).replace("delta 3", "delta 2"), "10", None)  # a query gap, exit 4
+@example("\n".join(CUT_LINES).replace("delta 3", "delta 65537"), "10", None)  # over budget, exit 3
+def test_fuzzed_trace_argv_prints_the_trace_or_one_error_line(net, word, alphabet):
+    # net is the acceptor's file (None), a missing path, a directory, or the
+    # file with one line mutated; the run never ends in a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cut.anet")
+        if net == "directory":
+            os.mkdir(path)
+        elif net != "missing":
+            with open(path, "w", encoding="utf-8") as fp:
+                fp.write(net or "\n".join(CUT_LINES))
+        try:
+            loaded = load_network_path(path)
+            alpha = None if alphabet is None else Alphabet.of(alphabet)
+            want = trace_tsv(run_online(loaded, "" if word == "eps" else word, alpha), loaded)
+        except (AnetError, OSError):
+            want = None
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["trace", path, word] + ([] if alphabet is None else ["--alphabet", alphabet]))
+    if want is not None:
+        assert (code, out.getvalue(), err.getvalue()) == (0, want, "")
+        return
+    assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+    prefix, name, _ = err.getvalue().split(": ", 2)
+    kind = OSError if name == "OSError" else getattr(errors, name)
+    assert prefix == "error" and code == next(c for k, c in README_EXIT_CODES if issubclass(kind, k))

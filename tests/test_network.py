@@ -6,6 +6,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,7 +25,8 @@ from anet.network import (
     save_network,
 )
 from anet.partition import probe_verdict
-from conftest import make_skeleton_net
+from anet.rationals import format_rational
+from conftest import _at_digit_limit, make_skeleton_net
 
 
 def heaviside(xi: Fraction) -> int:
@@ -411,6 +413,67 @@ def test_long_cut_run_agrees_with_dense_steps():
     assert cfg.analog.denominator.bit_length() > 150
 
 
+# -- analog_texts: rows checked against the update, never recomputed --------
+
+walk_move = st.tuples(st.sampled_from(("step", "jump", "other net")), st.booleans(), wide_analog)
+# y' = sat(3y/2 - x_2 - 1/10): it climbs to 1 from 1/3, and an input drops it to 0
+_CLAMPING = make_network(
+    3, (2,), nxt=1, out=1, delta=1, weights=[(3, 3, Fraction(3, 2)), (3, 2, -1), (3, 0, Fraction(-1, 10))]
+)
+_NEGATIVE_WIDE = make_network(
+    3, (2,), nxt=1, out=1, delta=1, weights=[(3, 3, Fraction(-7, 5)), (3, 2, Fraction(1, 999983)), (3, 0, Fraction(9, 10))]
+)
+
+
+@given(nets_and_states(), nets_and_states(), st.lists(walk_move, min_size=6, max_size=12))
+@example(
+    (_CLAMPING, Configuration((1, 0), Fraction(1, 3)), None),
+    (_NEGATIVE_WIDE, Configuration((1, 1), Fraction(1, 3)), None),
+    [("step", False, 0)] * 5 + [("step", True, 0)] * 3 + [("other net", False, 0), ("step", False, 0)] * 2,
+)
+@settings(max_examples=60, deadline=None)
+def test_analog_texts_render_stepped_rows_from_the_row_before(case, second, walk):
+    # a row the walk stepped from the row before it never goes through
+    # format_rational; a jump to another value or a row of a second network
+    # may, and every text is str() of its value
+    net, cfg, clamp = case
+    other_net, other, _ = second
+    rows, stepped = [cfg], set()
+    for move, clamped, value in walk:
+        if move == "other net":
+            other = other_net.step(other)
+            rows.append(other)
+            continue
+        if move == "step":
+            if rows[-1] is cfg:
+                stepped.add(len(rows))
+            cfg = net.step(cfg, clamp)
+        else:
+            cfg = Configuration(cfg.binary, value)
+        rows.append(cfg)
+        clamp = {2: 1} if clamped else None
+    calls, texts, fell = [], [], set()
+    with mock.patch.object(network, "format_rational", lambda x: calls.append(x) or format_rational(x)):
+        for k, text in enumerate(net.analog_texts(rows)):
+            texts.append(text)
+            if calls:
+                fell.add(k)
+                calls.clear()
+    assert texts == _at_digit_limit(0, lambda: [str(row.analog) for row in rows])
+    assert not stepped & fell
+
+
+@pytest.mark.parametrize("row", [Fraction(1, 5), Fraction(5, 6)], ids=["denominator", "numerator"])
+def test_analog_texts_render_a_row_off_the_update_alone(row):
+    # from (0, 0) at y = 1/3, _tiny_net's update is 2/12 = 1/6: c_s = 0,
+    # a_s = 2, L_s = 4, so g = 2. The row 1/5 has g = 12 // 5 = 2 and p*g = 2
+    # but q*g != 12; the row 5/6 has q*g = 12 but p*g != 2. A check without
+    # the one clause it fails would print 1/6 for it
+    net, start = _tiny_net(), Configuration((0, 0), Fraction(1, 3))
+    assert net.step(start).analog == Fraction(1, 6)
+    assert list(net.analog_texts([start, Configuration((1, 0), row)])) == ["1/3", str(row)]
+
+
 def test_weights_are_read_only():
     net = _tiny_net()
     with pytest.raises(TypeError):
@@ -512,10 +575,10 @@ field_text = st.one_of(
 
 
 @st.composite
-def mutated_cut_files(draw) -> str:
-    """The 27/8, 1/4 acceptor's file after one to three line mutations."""
+def mutated_cut_files(draw, most: int = 3) -> str:
+    """The 27/8, 1/4 acceptor's file after one to most line mutations."""
     lines = list(CUT_LINES)
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+    for _ in range(draw(st.integers(min_value=1, max_value=most))):
         k = draw(st.integers(min_value=0, max_value=len(lines) - 1))
         kind = draw(st.sampled_from(("replace", "drop", "duplicate", "truncate")))
         if kind == "replace":

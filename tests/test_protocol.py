@@ -31,8 +31,7 @@ from anet.quotient import (
 )
 from anet.rationals import format_rational
 from anet.reduction import ReductionSpec, build_reduction
-from conftest import all_words, make_protocol_net, make_skeleton_net
-from test_cli import _at_digit_limit
+from conftest import _at_digit_limit, all_words, make_protocol_net, make_skeleton_net
 
 # state evolution of the threshold-reversal acceptor for base 27/8 at 1/4 on
 # the word 101, frozen from an independent hand simulation; columns y_1..y_8.
@@ -144,8 +143,8 @@ def test_analog_column_matches_str_of_every_value(cut_net, monkeypatch):
         assert _at_digit_limit(0, lambda: _analog_column(trace_tsv(trace, net))) == want, name
         if name.startswith("other"):  # rows the recurrence does not produce are rendered alone
             assert len(fallbacks) > 1, name
-        else:
-            assert len(fallbacks) == 1, name  # the first row
+        else:  # each run starts at y = 0, and a row 0 or 1 is printed as is
+            assert not fallbacks, name
 
 
 def test_trace_past_the_digit_limit_is_refused_before_rendering(cut_net, monkeypatch):
@@ -477,10 +476,12 @@ _ENDS = st.tuples(st.integers(-9, 9), st.integers(1, 9), st.integers(0, 1))
 @given(_ENDS, _ENDS, st.integers(-9, 9), st.integers(-9, 9).filter(bool), st.integers(1, 9))
 @settings(max_examples=200, deadline=None)
 def test_pullback_is_the_preimage_of_a_cell(low, high, an, bn, d):
-    # y lies in the pulled-back interval exactly when (an + bn*y)/d lies in
-    # the cell, at every sixth from -3 to 3 and at the preimages of the ends
+    # y lies in the pulled-back interval, whose ends are in lowest terms,
+    # exactly when (an + bn*y)/d lies in the cell, at every sixth from -3 to
+    # 3 and at the preimages of the ends
     cell = (*low, *high)
     back = protocol.pullback(cell, an, bn, d)
+    assert gcd(back[0], back[1]) == gcd(back[3], back[4]) == 1 and back[1] > 0 and back[4] > 0  # lowest terms
     ends = (F(low[0], low[1]), F(high[0], high[1]))
     for y in {F(k, 6) for k in range(-18, 19)} | {(e * d - an) / bn for e in ends}:
         assert _holds((*back, None), y) == _holds((*cell, None), (an + bn * y) / d)

@@ -481,7 +481,7 @@ def test_pullback_is_the_preimage_of_a_cell(low, high, an, bn, d):
     # 3 and at the preimages of the ends
     cell = (*low, *high)
     back = protocol.pullback(cell, an, bn, d)
-    assert gcd(back[0], back[1]) == gcd(back[3], back[4]) == 1 and back[1] > 0 and back[4] > 0  # lowest terms
+    assert gcd(back[0], back[1]) == gcd(back[3], back[4]) == 1 and back[1] > 0 and back[4] > 0
     ends = (F(low[0], low[1]), F(high[0], high[1]))
     for y in {F(k, 6) for k in range(-18, 19)} | {(e * d - an) / bn for e in ends}:
         assert _holds((*back, None), y) == _holds((*cell, None), (an + bn * y) / d)

@@ -27,12 +27,12 @@ from anet.cutlang import build_cut_acceptor, cut_params
 from anet.errors import AnetError
 from anet.mealy import compile_mealy, machine_from_tsv
 from anet.network import network_to_text
-from anet.partition import build_partition_refined, fire_states
+from anet.partition import build_partition_exhaustive, build_partition_refined, extrapolation_table, fire_states
 from anet.protocol import Alphabet, enumerate_language, run_online, trace_tsv
 from anet.quotient import FIRST_MINUS_SECOND, SECOND_MINUS_FIRST, QuotientSpec, build_quotient_network
 from anet.rationals import format_rational
 from anet.reduction import ReductionSpec, build_reduction
-from conftest import make_protocol_net
+from conftest import make_protocol_net, make_skeleton_net
 
 CORPUS = Path(__file__).with_name("corpus.json")
 
@@ -158,6 +158,36 @@ def traces() -> dict[str, str]:
     return out
 
 
+def _tables(net, res, words) -> str:
+    """res's pairs, then per word the word and its table rows as bits, interval index and verdict."""
+    lines = [" ".join("%s,%d" % (format_rational(p.a), p.b) for p in res.pairs)]
+    for word in words:
+        lines.append(word)
+        rows = sorted(extrapolation_table(net, res, word).rows.items())
+        lines += ["%s %d %d" % ("".join(map(str, bits)), idx, v) for (bits, idx), v in rows]
+    return "\n".join(lines)
+
+
+def extrapolation_tables() -> dict[str, str]:
+    """make_skeleton_net 0-59, refined over 0 and 00 and exhaustive at horizon 2 for 0; make_protocol_net
+    0-59, refined from the fire states over 1 and 01."""
+    out = {}
+    for seed in range(60):
+        net = make_skeleton_net(seed)
+        out["skeleton net %d | refined 0,00" % seed] = _raised(
+            lambda: _tables(net, build_partition_refined(net, ("0", "00")), ("0", "00"))
+        )
+        out["skeleton net %d | exhaustive 2" % seed] = _raised(
+            lambda: _tables(net, build_partition_exhaustive(net, 2), ("0",))
+        )
+    for seed in range(60):
+        net = make_protocol_net(seed)
+        out["protocol net %d | refined 1,01" % seed] = _raised(
+            lambda: _tables(net, build_partition_refined(net, ("1", "01"), starts=fire_states(net)), ("1", "01"))
+        )
+    return out
+
+
 FAMILIES = {
     "cut acceptor texts": cut_acceptor_texts,
     "compiled machine texts": compiled_machine_texts,
@@ -166,6 +196,7 @@ FAMILIES = {
     "reduction texts": reduction_texts,
     "languages": languages,
     "traces": traces,
+    "extrapolation tables": extrapolation_tables,
 }
 
 

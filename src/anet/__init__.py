@@ -62,7 +62,6 @@ from .partition import (
     build_partition_refined,
     endpoint_bound,
     extrapolation_table,
-    probe_verdict,
 )
 from .quotient import (
     FIRST_MINUS_SECOND,

@@ -15,7 +15,9 @@ value against a threshold.
 Each result records what it covers, and extrapolation tables admit only
 covered words: a refined result covers exactly the words it replayed, from
 its starts, in its alphabet; an exhaustive one covers every start and every
-word with delta * (len(word) + 1) + output_delay <= horizon.
+word with delta * (len(word) + 1) + output_delay <= horizon. A table reads
+its verdicts off the word's full symbolic rows, as the refined replay does,
+and refuses an interval on which they disagree.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import QueryGapError, ResourceBudgetError, ValidationError
-from .network import _UNIT, Configuration, Network, _step_symbolic, pack, unpack
+from .errors import ResourceBudgetError, ValidationError
+from .network import _UNIT, Network, _step_symbolic, pack, unpack
 from . import protocol
-from .protocol import Alphabet, make_state, resolve_alphabet, suffix_units, symbolic_row, verdict
+from .protocol import Alphabet, resolve_alphabet, suffix_units, symbolic_row
 from .rationals import (
     CORNER_PAIRS,
     ONE,
@@ -147,11 +149,7 @@ def build_partition_exhaustive(net: Network, horizon: int) -> PartitionResult:
 
 
 def _clip(v: Fraction) -> Fraction:
-    if v < ZERO:
-        return ZERO
-    if v > ONE:
-        return ONE
-    return v
+    return min(max(v, ZERO), ONE)
 
 
 def _finish(pairs: set[HalfLinePair], method: str, **cover) -> PartitionResult:
@@ -267,13 +265,12 @@ class ExtrapolationTable:
 def extrapolation_table(net: Network, result: PartitionResult, word: str) -> ExtrapolationTable:
     """Tabulate the word's verdict from every covered start and every interval.
 
-    The result must cover the word, or ValidationError is raised: a refined
-    result covers exactly the words it replayed, an exhaustive one every word
-    with delta * (len(word) + 1) + output_delay <= horizon. Rows run over
-    result.starts and read the word in result.alphabet; each replays the
-    online run from the interval's representative point. Runs that violate
-    the query gap bound count as rejecting; the partition construction keeps
-    that uniform within an interval.
+    The result must cover the word, as the module docstring says, or
+    ValidationError is raised. From each of result.starts the word, read in
+    result.alphabet, steps one full protocol.symbolic_row, whose pieces tile
+    [0, 1] as the intervals do; one merge by high ends finds the pieces that
+    meet each interval, which must share an outcome (a query gap rejects),
+    or ValidationError names the word, the start and the interval.
     """
     if result.words is not None and word not in result.words:
         raise ValidationError("word %r is not among the replayed words %r" % (word, result.words))
@@ -283,19 +280,19 @@ def extrapolation_table(net: Network, result: PartitionResult, word: str) -> Ext
             "word %r needs horizon %d, partition was built for horizon %d" % (word, need, result.horizon)
         )
     part = result.partition
-    reps = [iv.representative() for iv in part.intervals]
+    ends = [(iv.hi, -(not iv.hi_closed)) for iv in part.intervals]  # an open end v- before a closed v
     rows: dict[tuple[tuple[int, ...], int], bool] = {}
-    for bits in _admit_starts(net, result.starts, len(reps), "intervals"):
-        for idx, rep in enumerate(reps):
-            rows[(bits, idx)] = probe_verdict(net, Configuration(bits, rep), word, result.alphabet)
+    for bits in _admit_starts(net, result.starts, len(ends), "intervals"):
+        row = symbolic_row(net, pack(bits), 0, (), suffix_units(net, word, result.alphabet))
+        pieces = sorted(((Fraction(hn, hd), -hs), outcome is True) for *_, hn, hd, hs, outcome in row)
+        k = 0
+        for idx, end in enumerate(ends):
+            seen = {pieces[k][1]}
+            while pieces[k][0] < end:  # the piece ends inside the interval, so the next one meets it
+                k += 1
+                seen.add(pieces[k][1])
+            if len(seen) > 1:
+                raise ValidationError("word %r from %s: verdicts differ on %s" % (word, bits, part.intervals[idx]))
+            rows[(bits, idx)] = seen.pop()
+            k += pieces[k][0] == end
     return ExtrapolationTable(word=word, partition=part, rows=rows)
-
-
-def probe_verdict(
-    net: Network, start: Configuration, word: str, alphabet: Alphabet | None = None
-) -> bool:
-    """Online verdict of word from an arbitrary start; gap violations reject."""
-    try:
-        return verdict(net, make_state(net, start), word, resolve_alphabet(net, alphabet))
-    except QueryGapError:
-        return False

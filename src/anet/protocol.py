@@ -25,7 +25,8 @@ analog value, so a key's pieces are cells of one refinement: a feed's or a
 drain's with symbolic_row, which steps the binary part symbolically on the
 stepping loop's clock, and a probe's as the meet of the feed and drain
 pieces its chain looks up, pulled back through the chain's affine map. The
-refined partition reads whole rows of symbolic_row, probe chains included.
+refined partition and its extrapolation tables read whole rows of
+symbolic_row, probe chains included, and never the segment table.
 A table of TABLE_LIMIT pieces is cleared, feeds first, before it takes a
 new one. select_words walks the word tree over states and keeps the words
 whose probe outcomes pass a test; within one walk, a node copies the words
@@ -42,7 +43,7 @@ that raises it. Whether a feed raises depends only on the state, never on
 the symbol.
 enumerate_language, compare_languages, accepts and run_online pass the error
 on (the CLI exits with code 4); the brute-force quotient oracle and
-partition.probe_verdict count it as a rejection.
+partition.extrapolation_table count it as a rejection.
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ def symbolic_row(net: Network, mask: int, since: int, pending: tuple, key, at: t
     """The pieces of key on the binary part (mask, since, pending) over y in [0, 1].
 
     _segment_feed learns a feed's or a drain's cells from it; a probe key's
-    whole row is what the refined partition reads.
+    whole row is what the refined partition and its tables read.
 
     key is a unit, None (the drain) or a tuple of units (a probe: the units
     in turn, the formal extra symbol, then the drain). The run is stepped on

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from anet.network import Network, make_network
+from anet.errors import QueryGapError
+from anet.network import Configuration, Network, make_network
+from anet.protocol import Alphabet, make_state, resolve_alphabet, verdict
 
 
 def all_words(symbols, length: int) -> list[str]:
@@ -21,6 +23,18 @@ def _at_digit_limit(limit, fn):
         return fn()
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def probe_verdict(net: Network, start: Configuration, word: str, alphabet: Alphabet | None = None) -> bool:
+    """Online verdict of word from an arbitrary start; gap violations reject.
+
+    The reference that extrapolation tables, which read verdicts off symbolic
+    rows, are checked against: one probe through the segment table.
+    """
+    try:
+        return verdict(net, make_state(net, start), word, resolve_alphabet(net, alphabet))
+    except QueryGapError:
+        return False
 
 
 def make_skeleton_net(seed: int, max_size: int = 6) -> Network:

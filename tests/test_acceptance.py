@@ -15,7 +15,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import conftest
-from conftest import make_skeleton_net
+from conftest import make_skeleton_net, probe_verdict
 from test_protocol import GOLDEN_ROWS
 
 from anet.cutlang import (
@@ -32,7 +32,6 @@ from anet.partition import (
     build_partition_exhaustive,
     build_partition_refined,
     extrapolation_table,
-    probe_verdict,
 )
 from anet.protocol import Alphabet, enumerate_language, run_online
 from anet.quotient import (

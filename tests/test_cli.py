@@ -558,3 +558,88 @@ def test_fuzzed_trace_argv_prints_the_trace_or_one_error_line(net, word, alphabe
     prefix, name, _ = err.getvalue().split(": ", 2)
     kind = OSError if name == "OSError" else getattr(errors, name)
     assert prefix == "error" and code == next(c for k, c in README_EXIT_CODES if issubclass(kind, k))
+
+
+# -- anet partition and anet quotient on fuzzed argv: the output, or one error line and the README's exit code
+
+argv_words = st.one_of(
+    st.lists(st.text(alphabet="01", max_size=3), min_size=1, max_size=2).map(",".join),
+    st.sampled_from(("eps", "", "2", "a", "eps,01", ",", "0,,1", "1,eps,1", "-1")),
+    st.lists(st.text(alphabet="01ab2\x00\xe9", max_size=3), max_size=3).map(",".join),
+)
+# each argument is as often well formed as fuzzed, so that some calls get past the usage checks
+fuzz_nets = st.one_of(st.none(), trace_nets)
+fuzz_alphabets = st.one_of(st.sampled_from((None, "01", "ab")), trace_alphabets)
+methods_and_horizons = st.one_of(
+    st.sampled_from(((None, None), ("refined", None), ("exhaustive", "1"), ("exhaustive", "2"))),
+    st.tuples(
+        st.sampled_from((None, "refined", "exhaustive", "symbolic", "")),
+        st.sampled_from((None, "1", "2", "3", "0", "-1", "x", "", str(10**12))),
+    ),
+)
+suffixes = st.one_of(st.text(alphabet="01", min_size=1, max_size=2), argv_words)
+modes = st.one_of(
+    st.sampled_from(("second-minus-first", "first-minus-second")),
+    st.sampled_from((None, "second_minus_first", "", "both")),
+)
+
+
+def _one_call(net, argv_of) -> tuple[int, str, str, str]:
+    """main(argv_of(net path, out path)) with net written as trace's fuzz does: code, stdout, stderr, out path."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out_path = os.path.join(tmp, "cut.anet"), os.path.join(tmp, "q.anet")
+        if net == "directory":
+            os.mkdir(path)
+        elif net != "missing":
+            with open(path, "w", encoding="utf-8") as fp:
+                fp.write(net or "\n".join(CUT_LINES))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv_of(path, out_path))
+        wrote = os.path.isfile(out_path)
+    return code, out.getvalue(), err.getvalue(), wrote
+
+
+def _assert_output_or_one_error_line(code, out, err, head):
+    if code == 0:
+        assert out.startswith(head) and err == ""
+        return
+    assert out == "" and err.count("\n") == 1
+    prefix, name, _ = err.split(": ", 2)
+    kind = OSError if name == "OSError" else getattr(errors, name)
+    assert prefix == "error" and code == next(c for k, c in README_EXIT_CODES if issubclass(kind, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fuzz_nets, methods_and_horizons, st.one_of(st.none(), argv_words), fuzz_alphabets)
+@example(None, ("exhaustive", "2"), None, None)
+@example(None, (None, None), "eps,01", "ab")
+@example(None, (None, None), "2", None)  # a foreign symbol, exit 2
+@example(None, (None, "2"), None, None)  # a horizon for the refined method, exit 1
+@example("\n".join(CUT_LINES).replace("delta 3", "delta 65537"), (None, None), None, None)  # over budget, exit 3
+def test_fuzzed_partition_argv_prints_the_partition_or_one_error_line(net, method_horizon, words, alphabet):
+    method, horizon = method_horizon
+
+    def argv(path, _):
+        flags = [("--method", method), ("--words", words), ("--alphabet", alphabet)]
+        return ["partition", path] + [horizon] * (horizon is not None) + [a for f in flags if f[1] is not None for a in f]
+
+    code, out, err, _ = _one_call(net, argv)
+    _assert_output_or_one_error_line(code, out, err, "method: ")
+
+
+@settings(max_examples=40, deadline=None)
+@given(fuzz_nets, suffixes, suffixes, modes, fuzz_alphabets)
+@example(None, "1", "01", "second-minus-first", None)
+@example(None, "eps", "0", "first-minus-second", "ab")
+@example(None, "1", "1", None, None)  # --mode is required, exit 1
+@example(None, "2", "1", "second-minus-first", None)  # a foreign symbol, exit 2
+@example("\n".join(CUT_LINES).replace("delta 3", "delta 2"), "1", "0", "second-minus-first", None)  # a query gap
+def test_fuzzed_quotient_argv_writes_the_network_or_prints_one_error_line(net, first, second, mode, alphabet):
+    def argv(path, out_path):
+        flags = [("--mode", mode), ("--alphabet", alphabet)]
+        return ["quotient", path, first, second, out_path] + [a for f in flags if f[1] is not None for a in f]
+
+    code, out, err, wrote = _one_call(net, argv)
+    _assert_output_or_one_error_line(code, out, err, "wrote ")
+    assert wrote == (code == 0)

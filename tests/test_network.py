@@ -24,9 +24,8 @@ from anet.network import (
     network_to_text,
     save_network,
 )
-from anet.partition import probe_verdict
 from anet.rationals import format_rational
-from conftest import _at_digit_limit, make_skeleton_net
+from conftest import _at_digit_limit, make_skeleton_net, probe_verdict
 
 
 def heaviside(xi: Fraction) -> int:

@@ -18,12 +18,11 @@ from anet.partition import (
     endpoint_bound,
     extrapolation_table,
     pivot,
-    probe_verdict,
 )
 from anet.protocol import Alphabet
-from anet.rationals import HalfLinePair, Interval
+from anet.rationals import CORNER_PAIRS, HalfLinePair, Interval, partition_from_pairs
 from anet.reduction import ReductionSpec, build_reduction
-from conftest import make_skeleton_net
+from conftest import make_protocol_net, make_skeleton_net, probe_verdict
 from test_acceptance import MOD3_TSV
 
 
@@ -350,6 +349,65 @@ def test_admitted_table_rows_are_constant(seed, delay, lengths, horizon):
                     extrapolation_table(net, res, word)
                 continue
             _assert_rows_constant(net, res, extrapolation_table(net, res, word), rng)
+
+
+def _assert_rows_probe(net, res, table):
+    """Every row of table agrees with probe_verdict at its interval's representative and closed ends."""
+    for (bits, idx), verdict in table.rows.items():
+        iv = res.partition.intervals[idx]
+        for y in [iv.representative()] + [iv.lo] * iv.lo_closed + [iv.hi] * iv.hi_closed:
+            assert probe_verdict(net, Configuration(bits, y), table.word, res.alphabet) == verdict, (bits, idx, y)
+
+
+def test_table_refuses_a_partition_missing_an_endpoint(cut_net):
+    # dropping an interior pair merges two intervals; where a start's verdict
+    # differs between them, the row read off the pieces is refused, not sampled
+    res = build_partition_refined(cut_net, ("0", "1"))
+    refused = []
+    for drop in (p for p in res.pairs if p not in CORNER_PAIRS):
+        pairs = tuple(p for p in res.pairs if p != drop)
+        coarse = dataclasses.replace(res, partition=partition_from_pairs(pairs), pairs=pairs)
+        try:
+            tables = [extrapolation_table(cut_net, coarse, word) for word in ("0", "1")]
+        except ValidationError as exc:
+            assert str(exc).startswith(("word '0' from (", "word '1' from (")), exc
+            refused.append(drop.a)
+            continue
+        for table in tables:
+            _assert_rows_probe(cut_net, coarse, table)
+    assert refused == [F(323, 1152), F(19, 32), F(57, 64)]
+
+
+def test_tables_step_rows_without_the_segment_table(cut_net, monkeypatch):
+    net = make_skeleton_net(11)
+    results = [(cut_net, build_partition_refined(cut_net, ("0", "1"))), (net, build_partition_exhaustive(net, 2))]
+    want = [extrapolation_table(net, res, "0").rows for net, res in results]
+
+    def no_lookup(*args):
+        raise AssertionError("a table looked up the segment table")
+
+    monkeypatch.setattr(protocol, "_segment_feed", no_lookup)
+    assert [extrapolation_table(net, res, "0").rows for net, res in results] == want
+
+
+def test_fire_state_tables_match_probes_across_gap_pieces():
+    # the skeleton nets query every step, so only these rows hold gap pieces
+    met_gap = []
+
+    @given(seed=st.integers(0, 199), words=st.sets(st.text("01", max_size=3), min_size=1, max_size=3))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def check(seed, words):
+        net = make_protocol_net(seed)
+        starts = partition.fire_states(net)
+        res = build_partition_refined(net, words, starts=starts)
+        for word in words:
+            _assert_rows_probe(net, res, extrapolation_table(net, res, word))
+            units = protocol.suffix_units(net, word)
+            rows = [protocol.symbolic_row(net, network.pack(bits), 0, (), units) for bits in starts]
+            met_gap.extend(piece for row in rows for piece in row if type(piece[6]) is str)
+
+    check()
+    assert met_gap
 
 
 def test_probe_verdict_scores_gap_violations_false():

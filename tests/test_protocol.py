@@ -11,7 +11,7 @@ from anet.cutlang import build_cut_acceptor, cut_params
 from anet.errors import DigitLimitError, QueryGapError, ResourceBudgetError, ValidationError
 from anet.mealy import compile_mealy, machine_from_tsv
 from anet.network import Configuration, Network, make_network, unpack
-from anet.partition import build_partition_refined, fire_states, probe_verdict
+from anet.partition import build_partition_refined, fire_states
 from anet.protocol import (
     Alphabet,
     accepts,
@@ -31,7 +31,7 @@ from anet.quotient import (
 )
 from anet.rationals import format_rational
 from anet.reduction import ReductionSpec, build_reduction
-from conftest import _at_digit_limit, all_words, make_protocol_net, make_skeleton_net
+from conftest import _at_digit_limit, all_words, make_protocol_net, make_skeleton_net, probe_verdict
 
 # state evolution of the threshold-reversal acceptor for base 27/8 at 1/4 on
 # the word 101, frozen from an independent hand simulation; columns y_1..y_8.

@@ -149,7 +149,11 @@ def build_partition_exhaustive(net: Network, horizon: int) -> PartitionResult:
 
 
 def _clip(v: Fraction) -> Fraction:
-    return min(max(v, ZERO), ONE)
+    if v < ZERO:
+        return ZERO
+    if v > ONE:
+        return ONE
+    return v
 
 
 def _finish(pairs: set[HalfLinePair], method: str, **cover) -> PartitionResult:

@@ -25,8 +25,7 @@ analog value, so a key's pieces are cells of one refinement: a feed's or a
 drain's with symbolic_row, which steps the binary part symbolically on the
 stepping loop's clock, and a probe's as the meet of the feed and drain
 pieces its chain looks up, pulled back through the chain's affine map. The
-refined partition and its extrapolation tables read whole rows of
-symbolic_row, probe chains included, and never the segment table.
+refined partition and its tables read whole probe rows of symbolic_row.
 A table of TABLE_LIMIT pieces is cleared, feeds first, before it takes a
 new one. select_words walks the word tree over states and keeps the words
 whose probe outcomes pass a test; within one walk, a node copies the words

@@ -391,7 +391,7 @@ def test_tables_step_rows_without_the_segment_table(cut_net, monkeypatch):
 
 
 def test_fire_state_tables_match_probes_across_gap_pieces():
-    # the skeleton nets query every step, so only these rows hold gap pieces
+    # the skeleton nets query every step and never meet a query gap; these nets do
     met_gap = []
 
     @given(seed=st.integers(0, 199), words=st.sets(st.text("01", max_size=3), min_size=1, max_size=3))

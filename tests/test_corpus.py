@@ -14,7 +14,9 @@ and says which family moved and why.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 from fractions import Fraction as F
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from anet.cli import _cmd_qp, build_parser
 from anet.cutlang import build_cut_acceptor, cut_params
 from anet.errors import AnetError
 from anet.mealy import compile_mealy, machine_from_tsv
@@ -188,6 +191,20 @@ def extrapolation_tables() -> dict[str, str]:
     return out
 
 
+def qp_outputs() -> dict[str, str]:
+    """anet qp's stdout at the default depth for the cut pairs, and for two pairs near its bounds."""
+    pairs = [(format_rational(b), format_rational(t)) for b, t in _cut_bases()]
+    pairs += [("2305843009213693952/2305843009213693951", "1/3"), ("9/8", "2/3")]
+
+    def text(base, threshold):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _cmd_qp(build_parser().parse_args(["qp", base, threshold]))
+        return out.getvalue()
+
+    return {"qp %s %s" % pair: _raised(lambda: text(*pair)) for pair in pairs}
+
+
 FAMILIES = {
     "cut acceptor texts": cut_acceptor_texts,
     "compiled machine texts": compiled_machine_texts,
@@ -197,6 +214,7 @@ FAMILIES = {
     "languages": languages,
     "traces": traces,
     "extrapolation tables": extrapolation_tables,
+    "qp outputs": qp_outputs,
 }
 
 

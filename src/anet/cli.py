@@ -62,6 +62,12 @@ def _max_len(text: str) -> int:
     return n
 
 
+def _path(text: str) -> str:
+    if "\0" in text:  # open() would raise ValueError, not OSError
+        raise argparse.ArgumentTypeError("path %r holds a NUL byte" % text)
+    return text
+
+
 def _show_word(word: str) -> str:
     return word if word else "eps"
 
@@ -239,19 +245,19 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("run", _cmd_run, "feed a word and print every prefix verdict")
-    p.add_argument("net")
+    p.add_argument("net", type=_path)
     p.add_argument("word", help="input word, or eps for the empty word")
     p.add_argument("--alphabet")
 
     p = add("trace", _cmd_trace, "feed a word and print the full state trace as TSV")
-    p.add_argument("net")
+    p.add_argument("net", type=_path)
     p.add_argument("word")
     p.add_argument("--alphabet")
 
     p = add("build-cut", _cmd_build_cut, "build the threshold-reversal acceptor")
     p.add_argument("base")
     p.add_argument("threshold")
-    p.add_argument("out")
+    p.add_argument("out", type=_path)
 
     p = add("qp", _cmd_qp, "classify the threshold's remainder orbit")
     p.add_argument("base")
@@ -259,17 +265,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=64)
 
     p = add("partition", _cmd_partition, "build an analog-state interval partition")
-    p.add_argument("net")
+    p.add_argument("net", type=_path)
     p.add_argument("horizon", type=int, nargs="?", help="steps covered; exhaustive method only")
     p.add_argument("--method", choices=("exhaustive", "refined"), default="refined")
     p.add_argument("--words", help="comma separated probe words for the refined method")
     p.add_argument("--alphabet")
 
     p = add("quotient", _cmd_quotient, "build a suffix-quotient difference network")
-    p.add_argument("net")
+    p.add_argument("net", type=_path)
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("out")
+    p.add_argument("out", type=_path)
     p.add_argument(
         "--mode",
         required=True,
@@ -278,21 +284,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet")
 
     p = add("compile-fa", _cmd_compile_fa, "compile a transition table into a network")
-    p.add_argument("tsv")
-    p.add_argument("out")
+    p.add_argument("tsv", type=_path)
+    p.add_argument("out", type=_path)
 
     p = add("reduce", _cmd_reduce, "wrap an inner acceptor in the two-letter front end")
-    p.add_argument("spec")
-    p.add_argument("out")
+    p.add_argument("spec", type=_path)
+    p.add_argument("out", type=_path)
 
     p = add("enum", _cmd_enum, "print all accepted words up to a length")
-    p.add_argument("net")
+    p.add_argument("net", type=_path)
     p.add_argument("max_len", type=_max_len)
     p.add_argument("--alphabet")
 
     p = add("compare", _cmd_compare, "compare two accepted languages up to a length")
-    p.add_argument("net1")
-    p.add_argument("net2")
+    p.add_argument("net1", type=_path)
+    p.add_argument("net2", type=_path)
     p.add_argument("max_len", type=_max_len)
     p.add_argument("--alphabet")
 

@@ -23,7 +23,7 @@ a part keeps per key the pieces learned so far, pairwise disjoint, each
 naming its successor part. Every miss learns the one cell that holds its
 analog value, so a key's pieces are cells of one refinement: a feed's or a
 drain's with symbolic_row, which steps the binary part symbolically on the
-stepping loop's clock, and a probe's as the meet of the feed and drain
+protocol clock, _tick, and a probe's as the meet of the feed and drain
 pieces its chain looks up, pulled back through the chain's affine map. The
 refined partition and its tables read whole probe rows of symbolic_row.
 A table of TABLE_LIMIT pieces is cleared, feeds first, before it takes a
@@ -32,8 +32,9 @@ whose probe outcomes pass a test; within one walk, a node copies the words
 below an earlier node of the same part whose proven cell of analog values
 holds its own, at the same or a smaller depth, under the same bound, and
 the walk's nodes and kept words, each weighed by its length plus one, are
-held to WALK_BUDGET. run_online steps every instant past the table and
-records every configuration, query instant and verdict.
+held to WALK_BUDGET. run_online steps every instant past the table, on the
+same clock with Network.step, and records every configuration, query
+instant and verdict.
 
 Query gaps have one rule. A feed that finds no query instant within the
 declared bound of the previous one raises QueryGapError, and so does a probe
@@ -244,17 +245,17 @@ def symbolic_row(net: Network, mask: int, since: int, pending: tuple, key, at: t
 
     key is a unit, None (the drain) or a tuple of units (a probe: the units
     in turn, the formal extra symbol, then the drain). The run is stepped on
-    network._step_symbolic from y in [0, 1] with _steps' clock, each branch
-    carrying its since, pending, settled verdicts and the feed it is in, so
-    a branch ends where a concrete run from a y in its piece ends: past the
-    query gap bound, at the last feed's query instant, or once the drain has
-    no verdict pending. at = (p, q) keeps at each step only the successor
-    whose piece holds p/q, so the row is the one piece that holds it; a full
-    row (at None) that steps more than ENDPOINT_BUDGET branches is refused.
+    network._step_symbolic from y in [0, 1], one _tick per branch, each
+    branch carrying its since, pending, settled verdicts and the feed it is
+    in, so a branch ends where run_online's run from a y in its piece ends:
+    past the query gap bound, at the last feed's query instant, or once the
+    drain has no verdict pending. at = (p, q) keeps at each step only the
+    successor whose piece holds p/q, so the row is the one piece that holds
+    it; a full row (at None) that steps more than ENDPOINT_BUDGET branches
+    is refused.
     A feed's outcome names its successor part by (mask, since, pending).
     """
     feeds = (*key, net.input_units[0], None) if type(key) is tuple else (key,)
-    nxt, out = net.nxt - 1, net.out - 1
     stack = [((_UNIT, mask, 0, 1, 1), since, pending, (), 0)]
     row: list[tuple] = []
     walked = 0
@@ -263,57 +264,45 @@ def symbolic_row(net: Network, mask: int, since: int, pending: tuple, key, at: t
         walked += 1
         if at is None and walked > ENDPOINT_BUDGET:
             raise ResourceBudgetError("symbolic run passed %d branches" % ENDPOINT_BUDGET)
-        if k == len(feeds) or feeds[k] is None and not pending:
+        try:
+            now, clamp, since, pending, k = _tick(net, feeds, br[1], since, pending, k)
+        except QueryGapError as exc:
+            row.append((*br[0], str(exc)))
+            continue
+        settled += now
+        if clamp is None:
             outcome = settled[-1] if type(key) is tuple else (br[1], since, pending, settled, *br[2:])
             row.append((*br[0], outcome))
             continue
-        unit = feeds[k]
-        if unit is not None and since >= net.delta:
-            row.append((*br[0], str(_gap_error(net))))
-            continue
-        query = unit is not None and br[1] >> nxt & 1
-        pending = tuple(p - 1 for p in pending) if pending else ()
-        if query:
-            pending += (net.output_delay,)
-        for child in _step_symbolic(net, br, {unit: 1} if query else {}):
+        for child in _step_symbolic(net, br, clamp):
             ln, ld, ls, hn, hd, hs = child[0]
             if at is None or at[0] * ld - ln * at[1] >= ls and hn * at[1] - at[0] * hd >= hs:
-                mine, left = settled, pending
-                while left and left[0] == 0:
-                    mine += (bool(child[1] >> out & 1),)
-                    left = left[1:]
-                stack.append((child, 0 if query else since + 1, left, mine, k + query))
+                stack.append((child, since, pending, settled, k))
     return row
 
 
-def _steps(net: Network, state: tuple, unit: int | None, rows: list | None = None):
-    """Step (cfg, since, pending) to the next query instant, or until no verdict is pending when unit is None.
+def _tick(net: Network, feeds: tuple, mask: int, since: int, pending: tuple, k: int) -> tuple:
+    """One instant of the protocol clock at binary state mask: (settled, clamp, since, pending, k).
 
-    Each configuration is appended to rows when rows is given.
+    The run is in feeds[k], a unit or None for the drain. The verdicts due
+    now settle off mask's out unit. Then the run ends, clamp None, at the
+    last feed's query instant or once the drain has no verdict pending; or a
+    feed past the query gap bound raises QueryGapError; or the run steps on,
+    clamp the unit one hot at a query instant (mask fires nxt), else empty.
     """
-    cfg, since, pending = state
-    nxt, out = net.nxt - 1, net.out - 1
-    settled: list[bool] = []
-    query = False
-    while not query and (unit is not None or pending):
-        if unit is not None and since >= net.delta:
-            raise _gap_error(net)
-        query = unit is not None and cfg[0] >> nxt & 1
-        cfg = net.step(cfg, {unit: 1} if query else None)
-        since = 0 if query else since + 1
-        pending = tuple(p - 1 for p in pending) if pending else ()
-        if query:
-            pending += (net.output_delay,)
-        if rows is not None:
-            rows.append(cfg)
-        while pending and pending[0] == 0:
-            settled.append(bool(cfg[0] >> out & 1))
-            pending = pending[1:]
-    return (cfg, since, pending), tuple(settled)
-
-
-def _gap_error(net: Network) -> QueryGapError:
-    return QueryGapError("no query within %d steps of the previous one" % net.delta)
+    settled = ()
+    while pending and pending[0] == 0:
+        settled += (bool(mask >> net.out - 1 & 1),)
+        pending = pending[1:]
+    if k == len(feeds) or feeds[k] is None and not pending:
+        return settled, None, since, pending, k
+    unit = feeds[k]
+    if unit is not None and since >= net.delta:
+        raise QueryGapError("no query within %d steps of the previous one" % net.delta)
+    pending = tuple([p - 1 for p in pending]) if pending else ()
+    if unit is not None and mask >> net.nxt - 1 & 1:
+        return settled, {unit: 1}, 0, pending + (net.output_delay,), k + 1
+    return settled, {}, since + 1, pending, k
 
 
 def suffix_units(net: Network, suffix: str, alphabet: Alphabet | None = None) -> tuple[int, ...]:
@@ -355,13 +344,19 @@ def run_online(net: Network, word: str | Sequence[str], alphabet: Alphabet | Non
     alphabet = resolve_alphabet(net, alphabet)
     word_str = word if isinstance(word, str) else "".join(word)
     symbols = tuple(word_str) + (alphabet.formal_extra,)
-    state = (net.initial_configuration(), 0, ())
-    rows, queries, verdicts = [state[0]], [], []
-    for sym in symbols:
-        state, settled = _steps(net, state, net.input_units[alphabet.index(sym)], rows)
-        queries.append(len(rows) - 1)  # a feed ends at its query instant
-        verdicts.extend(settled)
-    verdicts.extend(_steps(net, state, None, rows)[1])
+    cfg, since, pending = net.initial_configuration(), 0, ()
+    rows, queries, verdicts = [cfg], [], []
+    for sym in (*symbols, None):  # None: the drain; a gap before a foreign symbol raises first
+        feeds, k = (None if sym is None else net.input_units[alphabet.index(sym)],), 0
+        while True:
+            settled, clamp, since, pending, k = _tick(net, feeds, cfg[0], since, pending, k)
+            verdicts += settled
+            if clamp is None:
+                break
+            cfg = net.step(cfg, clamp)
+            rows.append(cfg)
+            if clamp:  # a query instant
+                queries.append(len(rows) - 1)
     return RunTrace(
         word=word_str,
         rows=tuple(enumerate(rows)),

@@ -6,6 +6,7 @@ code contract: 0 success, 1 usage, 2 validation, 3 budget, 4 query gap.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import inspect
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import anet
-from anet import errors
+from anet import cli, errors
 from anet.cli import main
 from anet.errors import AnetError
 from anet.network import NETWORK_DELAY_LIMIT, load_network_path, make_network, save_network_path
@@ -509,6 +510,48 @@ def test_missing_file_exits_one(tmp_path, capsys):
     assert "OSError" in capsys.readouterr().err
 
 
+NUL_ARGVS = (
+    ["run", "NET", "101"],
+    ["trace", "NET", "101"],
+    ["build-cut", "27/8", "1/4", "OUT"],
+    ["partition", "NET"],
+    ["quotient", "NET", "1", "1", "OUT", "--mode", "second-minus-first"],
+    ["compile-fa", "TSV", "OUT"],
+    ["reduce", "SPEC", "OUT"],
+    ["enum", "NET", "2"],
+    ["compare", "NET", "NET", "2"],
+)
+NUL_CASES = [(argv, k) for argv in NUL_ARGVS for k, arg in enumerate(argv) if arg in ("NET", "OUT", "TSV", "SPEC")]
+
+
+@pytest.mark.parametrize("argv, at", NUL_CASES, ids=["%s-%d" % (argv[0], k) for argv, k in NUL_CASES])
+def test_nul_byte_in_a_path_exits_one(cut_path, tmp_path, argv, at, capsys):
+    # the call succeeds as it stands, and with a NUL byte appended to one
+    # path it ends in one usage error line: open() would raise ValueError
+    (tmp_path / "t.tsv").write_text(PARITY_TSV, encoding="utf-8")
+    (tmp_path / "red.spec").write_text(
+        "inner = %s\n" % Path(cut_path).name + "".join("v%d = 0000\n" % k for k in range(1, 6)), encoding="utf-8"
+    )
+    files = {"NET": cut_path, "OUT": str(tmp_path / "out.anet"), "TSV": str(tmp_path / "t.tsv")}
+    argv = [files.get(arg, str(tmp_path / "red.spec") if arg == "SPEC" else arg) for arg in argv]
+    assert main(argv) == 0
+    capsys.readouterr()
+    argv[at] += "\0"
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: UsageError: argument ") and err.endswith(" holds a NUL byte\n")
+
+
+def test_nul_cases_cover_every_path_argument():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    typed = [(cmd, a.dest) for cmd, p in sub.choices.items() for a in p._actions if a.type is cli._path]
+    paths = {"net", "net1", "net2", "out", "tsv", "spec"}
+    assert len(typed) == len(NUL_CASES) == 13
+    assert {(cmd, a.dest) for cmd, p in sub.choices.items() for a in p._actions if a.dest in paths} == set(typed)
+    assert sorted({cmd for cmd, _ in typed}) == sorted(argv[0] for argv in NUL_ARGVS)
+
+
 def test_exports_are_names_not_submodules():
     assert "enumerate_language" in anet.__all__
     assert [n for n in anet.__all__ if inspect.ismodule(getattr(anet, n))] == []
@@ -522,35 +565,35 @@ trace_words = st.one_of(
 )
 # repeated symbols, a symbol of two code points that reads as one, the wrong size
 trace_alphabets = st.one_of(st.none(), st.sampled_from(("01", "10", "ab", "a\u0301", "00", "aa", "0", "012", "", "\x00")))
-trace_nets = st.one_of(st.sampled_from((None, "missing", "directory")), mutated_cut_files(most=1))
+trace_nets = st.one_of(st.sampled_from((None, "missing", "directory", "nul")), mutated_cut_files(most=1))
 
 
-@settings(max_examples=120, deadline=None)
-@given(trace_nets, trace_words, trace_alphabets)
-@example(None, "101", None)
-@example(None, "a\u0301a", "a\u0301")
-@example("directory", "101", "00")
-@example("\n".join(CUT_LINES).replace("delta 3", "delta 2"), "10", None)  # a query gap, exit 4
-@example("\n".join(CUT_LINES).replace("delta 3", "delta 65537"), "10", None)  # over budget, exit 3
-def test_fuzzed_trace_argv_prints_the_trace_or_one_error_line(net, word, alphabet):
-    # net is the acceptor's file (None), a missing path, a directory, or the
-    # file with one line mutated; the run never ends in a traceback
+def _written(net, tmp) -> str:
+    """The path of net in tmp: the acceptor's file (None), a missing path, a directory, the file's path
+    with a NUL byte appended ("nul"), or the file with one line mutated."""
+    path = os.path.join(tmp, "cut.anet")
+    if net == "directory":
+        os.mkdir(path)
+    elif net != "missing":
+        with open(path, "w", encoding="utf-8") as fp:
+            fp.write(net if net not in (None, "nul") else "\n".join(CUT_LINES))
+    return path + "\0" if net == "nul" else path
+
+
+def _assert_run_output_or_one_error_line(command, net, word, alphabet, render):
+    """main([command, net path, word, --alphabet]) prints render(net, run) or one error line; never a traceback."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "cut.anet")
-        if net == "directory":
-            os.mkdir(path)
-        elif net != "missing":
-            with open(path, "w", encoding="utf-8") as fp:
-                fp.write(net or "\n".join(CUT_LINES))
+        path, want = _written(net, tmp), None
         try:
-            loaded = load_network_path(path)
-            alpha = None if alphabet is None else Alphabet.of(alphabet)
-            want = trace_tsv(run_online(loaded, "" if word == "eps" else word, alpha), loaded)
+            if net != "nul":  # a NUL byte in a path is refused with the usage errors
+                loaded = load_network_path(path)
+                alpha = None if alphabet is None else Alphabet.of(alphabet)
+                want = render(loaded, run_online(loaded, "" if word == "eps" else word, alpha))
         except (AnetError, OSError):
-            want = None
+            pass
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["trace", path, word] + ([] if alphabet is None else ["--alphabet", alphabet]))
+            code = main([command, path, word] + ([] if alphabet is None else ["--alphabet", alphabet]))
     if want is not None:
         assert (code, out.getvalue(), err.getvalue()) == (0, want, "")
         return
@@ -558,6 +601,38 @@ def test_fuzzed_trace_argv_prints_the_trace_or_one_error_line(net, word, alphabe
     prefix, name, _ = err.getvalue().split(": ", 2)
     kind = OSError if name == "OSError" else getattr(errors, name)
     assert prefix == "error" and code == next(c for k, c in README_EXIT_CODES if issubclass(kind, k))
+
+
+@settings(max_examples=120, deadline=None)
+@given(trace_nets, trace_words, trace_alphabets)
+@example(None, "101", None)
+@example(None, "a\u0301a", "a\u0301")
+@example("directory", "101", "00")
+@example("nul", "101", None)  # a usage error, exit 1
+@example("\n".join(CUT_LINES).replace("delta 3", "delta 2"), "10", None)  # a query gap, exit 4
+@example("\n".join(CUT_LINES).replace("delta 3", "delta 65537"), "10", None)  # over budget, exit 3
+def test_fuzzed_trace_argv_prints_the_trace_or_one_error_line(net, word, alphabet):
+    _assert_run_output_or_one_error_line("trace", net, word, alphabet, lambda loaded, run: trace_tsv(run, loaded))
+
+
+def _verdict_lines(_, run) -> str:
+    """anet run's output: one line per prefix, the prefix (eps when empty) and its verdict."""
+    return "".join(
+        "%s\t%s\n" % (run.word[:k] or "eps", "accepted" if v else "rejected") for k, v in enumerate(run.verdicts)
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(trace_nets, trace_words, trace_alphabets)
+@example(None, "101", None)
+@example(None, "eps", "ab")
+@example(None, "10x", None)  # a foreign symbol, exit 2
+@example(None, "1\u00e9", "1\u00e9")  # a non-ASCII alphabet
+@example("nul", "101", None)  # a usage error, exit 1
+@example("missing", "101", None)  # an I/O error, exit 1
+@example("\n".join(CUT_LINES).replace("delta 3", "delta 2"), "10", None)  # a query gap, exit 4
+def test_fuzzed_run_argv_prints_each_prefix_verdict_or_one_error_line(net, word, alphabet):
+    _assert_run_output_or_one_error_line("run", net, word, alphabet, _verdict_lines)
 
 
 # -- anet partition and anet quotient on fuzzed argv: the output, or one error line and the README's exit code
@@ -585,14 +660,9 @@ modes = st.one_of(
 
 
 def _one_call(net, argv_of) -> tuple[int, str, str, str]:
-    """main(argv_of(net path, out path)) with net written as trace's fuzz does: code, stdout, stderr, out path."""
+    """main(argv_of(net path, out path)) with net written by _written: code, stdout, stderr, out path."""
     with tempfile.TemporaryDirectory() as tmp:
-        path, out_path = os.path.join(tmp, "cut.anet"), os.path.join(tmp, "q.anet")
-        if net == "directory":
-            os.mkdir(path)
-        elif net != "missing":
-            with open(path, "w", encoding="utf-8") as fp:
-                fp.write(net or "\n".join(CUT_LINES))
+        path, out_path = _written(net, tmp), os.path.join(tmp, "q.anet")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv_of(path, out_path))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anet import network, protocol
+from anet.cli import main
 from anet.cutlang import build_cut_acceptor, cut_params
 from anet.errors import DigitLimitError, QueryGapError, ResourceBudgetError, ValidationError
 from anet.mealy import compile_mealy, machine_from_tsv
@@ -242,6 +243,38 @@ def _plain_start(net):
     return (net.initial_configuration(), 0, ())
 
 
+def _steps(net: Network, state: tuple, unit: int | None, rows: list | None = None):
+    """Step (cfg, since, pending) to the next query instant, or until no verdict is pending when unit is None.
+
+    Each configuration is appended to rows when rows is given. The concrete
+    reference for the protocol clock: it keeps its own since and pending
+    beside Network.step, apart from protocol._tick.
+    """
+    cfg, since, pending = state
+    nxt, out = net.nxt - 1, net.out - 1
+    settled: list[bool] = []
+    query = False
+    while not query and (unit is not None or pending):
+        if unit is not None and since >= net.delta:
+            raise _gap_error(net)
+        query = unit is not None and cfg[0] >> nxt & 1
+        cfg = net.step(cfg, {unit: 1} if query else None)
+        since = 0 if query else since + 1
+        pending = tuple(p - 1 for p in pending) if pending else ()
+        if query:
+            pending += (net.output_delay,)
+        if rows is not None:
+            rows.append(cfg)
+        while pending and pending[0] == 0:
+            settled.append(bool(cfg[0] >> out & 1))
+            pending = pending[1:]
+    return (cfg, since, pending), tuple(settled)
+
+
+def _gap_error(net: Network) -> QueryGapError:
+    return QueryGapError("no query within %d steps of the previous one" % net.delta)
+
+
 def _plain(state):
     """state as (cfg, since, pending), read back from its part when it is a protocol state."""
     return protocol.plain_state(state) if type(state[0]) is network.Part else state
@@ -305,10 +338,10 @@ def memo_nets():
 def _run(feed, net, word):
     """(plain state, settled) after each feed of word and the formal symbol, and after the drain.
 
-    feed is protocol._steps, on plain states, or protocol.advance, on
+    feed is _steps, on plain states, or protocol.advance, on
     protocol states. A QueryGapError ends the list with "gap".
     """
-    state, run = (_plain_start if feed is protocol._steps else _start)(net), []
+    state, run = (_plain_start if feed is _steps else _start)(net), []
     for unit in [net.input_units[int(sym)] for sym in word + "0"] + [None]:
         try:
             state, settled = feed(net, state, unit)
@@ -327,7 +360,7 @@ def test_memoized_feeds_match_stepping(memo_nets, which, word):
     # the networks persist across examples, and the second run through the
     # table repeats the first one's feeds, so both misses and hits are compared
     net = memo_nets[which]
-    stepped = _run(protocol._steps, net, word)
+    stepped = _run(_steps, net, word)
     assert [_run(protocol.advance, net, word) for _ in range(2)] == [stepped, stepped]
     if stepped[-1] == "gap":
         with pytest.raises(QueryGapError):
@@ -335,7 +368,29 @@ def test_memoized_feeds_match_stepping(memo_nets, which, word):
         return
     trace = run_online(net, word)
     assert trace.verdicts == tuple(v for _, settled in stepped for v in settled)
-    assert trace.rows[-1][1] == stepped[-1][0][0]
+    # instant by instant: every row and every query instant of the stepped run
+    state, rows, queries = _plain_start(net), [net.initial_configuration()], []
+    for sym in word + "0":
+        state = _steps(net, state, net.input_units[int(sym)], rows)[0]
+        queries.append(len(rows) - 1)
+    _steps(net, state, None, rows)
+    assert trace.rows == tuple(enumerate(rows)) and trace.query_times == tuple(queries)
+
+
+def test_a_query_gap_before_a_foreign_symbol_raises_first(memo_nets, tmp_path, capsys):
+    # a symbol is resolved when its feed starts: six 1s run into the gap
+    # network's query gap before the foreign x is read, four do not
+    net = memo_nets["gap"]
+    with pytest.raises(QueryGapError):
+        run_online(net, "111111x")
+    with pytest.raises(ValidationError):
+        run_online(net, "1111x")
+    path = str(tmp_path / "gap.anet")
+    network.save_network_path(net, path)
+    capsys.readouterr()
+    assert [main(["run", path, word]) for word in ("111111x", "1111x")] == [4, 2]
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(": ")[:2] for line in err] == [["error", "QueryGapError"], ["error", "ValidationError"]]
 
 
 PROBES = (("1", "1", SECOND_MINUS_FIRST), ("0", "1", FIRST_MINUS_SECOND))
@@ -354,7 +409,7 @@ def _reference_walk(net, max_len):
         yield word, state
         if len(word) < max_len:
             try:
-                children = [protocol._steps(net, state, unit)[0] for unit in net.input_units]
+                children = [_steps(net, state, unit)[0] for unit in net.input_units]
             except QueryGapError:
                 continue
             stack.extend(zip([word + "0", word + "1"], children))
@@ -535,10 +590,10 @@ def test_feed_memo_keys_on_pending_verdicts():
     # segment table keys them apart on pending
     net = _every_step_net()
     unit = net.input_units[0]
-    fed = protocol._steps(net, _plain_start(net), unit)[0]
+    fed = _steps(net, _plain_start(net), unit)[0]
     assert fed[2]
     protocol.advance(net, protocol.make_state(net, fed[0]), unit)
-    assert _run(protocol.advance, net, "0") == _run(protocol._steps, net, "0")
+    assert _run(protocol.advance, net, "0") == _run(_steps, net, "0")
     assert all(unit in net._segments[fed[0][0], 0, pending].feeds for pending in ((), fed[2]))
 
 
@@ -795,7 +850,7 @@ def _check_segments(net, depth):
         nodes += 1
         children = []
         for unit in (*net.input_units, None):
-            want = _outcome(protocol._steps, net, state, unit)
+            want = _outcome(_steps, net, state, unit)
             children.append(want)
             # a call whose analog value lies in no known piece of its key
             # learns the cell that holds it, and from then on that cell
@@ -829,7 +884,7 @@ def _check_segments(net, depth):
             for ln, ld, _, hn, hd, _, _ in pieces:
                 for y in {F(ln, ld), F(hn, hd)}:
                     state = (Configuration(unpack(mask), y), since, pending)
-                    want = _outcome(protocol._steps, net, state, unit)
+                    want = _outcome(_steps, net, state, unit)
                     assert [_outcome(_served, net, state, unit) for _ in range(2)] == [want] * 2
     return nodes
 
@@ -868,14 +923,14 @@ def _plain_probe(net, state, units):
     """
     try:
         for unit in units:
-            state = protocol._steps(net, state, unit)[0]
+            state = _steps(net, state, unit)[0]
     except QueryGapError:
         return "gap", "suffix"
     try:
-        end, settled = protocol._steps(net, state, net.input_units[0])
+        end, settled = _steps(net, state, net.input_units[0])
     except QueryGapError:
         return "gap", "formal"
-    end, drained = protocol._steps(net, end, None)
+    end, drained = _steps(net, end, None)
     return (settled + drained)[-1], "drain" if end[1] >= net.delta else "never"
 
 
@@ -1175,7 +1230,7 @@ def _fire_closure(net):
     interval meets every piece.
     """
 
-    def next_fire(cfg, since):  # as protocol._steps: past the gap bound a feed raises
+    def next_fire(cfg, since):  # as _steps: past the gap bound a feed raises
         while since < net.delta:
             if cfg[0] >> (net.nxt - 1) & 1:
                 return cfg.binary
@@ -1233,7 +1288,7 @@ def test_symbolic_rows_match_plain_feeds(cut_net):
     nets = [cut_net, *_seeded_cut_acceptors(), *map(make_protocol_net, PROTOCOL_SEEDS)]
     seen = set()
     for net in nets:
-        gap = str(protocol._gap_error(net))
+        gap = str(_gap_error(net))
         parts = {(state[0][0], *state[1:]) for _, state in _reference_walk(net, 4)}
         for mask, since, pending in parts:
             for key in _row_keys(net):
@@ -1247,11 +1302,11 @@ def test_symbolic_rows_match_plain_feeds(cut_net):
                             want = _plain_probe(net, state, key)[0]
                             assert outcome == (gap if want == "gap" else want)
                         elif isinstance(outcome, str):
-                            assert _outcome(protocol._steps, net, state, key) == outcome == gap
+                            assert _outcome(_steps, net, state, key) == outcome == gap
                         else:
                             mask2, since2, pending2, settled, an, bn, d = outcome
                             cfg = Configuration(unpack(mask2), (an + bn * y) / d)
-                            assert protocol._steps(net, state, key) == ((cfg, since2, pending2), settled)
+                            assert _steps(net, state, key) == ((cfg, since2, pending2), settled)
                         at = protocol.symbolic_row(net, mask, since, pending, key, (y.numerator, y.denominator))
                         assert at == [piece]
                     seen.add((type(key), isinstance(outcome, str)))

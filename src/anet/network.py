@@ -200,14 +200,17 @@ class Network:
 
         str() of an int takes time quadratic in its digits. So a row p/q after
         a row pp/pq of this network's size is checked against the previous
-        binary state's transition row (c_s, a_s, L_s): with g = L_s*pq // q,
-        q*g == L_s*pq and p*g == c_s*pq + a_s*pp say that p/q is the unclamped
-        update of pp/pq. Such a row is rendered from pp and pq held as
-        integer-valued Decimals, whose str() is linear and has no digit limit:
-        they advance to ((pq*c_s + pp*a_s)/g, pq*L_s/g), which are p and q. A
-        row 0 or 1 is printed as is. Any other row is rendered by
-        format_rational, which may raise DigitLimitError, and the Decimals
-        restart from its value.
+        binary state's transition row (c_s, a_s, L_s): with g, r =
+        divmod(L_s*pq, q), r == 0 and p*g == c_s*pq + a_s*pp say that p/q is
+        the unclamped update of pp/pq. Such a row is rendered from pp and pq
+        held as integer-valued Decimals, whose str() is linear and has no digit
+        limit: they advance to ((pq*c_s + pp*a_s)/g, pq*L_s/g), which are p and
+        q. When g divides L_s, c_s and a_s, they advance by products with
+        c_s/g, a_s/g and L_s/g, a zero coefficient skipped, as the kernel's
+        update does; otherwise by an exact division by g, which costs several
+        products on long operands. A row 0 or 1 is printed as is. Any other
+        row is rendered by format_rational, which may raise DigitLimitError,
+        and the Decimals restart from its value.
         """
         ctx, prev, dec = _EXACT, None, None  # dec: prev's p and q as Decimals, built when needed
         for cfg in configs:
@@ -218,15 +221,25 @@ class Network:
             elif prev is not None and prev[0].bit_length() == self.size:  # a state of this network's size
                 state, pp, pq = prev
                 try:
-                    _, _, c_s, a_s, scale = self._rows[state]
+                    _, _, c_s, a_s, scale, _ = self._rows[state]
                 except KeyError:
-                    _, _, c_s, a_s, scale = self._row(state)
-                whole = scale * pq
-                g = whole // q
-                if q * g == whole and p * g == c_s * pq + a_s * pp:
+                    _, _, c_s, a_s, scale, _ = self._row(state)
+                g, r = divmod(scale * pq, q)
+                if not r and p * g == c_s * pq + a_s * pp:
                     dp, dq = dec or (Decimal(pp), Decimal(pq))
-                    dp = ctx.divide_int(ctx.add(ctx.multiply(dq, c_s), ctx.multiply(dp, a_s)), g)
-                    dec = dp, ctx.divide_int(ctx.multiply(dq, scale), g)
+                    if scale % g or c_s % g or a_s % g:
+                        dp = ctx.divide_int(ctx.add(ctx.multiply(dq, c_s), ctx.multiply(dp, a_s)), g)
+                        dq = ctx.divide_int(ctx.multiply(dq, scale), g)
+                    else:  # products with the small quotients, a zero coefficient skipped
+                        c, a = c_s // g, a_s // g
+                        if not c:
+                            dp = ctx.multiply(dp, a)
+                        elif not a:
+                            dp = ctx.multiply(dq, c)
+                        else:
+                            dp = ctx.add(ctx.multiply(dq, c), ctx.multiply(dp, a))
+                        dq = ctx.multiply(dq, scale // g)
+                    dec = dp, dq
                     text = "%s/%s" % dec
             if text is None:
                 text, dec = format_rational(cfg.analog), None
@@ -236,13 +249,14 @@ class Network:
     # -- transition rows and the step plan (cached, derived only from weights)
 
     def _row(self, mask: int) -> tuple:
-        """The cached transition row (fixed, tests, c_s, a_s, L_s) of a binary state mask.
+        """The cached transition row (fixed, tests, c_s, a_s, L_s, k) of a binary state mask.
 
         fixed is the next state's mask with the tested bits and the input units
         cleared; a binary target j with an analog weight is tested instead:
         (1 << j-1, c_j, a_j) in tests, it fires iff c_j + a_j*y >= 0 at analog
-        value y. The analog unit has sum c_s, weight a_s and scale L_s. All rows
-        are cleared when they would pass ROW_CACHE_BITS.
+        value y. The analog unit has sum c_s, weight a_s and scale L_s, and k
+        = |a_s|*L_s bounds the factors its update cancels. All rows are
+        cleared when they would pass ROW_CACHE_BITS.
         """
         rows = self._rows
         row = rows.get(mask)
@@ -266,7 +280,7 @@ class Network:
                 else:
                     fixed &= ~bit
             tests = tuple((1 << (j - 1), acc[j], a) for j, a in plan.tested)
-            row = rows[mask] = (fixed, tests, acc[self.size], plan.analog_weight, plan.analog_scale)
+            row = rows[mask] = (fixed, tests, acc[self.size], plan.analog_weight, plan.analog_scale, plan.analog_bound)
         return row
 
     @cached_property
@@ -281,10 +295,10 @@ class _StepPlan:
 
     tested lists, by unit, every binary target with an analog weight that is
     not an input unit; the analog unit's own weight a_s = analog_weight may be
-    0, and analog_scale is L_s. The other binary targets that are not input
-    units are free: fires is the mask, sentinel included, of the free targets
-    whose bias alone fires them, and free_edges[i] lists (j, 1 << j-1) for
-    each free target j of source i.
+    0, analog_scale is L_s and analog_bound is |a_s|*L_s. The other binary
+    targets that are not input units are free: fires is the mask, sentinel
+    included, of the free targets whose bias alone fires them, and
+    free_edges[i] lists (j, 1 << j-1) for each free target j of source i.
     """
 
     bias: tuple[int, ...]
@@ -292,6 +306,7 @@ class _StepPlan:
     tested: tuple[tuple[int, int], ...]
     analog_weight: int
     analog_scale: int
+    analog_bound: int
     fires: int
     free_edges: Mapping[int, tuple[tuple[int, int], ...]]
 
@@ -317,7 +332,8 @@ class _StepPlan:
         free = set(range(1, s)).difference(net.input_units, analog_in)
         fires = pack([j in free and bias[j] >= 0 for j in range(1, s)])
         free_edges = {i: tuple((j, 1 << (j - 1)) for j, _ in v if j in free) for i, v in edges.items()}
-        return _StepPlan(tuple(bias), edges, tested, analog_in[s], scale[s], fires, free_edges)
+        bound = abs(analog_in[s]) * scale[s]
+        return _StepPlan(tuple(bias), edges, tested, analog_in[s], scale[s], bound, fires, free_edges)
 
 
 # -- symbolic stepping ---------------------------------------------------
@@ -403,12 +419,23 @@ def _step_symbolic(net, br: tuple, clamp) -> list[tuple]:
     L_s*d). A successor's piece has a new end only where such a half-line cut
     its piece in two. clamp maps input units to their states, as Network.step's
     inputs_next, and may be None.
+
+    The constant branch (bn = 0, or a_s = 0) has one value. With a_s = 0 it
+    is c_s/L_s, small. Otherwise it is n/(L_s*d), clamped first, and an/d is
+    in lowest terms. So G = gcd(n, L_s*d), which divides gcd(n, L_s)*gcd(n, d)
+    with gcd(n, d) = gcd(a_s*an, d) = gcd(a_s, d), divides k = |a_s|*L_s,
+    the row's last entry: G = gcd(n % k, k, L_s*d % k), at most two mods by
+    a small int, and nothing more when G is 1. When G divides L_s, c_s and
+    a_s, the reduced pair is ((c_s/G)*d + (a_s/G)*an, (L_s/G)*d), products
+    only; otherwise n and L_s*d are divided by G. On long operands a mod or
+    a division by a one-limb int costs about 4 to 7 times a product by one,
+    and even // 1 is not free.
     """
     piece, bits, an, bn, d = br
     try:  # _row is called only to build a missing row
-        fixed, tests, c_s, w, scale = net._rows[bits]
+        fixed, tests, c_s, w, scale, k = net._rows[bits]
     except KeyError:
-        fixed, tests, c_s, w, scale = net._row(bits)
+        fixed, tests, c_s, w, scale, k = net._row(bits)
     if clamp:
         for u, v in clamp.items():
             if u not in net.input_units:
@@ -432,19 +459,24 @@ def _step_symbolic(net, br: tuple, clamp) -> list[tuple]:
                 split.append((part, mask | bit if on is not None else mask))
         parts = split
 
-    n, m = c_s * d + w * an, w * bn
-    if m == 0:  # gcd(n, d) = gcd(w, d): an/d is in lowest terms when bn is 0, and n = c_s*d when w is 0
-        g = gcd(w, d)
-        n, d = n // g, d // g
-        if n <= 0:
-            n, d = 0, 1
-        elif n >= scale * d:
-            n, d = 1, 1
-        else:  # n is now coprime to d, so only the small scale shares factors
-            g = gcd(n, scale)
-            n, d = n // g, scale // g * d
+    if not w:  # the value is c_s/L_s whatever y is
+        g = gcd(c_s, scale)
+        n, d = (0, 1) if c_s <= 0 else (1, 1) if c_s >= scale else (c_s // g, scale // g)
         return [(part, fixed | mask, n, 0, d) for part, mask in parts]
-    den = scale * d
+    n, m, den = c_s * d + w * an, w * bn, scale * d
+    if m == 0:  # bn = 0, so an/d is in lowest terms and G = gcd(n, L_s*d) divides k = |a_s|*L_s
+        if n <= 0:
+            n, den = 0, 1
+        elif n >= den:
+            n, den = 1, 1
+        else:
+            g = gcd(n % k, k)
+            if g != 1 and (g := gcd(g, den % k)) != 1:
+                if scale % g or c_s % g or w % g:
+                    n, den = n // g, den // g
+                else:  # products with the small quotients cost less than dividing the long ones
+                    n, den = c_s // g * d + w // g * an, scale // g * d
+        return [(part, fixed | mask, n, 0, den) for part, mask in parts]
     dead_line, full_line = _line(n, m, 1), _line(n - den, m, -1)
     g = gcd(n, m, den)
     mid_n, mid_m, mid_d = n // g, m // g, den // g

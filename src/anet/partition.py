@@ -60,7 +60,7 @@ def pivot(net: Network, unit: int, bits: Sequence[int]) -> Fraction:
     weight into unit from the analog unit must be nonzero.
     """
     s = net.size
-    _, tests, c, a, _ = net._row(pack(bits))  # c_s and a_s, scaled by L_s
+    _, tests, c, a, _, _ = net._row(pack(bits))  # c_s and a_s, scaled by L_s
     if unit in net.input_units:  # clamped, so no row tests it
         c = net.weight(unit, 0) + sum(net.weight(unit, i) for i in range(1, s) if bits[i - 1])
         a = net.weight(unit, s)

@@ -578,11 +578,11 @@ def trace_tsv(trace: RunTrace, net: Network) -> str:
             )
     header = ["t"] + ["y_%d" % j for j in range(1, net.size + 1)] + ["note"]
     lines = ["\t".join(header)]
+    binary: dict[int, str] = {}  # a mask, sentinel included, -> its binary columns; a run visits few masks
     for (t, cfg), analog in zip(trace.rows, net.analog_texts(cfg for _, cfg in trace.rows)):
-        cells = [str(t)]
-        cells.extend(str(b) for b in cfg.binary)
-        cells.append(analog)
-        cells.append("; ".join(notes.get(t, [])))
-        lines.append("\t".join(cells))
+        bits = binary.get(cfg[0])
+        if bits is None:
+            bits = binary[cfg[0]] = "".join(["\t%d" % b for b in cfg.binary])
+        lines.append("%s%s\t%s\t%s" % (t, bits, analog, "; ".join(notes.get(t, ()))))
     lines.append("")  # the trailing newline, without a second copy of the whole text
     return "\n".join(lines)

@@ -412,6 +412,116 @@ def test_long_cut_run_agrees_with_dense_steps():
     assert cfg.analog.denominator.bit_length() > 150
 
 
+# -- the constant branch's reduction: G = gcd(n, L_s*d) divides |a_s|*L_s ----
+
+
+def _prime_factors(n: int) -> list[int]:
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
+
+
+def _update(net: Network, cfg: Configuration) -> tuple[int, int, int]:
+    """(n, L_s*d, |a_s|*L_s) of cfg's analog update: its value n/(L_s*d) before the clamp."""
+    _, _, c_s, a_s, scale, k = net._row(cfg[0])
+    assert k == abs(a_s) * scale
+    return c_s * cfg[2] + a_s * cfg[1], scale * cfg[2], k
+
+
+@st.composite
+def wide_constant_steps(draw):
+    """A three-unit network and a state whose denominator, 1,000 to 4,000 bits, is built to share factors with the row.
+
+    The denominator is a power of each prime of L_s and a_s times a part
+    coprime to them, so the update's gcd takes every form: 1, a divisor of
+    L_s, c_s and a_s, and one that divides a_s or L_s alone.
+    """
+    # few primes in the denominators, so that the row's three numbers often share one (the
+    # 27/8, 1/4 cut acceptor's row is c_s = 0, a_s = 18, L_s = 27); the first choices are
+    # the likeliest, and they put the value inside (0, 1)
+    num = st.sampled_from((2, 1, 3, 6, 5, -1, -2, -4, -5, 0))
+    weights = [(3, 3, Fraction(draw(num), draw(st.sampled_from((3, 1, 2, 4, 9)))))]
+    weights.append((3, 0, Fraction(draw(st.sampled_from((0, 1, -1, 2))), draw(st.sampled_from((3, 1, 2, 9))))))
+    for i in (1, 2):
+        weights.append((3, i, Fraction(draw(num), draw(st.sampled_from((27, 9, 8, 4, 3, 2, 5))))))
+    net = make_network(3, (2,), nxt=1, out=1, delta=1, weights=weights)
+    bits = (draw(st.integers(0, 1)), draw(st.integers(0, 1)))
+    _, _, _, a_s, scale, _ = net._row(Configuration(bits, 0)[0])
+    primes = _prime_factors((abs(a_s) or 1) * scale)
+    d = 1
+    for p in primes:
+        d *= p ** draw(st.integers(0, 60))
+    coprime = draw(st.integers(min_value=2**1000 // d + 1, max_value=2**4000 // d))
+    while gcd(coprime, d * 30030) != 1:  # 30030 = 2*3*5*7*11*13, so the coprime part shares no small prime either
+        coprime += 1
+    d *= coprime
+    an = (d * draw(st.integers(1, 15)) // 16 + draw(st.integers(0, 2**64))) % d  # y spread over [0, 1]
+    while gcd(an, d) != 1:
+        an += 1  # ends at d - 1 at the latest
+    return net, Configuration(bits, Fraction(an, d)), draw(st.sampled_from((None, {2: 1})))
+
+
+@given(wide_constant_steps())
+@settings(max_examples=150, deadline=None)
+def test_wide_constant_steps_cancel_only_factors_of_the_bound(case):
+    net, cfg, clamp = case
+    assert 1000 <= cfg[2].bit_length() <= 4000 + 1
+    got = net.step(cfg, clamp)
+    assert got == step_dense(net, cfg, clamp)
+    assert_canonical(got.analog)
+    n, den, k = _update(net, cfg)
+    assert k % gcd(n, den) == 0
+
+
+def _net3(*weights):
+    return make_network(3, (2,), nxt=1, out=1, delta=1, weights=weights)
+
+
+_D = 7**120  # a 337-bit denominator, coprime to every scale below
+# y' = sat(2y/3 + x_2/27): L_s = 27, a_s = 18, and c_s is 0 or 1 as unit 2 is off or on
+_CANCELS = _net3((3, 3, Fraction(2, 3)), (3, 2, Fraction(1, 27)))
+
+
+@pytest.mark.parametrize(
+    "net, bits, y, g, want",
+    [
+        # c_s = -1, a_s = 15, L_s = 10: n = 15*an - d is odd and prime to 5
+        (_net3((3, 3, Fraction(3, 2)), (3, 0, Fraction(-1, 10))), (1, 0), Fraction(_D // 3 + 2, _D), 1, None),
+        # n = 18*an and L_s*d = 27*d with an and d prime to 3: G = 9 divides 27, 0 and 18, so products
+        (_CANCELS, (1, 0), Fraction(_D // 3 + 1, _D), 9, Fraction(2 * (_D // 3 + 1), 3 * _D)),
+        # n = 9*d + 18*an with d = 9*_D: G = 9 divides L_s and a_s but not c_s = 1, so a division
+        (_CANCELS, (1, 1), Fraction(3 * _D + 2, 9 * _D), 9, Fraction(7 * _D + 4, 27 * _D)),
+        # n = 18*d + 18*an with d = 18*_D: G = 18 does not divide L_s either; its 2 comes from
+        # a_s, so a bound of L_s alone misses it
+        (_CANCELS, (1, 1), Fraction(6 * _D + 1, 18 * _D), 18, Fraction(7 * _D + 1, 27 * _D)),
+        # a_s = 0: the value is c_s/L_s = (5 + 3)/15 whatever y is
+        (_net3((3, 0, Fraction(1, 3)), (3, 2, Fraction(1, 5))), (1, 1), Fraction(_D // 3 + 1, _D), None, Fraction(8, 15)),
+        # y/2 - 1/2 <= 0 and y/2 + 5/3 >= 1: the clamps, before any gcd
+        (_net3((3, 3, Fraction(1, 2)), (3, 0, Fraction(-1, 2))), (1, 0), Fraction(_D // 3 + 1, _D), None, Fraction(0)),
+        (_net3((3, 3, Fraction(1, 2)), (3, 0, Fraction(5, 3))), (1, 0), Fraction(_D // 3 + 1, _D), None, Fraction(1)),
+    ],
+    ids=[
+        "G == 1", "G divides L_s c_s a_s", "G does not divide c_s", "G does not divide L_s",
+        "a_s == 0", "saturates at 0", "saturates at 1",
+    ],
+)
+def test_constant_branch_reduces_by_each_clause(net, bits, y, g, want):
+    cfg = Configuration(bits, y)
+    got = net.step(cfg)
+    assert got == step_dense(net, cfg)
+    assert_canonical(got.analog)
+    if want is not None:
+        assert got.analog == want
+    n, den, _ = _update(net, cfg)
+    if g is not None:  # the clause the case is for
+        assert 0 < n < den and gcd(n, den) == g
+
+
 # -- analog_texts: rows checked against the update, never recomputed --------
 
 walk_move = st.tuples(st.sampled_from(("step", "jump", "other net")), st.booleans(), wide_analog)
@@ -471,6 +581,32 @@ def test_analog_texts_render_a_row_off_the_update_alone(row):
     net, start = _tiny_net(), Configuration((0, 0), Fraction(1, 3))
     assert net.step(start).analog == Fraction(1, 6)
     assert list(net.analog_texts([start, Configuration((1, 0), row)])) == ["1/3", str(row)]
+
+
+@pytest.mark.parametrize(
+    "net, bits, y, products",
+    [
+        # c_s = 9, a_s = 18, L_s = 27: 5/9 from 1/3 has g = 9, which divides all three
+        (_net3((3, 3, Fraction(2, 3)), (3, 0, Fraction(1, 3)), (3, 2, Fraction(1, 27))), (1, 0), Fraction(1, 3), True),
+        # c_s = 1: 7/27 from 1/3 has g = 3, which does not divide c_s, so an exact division
+        (_net3((3, 3, Fraction(2, 3)), (3, 0, Fraction(1, 27))), (1, 0), Fraction(1, 3), False),
+        # c_s = 0: 2/9 from 1/3 has g = 9, and the pair advances as (2*dp, 3*dq)
+        (_CANCELS, (1, 0), Fraction(1, 3), True),
+        # a_s = 0: 8/15 from 0 has g = 1, and the pair advances as (8*dq, 15*dq)
+        (_net3((3, 0, Fraction(1, 3)), (3, 2, Fraction(1, 5))), (1, 1), Fraction(0), True),
+    ],
+    ids=["g divides L_s c_s a_s", "g does not divide c_s", "c_s == 0", "a_s == 0"],
+)
+def test_analog_texts_advance_by_each_clause(net, bits, y, products):
+    start = Configuration(bits, y)
+    rows = [start, net.step(start)]
+    _, _, c_s, a_s, scale, _ = net._row(start[0])
+    g = scale * y.denominator // rows[1].analog.denominator
+    assert products == (scale % g == c_s % g == a_s % g == 0)
+    calls = []
+    with mock.patch.object(network, "format_rational", lambda x: calls.append(x) or format_rational(x)):
+        assert list(net.analog_texts(rows)) == [format_rational(row.analog) for row in rows]
+    assert calls == ([] if y.denominator == 1 else [y])  # the second row off the first one's Decimals
 
 
 def test_weights_are_read_only():

@@ -128,6 +128,12 @@ def _rendering_cases(cut_net):
     cases["parity"] = run_online(parity, "1101100"), parity
     cases["other base"] = run_online(cut_net, "1011001" * 30), other_base
     cases["other size"] = run_online(cut_net, "1011001"), parity
+    # every other row widened with zero bits to parity's size: two sizes in one trace, with
+    # masks that agree below their sentinel bits
+    trace = cases["other size"][0]
+    widen = (0,) * (parity.size - cut_net.size)
+    rows = tuple((t, Configuration(cfg.binary + widen, cfg.analog) if t % 2 else cfg) for t, cfg in trace.rows)
+    cases["other sizes"] = dataclasses.replace(trace, rows=rows), parity
     return cases
 
 
@@ -146,6 +152,14 @@ def test_analog_column_matches_str_of_every_value(cut_net, monkeypatch):
             assert len(fallbacks) > 1, name
         else:  # each run starts at y = 0, and a row 0 or 1 is printed as is
             assert not fallbacks, name
+
+
+def test_binary_columns_match_every_row(cut_net):
+    # a mask's columns are rendered once per trace and reused: the sentinel bit keeps
+    # the rows of "other sizes", equal below it, apart
+    for name, (trace, net) in _rendering_cases(cut_net).items():
+        lines = _at_digit_limit(0, lambda: trace_tsv(trace, net)).split("\n")[1:-1]
+        assert [tuple(map(int, line.split("\t")[1:-2])) for line in lines] == [cfg.binary for _, cfg in trace.rows], name
 
 
 def test_trace_past_the_digit_limit_is_refused_before_rendering(cut_net, monkeypatch):

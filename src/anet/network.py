@@ -30,6 +30,15 @@ from .rationals import ZERO, RationalLike, format_rational, parse_rational, rati
 # terms, without the constructor's gcd (the keyword is Python 3.10/3.11's).
 _coprime = getattr(Fraction, "_from_coprime_ints", None) or partial(Fraction, _normalize=False)
 
+# Largest size of a network, however it is built or read: the tests and the
+# benchmark stay in the hundreds, and a reduction grows by about 14 units per
+# letter of its words.
+NETWORK_SIZE_LIMIT = 2**16
+
+# Largest query gap bound (delta) and output delay of a network: a run may
+# step that many instants between two queries or before a verdict.
+NETWORK_DELAY_LIMIT = 2**16
+
 # Transition rows kept per network, counted as rows times (size - 1) bits:
 # 16 rows at NETWORK_SIZE_LIMIT units.
 ROW_CACHE_BITS = 2**20
@@ -103,7 +112,9 @@ class Network:
     input_units are clamped from outside by the run protocol: at a query
     instant they carry the one-hot symbol code, at every other instant zero.
     An instance is well formed however it was built: construction refuses
-    a malformed network with ValidationError. The nonzero weights are frozen
+    a network past NETWORK_SIZE_LIMIT or NETWORK_DELAY_LIMIT with
+    ResourceBudgetError and a malformed one with ValidationError, so every
+    builder and the file reader share one rulebook. The nonzero weights are frozen
     into a read-only copy, since the step plan, the transition rows and the
     protocol's segment table are derived from them; the rows and the table
     are created with the instance, and the plan on its first use.
@@ -121,12 +132,18 @@ class Network:
     comment: str = ""
 
     def __post_init__(self) -> None:
-        """Refuse a malformed network, then freeze its nonzero weights.
+        """Refuse an over-budget network, then a malformed one, then freeze its nonzero weights.
 
-        The unit lists are copied into tuples first. Every given weight is
-        checked, zero or not; the zero ones are then dropped, so equal
+        The limits come first, so nothing is checked per unit of a network
+        past them. The unit lists are copied into tuples. Every given weight
+        is checked, zero or not; the zero ones are then dropped, so equal
         networks have equal weight mappings.
         """
+        if self.size > NETWORK_SIZE_LIMIT:
+            raise ResourceBudgetError("size %d exceeds the limit of %d units" % (self.size, NETWORK_SIZE_LIMIT))
+        for name, steps in (("delta", self.delta), ("outdelay", self.output_delay)):
+            if steps > NETWORK_DELAY_LIMIT:
+                raise ResourceBudgetError("%s %d exceeds the limit of %d steps" % (name, steps, NETWORK_DELAY_LIMIT))
         object.__setattr__(self, "input_units", tuple(self.input_units))
         if self.init_active is not None:
             object.__setattr__(self, "init_active", tuple(self.init_active))
@@ -499,47 +516,39 @@ def _step_symbolic(net, br: tuple, clamp) -> list[tuple]:
 FORMAT_MAGIC = "anet v1"
 _HEADER_KEYS = ("size", "analog", "inputs", "nxt", "out", "delta", "outdelay", "init", "inita")
 
-# Largest size a network file may declare: the tests and the benchmark stay in the
-# hundreds, and a reduction grows by about 14 units per letter of its words.
-NETWORK_SIZE_LIMIT = 2**16
 
-# Largest query gap bound (delta) and output delay a network file may declare: a
-# run may step that many instants between two queries or before a verdict.
-NETWORK_DELAY_LIMIT = 2**16
+def network_to_text(net: Network) -> str:
+    """The network in the line-oriented v1 format, weights in canonical order."""
+    lines = [FORMAT_MAGIC]
+    if net.comment:  # the appended newline keeps a trailing empty comment line
+        lines += ["# " + line for line in (net.comment + "\n").splitlines()]
+    lines += [
+        "size %d" % net.size,
+        "analog %d" % net.size,
+        "inputs " + " ".join(map(str, net.input_units)),
+        "nxt %d" % net.nxt,
+        "out %d" % net.out,
+        "delta %d" % net.delta,
+        "outdelay %d" % net.output_delay,
+    ]
+    if net.init_active is not None:
+        lines.append("init " + " ".join(map(str, net.init_active)))
+    if net.init_analog != 0:
+        lines.append("inita " + format_rational(net.init_analog))
+    lines += ["w %d %d %s" % (j, i, format_rational(w)) for (j, i), w in sorted(net.weights.items())]
+    lines.append("")
+    return "\n".join(lines)
 
 
 def save_network(net: Network, fp: TextIO) -> None:
-    """Serialize in the line-oriented v1 format; weight order is canonical."""
-    fp.write(FORMAT_MAGIC + "\n")
-    if net.comment:  # the appended newline keeps a trailing empty comment line
-        for line in (net.comment + "\n").splitlines():
-            fp.write("# %s\n" % line)
-    fp.write("size %d\n" % net.size)
-    fp.write("analog %d\n" % net.size)
-    fp.write("inputs %s\n" % " ".join(str(u) for u in net.input_units))
-    fp.write("nxt %d\n" % net.nxt)
-    fp.write("out %d\n" % net.out)
-    fp.write("delta %d\n" % net.delta)
-    fp.write("outdelay %d\n" % net.output_delay)
-    if net.init_active is not None:
-        fp.write("init %s\n" % " ".join(str(u) for u in net.init_active))
-    if net.init_analog != 0:
-        fp.write("inita %s\n" % format_rational(net.init_analog))
-    for (j, i), w in sorted(net.weights.items()):
-        fp.write("w %d %d %s\n" % (j, i, format_rational(w)))
+    fp.write(network_to_text(net))
 
 
 def save_network_path(net: Network, path: str) -> None:
+    """Write the network's text to path, rendered before path is opened: a DigitLimitError leaves path as it was."""
+    text = network_to_text(net)
     with open(path, "w", encoding="utf-8") as fp:
-        save_network(net, fp)
-
-
-def network_to_text(net: Network) -> str:
-    import io
-
-    buf = io.StringIO()
-    save_network(net, buf)
-    return buf.getvalue()
+        fp.write(text)
 
 
 def load_network(fp: TextIO) -> Network:
@@ -560,11 +569,13 @@ def read_text(path: str) -> str:
 
 
 def network_from_text(text: str) -> Network:
+    """Read the v1 format: the magic line, the header keys, the int fields and analog == size are
+    checked here, every other rule by make_network and Network."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != FORMAT_MAGIC:
         raise ValidationError("not a %r file" % FORMAT_MAGIC)
     fields: dict[str, str] = {}
-    weights: dict[tuple[int, int], Fraction] = {}
+    weights: list[tuple[int, int, Fraction]] = []
     comment_lines: list[str] = []
     for raw in lines[1:]:
         line = raw.strip()
@@ -579,10 +590,7 @@ def network_from_text(text: str) -> Network:
             if len(parts) != 3:
                 raise ValidationError("bad weight line %r" % raw)
             j, i = _int_field("weight target", parts[0]), _int_field("weight source", parts[1])
-            w = parse_rational(parts[2])
-            if (j, i) in weights:
-                raise ValidationError("duplicate weight (%d,%d)" % (j, i))
-            weights[(j, i)] = w
+            weights.append((j, i, parse_rational(parts[2])))
         else:
             if key not in _HEADER_KEYS:
                 raise ValidationError("unknown header line %r" % key[:40])
@@ -591,37 +599,32 @@ def network_from_text(text: str) -> Network:
             fields[key] = rest.strip()
     try:
         size = _int_field("size", fields["size"])
-        if size > NETWORK_SIZE_LIMIT:
-            raise ResourceBudgetError("size %d exceeds the limit of %d units" % (size, NETWORK_SIZE_LIMIT))
         analog = _int_field("analog", fields["analog"])
-        inputs = tuple(_int_field("inputs", x) for x in fields["inputs"].split())
+        inputs = [_int_field("inputs", x) for x in fields["inputs"].split()]
         nxt = _int_field("nxt", fields["nxt"])
         out = _int_field("out", fields["out"])
         delta = _int_field("delta", fields["delta"])
         outdelay = _int_field("outdelay", fields.get("outdelay", "0"))
-        for name, steps in (("delta", delta), ("outdelay", outdelay)):
-            if steps > NETWORK_DELAY_LIMIT:
-                raise ResourceBudgetError("%s %d exceeds the limit of %d steps" % (name, steps, NETWORK_DELAY_LIMIT))
     except KeyError as exc:
         raise ValidationError("missing header line %s" % exc) from None
-    if analog != size:
-        raise ValidationError("analog unit must be the highest index (%d != %d)" % (analog, size))
     init_active = None
     if "init" in fields:
-        init_active = tuple(_int_field("init", x) for x in fields["init"].split())
-    init_analog = parse_rational(fields["inita"]) if "inita" in fields else ZERO
-    return Network(
-        size=size,
-        input_units=inputs,
-        nxt=nxt,
-        out=out,
-        delta=delta,
+        init_active = [_int_field("init", x) for x in fields["init"].split()]
+    net = make_network(
+        size,
+        inputs,
+        nxt,
+        out,
+        delta,
+        weights,
         output_delay=outdelay,
-        weights=weights,
         init_active=init_active,
-        init_analog=init_analog,
+        init_analog=parse_rational(fields["inita"]) if "inita" in fields else ZERO,
         comment="\n".join(comment_lines),
     )
+    if analog != size:
+        raise ValidationError("analog unit must be the highest index (%d != %d)" % (analog, size))
+    return net
 
 
 def _int_field(name: str, text: str) -> int:

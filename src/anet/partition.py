@@ -157,7 +157,8 @@ def _clip(v: Fraction) -> Fraction:
 
 
 def _finish(pairs: set[HalfLinePair], method: str, **cover) -> PartitionResult:
-    return PartitionResult(method, partition_from_pairs(pairs), tuple(sorted(pairs)), **cover)
+    ordered = tuple(sorted(pairs))
+    return PartitionResult(method, partition_from_pairs(ordered), ordered, **cover)
 
 
 # -- refined construction -------------------------------------------------

@@ -21,7 +21,6 @@ from .errors import ValidationError
 from .network import Network, make_network
 from .protocol import Alphabet, resolve_alphabet, select_words, suffix_units
 from .partition import (
-    ExtrapolationTable,
     PartitionResult,
     build_partition_refined,
     extrapolation_table,
@@ -71,7 +70,6 @@ class QuotientSpec:
 class QuotientBuild:
     network: Network
     partition: PartitionResult
-    first_table: ExtrapolationTable  # perfbench/tracer.py reads its rows
     truth: Mapping[tuple[tuple[int, ...], int], bool]
 
 
@@ -98,8 +96,6 @@ def quotient_difference_language(
     the cost is two probe lookups per node walked. Probes that break the
     query gap bound count as rejecting.
     """
-    if mode not in _MODES:
-        raise ValidationError("mode must be one of %s" % (_MODES,))
     alphabet = resolve_alphabet(base, alphabet)
     first_units = suffix_units(base, first, alphabet)
     second_units = suffix_units(base, second + first, alphabet)
@@ -137,11 +133,10 @@ def build_quotient_network(spec: QuotientSpec) -> QuotientBuild:
     pairs = part.pairs
     n_pairs = len(pairs)
     s = base.size
-    reps = [iv.representative() for iv in part.partition.intervals]
-    det_pattern = {
-        idx: tuple(1 if pr.contains(rep) else 0 for pr in pairs)
-        for idx, rep in enumerate(reps)
-    }
+    # interval idx lies between the sorted pairs idx and idx + 1, so it meets
+    # pair r's half-line, y >= a (b = -1) or y <= a (b = +1), iff r <= idx
+    # exactly when b = -1
+    lower = [pr.b == -1 for pr in pairs]
 
     det_lo = s  # the base's old analog slot becomes the first detector
     copy_lo = det_lo + n_pairs
@@ -167,7 +162,7 @@ def build_quotient_network(spec: QuotientSpec) -> QuotientBuild:
     n_literals = n_pairs + (s - 1)
     for k, (bits, idx) in enumerate(true_rows):
         unit = row_lo + k
-        pattern = det_pattern[idx] + bits
+        pattern = tuple(int((r <= idx) == low) for r, low in enumerate(lower)) + bits
         positives = sum(pattern)
         weights.append((unit, 0, Fraction(-positives)))
         for m, bit in enumerate(pattern):
@@ -202,4 +197,4 @@ def build_quotient_network(spec: QuotientSpec) -> QuotientBuild:
         comment=comment,
     )
 
-    return QuotientBuild(network=net, partition=part, first_table=t_first, truth=truth)
+    return QuotientBuild(network=net, partition=part, truth=truth)

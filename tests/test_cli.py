@@ -24,15 +24,28 @@ from hypothesis import example, given, settings, strategies as st
 import anet
 from anet import cli, errors
 from anet.cli import main
+from anet.cutlang import build_cut_acceptor, cut_params
 from anet.errors import AnetError
-from anet.network import NETWORK_DELAY_LIMIT, load_network_path, make_network, save_network_path
+from anet.network import NETWORK_DELAY_LIMIT, load_network_path, make_network, network_to_text, save_network_path
 from anet.protocol import Alphabet, enumerate_language, run_online, trace_tsv
+from anet.rationals import parse_rational
 from conftest import _at_digit_limit
 from test_network import CUT_LINES, mutated_cut_files
 from test_reduction import README_EXIT_CODES
 
 PARITY_TSV = "e\t0\te\t-\t1\ne\t1\to\t-\t1\no\t0\to\t-\t0\no\t1\te\t-\t0\n"
 ACCEPT_ALL_TSV = "s\t0\ts\t-\t1\ns\t1\ts\t-\t1\n"
+
+
+def _cube_text(k: int) -> str:
+    """The digits of (10^k + 1)^3, k >= 1, written without str() of a long int."""
+    return "1%s3%s3%s1" % (("0" * (k - 1),) * 3)
+
+
+# a cube of 4,201 digits, under the int-to-str limit, whose acceptor for this
+# threshold has a bias weight of more than 4,300 digits
+BIG_CUBE = _cube_text(1400)
+BIG_THRESHOLD = "%d/%d" % (10**300, 10**300 + 1)
 
 
 @pytest.fixture()
@@ -288,6 +301,35 @@ def test_values_past_the_print_digit_limit_exit_three(cut_path, tmp_path, capsys
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: DigitLimitError: ")
         assert "more than 640 digits" in err
+
+
+@pytest.mark.parametrize("held", [None, "\n".join(CUT_LINES).encode()], ids=["fresh", "existing"])
+def test_build_cut_past_the_print_digit_limit_leaves_the_out_path_as_it_was(tmp_path, held, capsys):
+    # the acceptor's text is rendered, and refused, before the out path is opened
+    out = tmp_path / "big.anet"
+    if held is not None:
+        out.write_bytes(held)
+    assert _at_digit_limit(4300, lambda: main(["build-cut", BIG_CUBE, BIG_THRESHOLD, str(out)])) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: DigitLimitError: ")
+    assert (out.read_bytes() if out.exists() else None) == held
+
+
+def test_reduce_past_the_size_limit_writes_nothing(tmp_path, capsys):
+    # 11,216 letters grow the parity machine's front end to 67,243 units, past
+    # NETWORK_SIZE_LIMIT: build_reduction's network is refused as it is built
+    (tmp_path / "p.tsv").write_text(PARITY_TSV)
+    assert main(["compile-fa", str(tmp_path / "p.tsv"), str(tmp_path / "inner.anet")]) == 0
+    spec = tmp_path / "big.spec"
+    spec.write_text("inner = inner.anet\nv1 = %s\n" % ("01" * 5600) + "".join("v%d = 0000\n" % k for k in range(2, 6)))
+    out = tmp_path / "big.anet"
+    capsys.readouterr()
+    assert main(["reduce", str(spec), str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ResourceBudgetError: size 67243 exceeds the limit of 65536 units")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cmd", ["enum", "compare"])
@@ -713,3 +755,61 @@ def test_fuzzed_quotient_argv_writes_the_network_or_prints_one_error_line(net, f
     code, out, err, wrote = _one_call(net, argv)
     _assert_output_or_one_error_line(code, out, err, "wrote ")
     assert wrote == (code == 0)
+
+
+# -- anet build-cut on fuzzed argv: a file that loads back as the acceptor, or one error line and the out path as it was
+
+# bases and thresholds, each as often well formed as fuzzed: cubes a^3/b^3, non-cubes, values <= 1 or outside
+# (0, 1), float, decimal or malformed text, and numbers near the int-to-str limit: cubes of 4,171 to 4,303 digits
+# and fractions 1/(10^n - 1)
+fuzzed_numbers = st.one_of(
+    st.tuples(st.integers(1, 9), st.integers(1, 9)).map(lambda t: "%d/%d" % (t[0] ** 3, t[1] ** 3)),
+    st.sampled_from(("2", "9/4", "1", "0", "1/8", "-8", "3/2", "-1/4", "3.375", "0.25", "1e3", "1/0", "", "x")),
+    st.integers(1390, 1434).map(_cube_text),
+    st.integers(4295, 4302).map(lambda n: "1/" + "9" * n),
+)
+cut_bases = st.one_of(st.sampled_from(("27/8", "8", "64/27", "125/8", BIG_CUBE)), fuzzed_numbers)
+cut_thresholds = st.one_of(st.sampled_from(("1/4", "1/3", "2/3", "19/27", BIG_THRESHOLD)), fuzzed_numbers)
+out_kinds = st.one_of(st.just("fresh"), st.sampled_from(("existing", "directory", "missing directory", "nul")))
+
+
+def _held(path: str):
+    """What path holds: None, a directory's entries, or a file's bytes."""
+    if os.path.isdir(path):
+        return sorted(os.listdir(path))
+    return Path(path).read_bytes() if os.path.isfile(path) else None
+
+
+@settings(max_examples=80, deadline=None)
+@given(cut_bases, cut_thresholds, out_kinds)
+@example("27/8", "1/4", "fresh")
+@example("27/8", "1/4", "existing")  # overwritten
+@example(BIG_CUBE, "1/4", "fresh")
+@example(BIG_CUBE, BIG_THRESHOLD, "existing")  # past the digit limit, exit 3
+@example("2", "1/4", "fresh")  # not a cube, exit 2
+@example("27/8", "0.25", "existing")  # decimal text, exit 2
+@example("27/8", "1/4", "directory")  # an I/O error, exit 1
+@example("27/8", "1/4", "missing directory")
+@example("27/8", "1/4", "nul")  # a usage error, exit 1
+def test_fuzzed_build_cut_argv_writes_the_acceptor_or_leaves_the_out_path(base, threshold, out_kind):
+    try:
+        want = build_cut_acceptor(cut_params(parse_rational(base), parse_rational(threshold)))
+        network_to_text(want)  # the digit limit
+    except AnetError:
+        want = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, *(["missing"] if out_kind == "missing directory" else []), "cut.anet")
+        if out_kind == "existing":
+            Path(path).write_text("\n".join(CUT_LINES), encoding="utf-8")
+        elif out_kind == "directory":
+            os.mkdir(path)
+        before = _held(path)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["build-cut", base, threshold, path + "\0" * (out_kind == "nul")])
+        _assert_output_or_one_error_line(code, out.getvalue(), err.getvalue(), "wrote %s: " % path)
+        if code == 0:
+            assert load_network_path(path) == want
+        else:
+            assert _held(path) == before
+    assert (code == 0) == (want is not None and out_kind in ("fresh", "existing"))

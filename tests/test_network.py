@@ -15,6 +15,7 @@ from anet import network, protocol
 from anet.cutlang import build_cut_acceptor, cut_params
 from anet.errors import AnetError, ResourceBudgetError, ValidationError
 from anet.network import (
+    NETWORK_DELAY_LIMIT,
     NETWORK_SIZE_LIMIT,
     Configuration,
     Network,
@@ -221,6 +222,16 @@ def test_validation_rejects_bad_structure():
     for first in (Fraction(0), Fraction(1)):  # a zero weight still claims its pair
         with pytest.raises(ValidationError):
             make_network(3, (2,), nxt=1, out=1, delta=1, weights=[(3, 0, first), (3, 0, Fraction(1, 2))])
+
+
+@pytest.mark.parametrize("field", ["size", "delta", "output_delay"])
+def test_make_network_refuses_each_limit_past_it(field):
+    # every builder constructs through Network, which holds the limits, not only the file reader
+    limit = NETWORK_SIZE_LIMIT if field == "size" else NETWORK_DELAY_LIMIT
+    shape = dict(size=3, inputs=(2,), nxt=1, out=1, delta=1, weights=[])
+    assert getattr(make_network(**dict(shape, **{field: limit})), field) == limit
+    with pytest.raises(ResourceBudgetError, match="exceeds the limit of %d " % limit):
+        make_network(**dict(shape, **{field: limit + 1}))
 
 
 def test_construction_refuses_what_used_to_slip_through():

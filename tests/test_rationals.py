@@ -164,9 +164,13 @@ def test_partition_covers_unit_interval_disjointly(pairs):
                 raise AssertionError("%s straddles %s" % (iv, pair))
 
 
-def test_partition_rejects_points_outside_unit_interval():
-    with pytest.raises(ValidationError):
-        partition_from_pairs(CORNER_PAIRS + (HalfLinePair(Fraction(3, 2), -1),))
+@pytest.mark.parametrize(
+    "a, b", [(Fraction(3, 2), -1), (Fraction(-1, 2), -1), (Fraction(3, 2), 1)], ids=["above,-1", "below,-1", "above,+1"]
+)
+def test_partition_rejects_points_outside_unit_interval(a, b):
+    # a point sorting below (0, -1) or above (1, +1) is refused by its range, named in the message
+    with pytest.raises(ValidationError, match="boundary %s outside" % a):
+        partition_from_pairs(CORNER_PAIRS + (HalfLinePair(a, b),))
 
 
 def test_format_past_the_digit_limit_names_it():

@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
 Every construction and check is a subcommand; all output is deterministic and
-every number is printed in canonical rational text. Exit codes: 0 success,
-1 usage or I/O error (a closed stdout included, with nothing on stderr),
-2 validation, 3 resource budget, 4 query gap violation.
+every number is printed in canonical rational text. Each subcommand returns its
+whole output and main writes it once, so a call that fails prints nothing on
+stdout. Exit codes: 0 success, 1 usage or I/O error (a closed stdout included,
+with nothing on stderr), 2 validation, 3 resource budget, 4 query gap violation.
 """
 
 from __future__ import annotations
@@ -76,33 +77,35 @@ def _read_word(arg: str) -> str:
     return "" if arg == "eps" else arg
 
 
-def _cmd_run(args) -> int:
+def _lines(lines) -> str:
+    """The lines, each ended by a newline."""
+    return "\n".join([*lines, ""])
+
+
+def _cmd_run(args) -> str:
     net = load_network_path(args.net)
     alpha = _alphabet_for(net, args.alphabet)
     trace = run_online(net, _read_word(args.word), alpha)
-    for k, verdict in enumerate(trace.verdicts):
-        prefix = trace.word[:k]
-        print("%s\t%s" % (_show_word(prefix), "accepted" if verdict else "rejected"))
-    return 0
+    return _lines(
+        "%s\t%s" % (_show_word(trace.word[:k]), "accepted" if verdict else "rejected")
+        for k, verdict in enumerate(trace.verdicts)
+    )
 
 
-def _cmd_trace(args) -> int:
+def _cmd_trace(args) -> str:
     net = load_network_path(args.net)
     alpha = _alphabet_for(net, args.alphabet)
     trace = run_online(net, _read_word(args.word), alpha)
-    sys.stdout.write(trace_tsv(trace, net))
-    return 0
+    return trace_tsv(trace, net)
 
 
-def _cmd_build_cut(args) -> int:
+def _cmd_build_cut(args) -> str:
     params = cut_params(parse_rational(args.base), parse_rational(args.threshold))
     net = build_cut_acceptor(params)
     save_network_path(net, args.out)
-    print(
-        "wrote %s: %d units, query gap %d, base %s, threshold %s"
-        % (args.out, net.size, net.delta, format_rational(params.base), format_rational(params.threshold))
+    return "wrote %s: %d units, query gap %d, base %s, threshold %s\n" % (
+        args.out, net.size, net.delta, format_rational(params.base), format_rational(params.threshold)
     )
-    return 0
 
 
 _QP_HEADLINE = {
@@ -112,21 +115,20 @@ _QP_HEADLINE = {
 }
 
 
-def _cmd_qp(args) -> int:
+def _cmd_qp(args) -> str:
     params = cut_params(parse_rational(args.base), parse_rational(args.threshold))
     outcome = qp_explore(params, depth=args.depth)
-    print(_QP_HEADLINE.get(outcome.kind, "UNKNOWN"))
-    print(outcome.detail)
+    lines = [_QP_HEADLINE.get(outcome.kind, "UNKNOWN"), outcome.detail]
     if outcome.orbit:
         head = ", ".join(format_rational(r) for r in outcome.orbit[:8])
         more = " ..." if len(outcome.orbit) > 8 else ""
-        print("orbit: %s%s" % (head, more))
+        lines.append("orbit: %s%s" % (head, more))
     for src, digit, dst in outcome.edges:
-        print("edge: %s -%d-> %s" % (format_rational(src), digit, format_rational(dst)))
-    return 0
+        lines.append("edge: %s -%d-> %s" % (format_rational(src), digit, format_rational(dst)))
+    return _lines(lines)
 
 
-def _cmd_partition(args) -> int:
+def _cmd_partition(args) -> str:
     if (args.horizon is None) == (args.method == "exhaustive"):
         raise UsageError("the exhaustive method needs a horizon, the refined method takes none")
     if args.method == "exhaustive" and (args.words is not None or args.alphabet is not None):
@@ -137,22 +139,20 @@ def _cmd_partition(args) -> int:
         covers = "horizon: %d" % result.horizon
     else:
         alpha = _alphabet_for(net, args.alphabet)
-        if args.words:
+        if args.words is not None:  # --words '' is the empty word alone
             words = tuple(_read_word(w) for w in args.words.split(","))
         else:
             words = tuple(alpha.symbols)
         result = build_partition_refined(net, words, alpha)
         covers = "words: " + ",".join(map(_show_word, result.words))
-    print("method: %s\n%s" % (result.method, covers))
-    print("intervals: %d" % result.interval_count)
+    lines = ["method: %s" % result.method, covers, "intervals: %d" % result.interval_count]
     if result.bound is not None:
-        print("endpoint bound: %d" % result.bound)
-    for iv in result.partition.intervals:
-        print(str(iv))
-    return 0
+        lines.append("endpoint bound: %d" % result.bound)
+    lines += map(str, result.partition.intervals)
+    return _lines(lines)
 
 
-def _cmd_quotient(args) -> int:
+def _cmd_quotient(args) -> str:
     base = load_network_path(args.net)
     spec = QuotientSpec(
         base=base,
@@ -164,58 +164,37 @@ def _cmd_quotient(args) -> int:
     build = build_quotient_network(spec)
     save_network_path(build.network, args.out)
     trues = sum(1 for v in build.truth.values() if v)
-    print(
-        "wrote %s: %d units over a %d-unit base, %d intervals, %d/%d table rows accept"
-        % (
-            args.out,
-            build.network.size,
-            base.size,
-            build.partition.interval_count,
-            trues,
-            len(build.truth),
-        )
+    return "wrote %s: %d units over a %d-unit base, %d intervals, %d/%d table rows accept\n" % (
+        args.out, build.network.size, base.size, build.partition.interval_count, trues, len(build.truth)
     )
-    return 0
 
 
-def _cmd_compile_fa(args) -> int:
+def _cmd_compile_fa(args) -> str:
     machine = load_machine_path(args.tsv)
     net, _ = compile_mealy(machine)
     save_network_path(net, args.out)
-    print(
-        "wrote %s: %d units, %d states, %d symbols"
-        % (args.out, net.size, len(machine.states), len(machine.input_symbols))
+    return "wrote %s: %d units, %d states, %d symbols\n" % (
+        args.out, net.size, len(machine.states), len(machine.input_symbols)
     )
-    return 0
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> str:
     spec = load_reduction_spec(args.spec)
     build = build_reduction(spec)
     save_network_path(build.network, args.out)
-    print(
-        "wrote %s: %d units around a %d-unit inner, %d slots, query gap %d"
-        % (
-            args.out,
-            build.network.size,
-            build.layout.inner_size,
-            build.layout.n_slots,
-            build.network.delta,
-        )
+    return "wrote %s: %d units around a %d-unit inner, %d slots, query gap %d\n" % (
+        args.out, build.network.size, build.layout.inner_size, build.layout.n_slots, build.network.delta
     )
-    return 0
 
 
-def _cmd_enum(args) -> int:
+def _cmd_enum(args) -> str:
     net = load_network_path(args.net)
     alpha = _alphabet_for(net, args.alphabet)
     words = enumerate_language(net, args.max_len, alpha)
-    for w in sorted(words, key=lambda w: (len(w), w)):
-        print(_show_word(w))
-    return 0
+    return _lines(map(_show_word, sorted(words, key=lambda w: (len(w), w))))
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> str:
     net_a = load_network_path(args.net1)
     net_b = load_network_path(args.net2)
     alpha = None
@@ -223,13 +202,7 @@ def _cmd_compare(args) -> int:
         alpha = _alphabet_for(net_a, args.alphabet)
         _alphabet_for(net_b, args.alphabet)
     equal, witnesses = compare_languages(net_a, net_b, args.max_len, alpha)
-    if equal:
-        print("EQUAL")
-        return 0
-    print("DIFFER")
-    for w in witnesses:
-        print(_show_word(w))
-    return 0
+    return "EQUAL\n" if equal else _lines(["DIFFER", *map(_show_word, witnesses)])
 
 
 @functools.cache
@@ -308,9 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        code = args.fn(args)
+        # each command returns its whole output, so a call that fails writes nothing on stdout
+        sys.stdout.write(args.fn(args))
         sys.stdout.flush()  # a closed stdout fails here at the latest
-        return code
+        return 0
     except BrokenPipeError:
         # the reader is gone; the output still buffered goes nowhere at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -14,6 +14,7 @@ from a known state only compares the analog value.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
@@ -545,10 +546,18 @@ def save_network(net: Network, fp: TextIO) -> None:
 
 
 def save_network_path(net: Network, path: str) -> None:
-    """Write the network's text to path, rendered before path is opened: a DigitLimitError leaves path as it was."""
+    """Write the network's text to path whole or not at all: it is rendered first (a DigitLimitError opens
+    nothing), written to a new file beside path and renamed over it; a failed write removes that file."""
     text = network_to_text(net)
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write(text)
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    fp = open(tmp, "x", encoding="utf-8")  # the mode open(path, "w") would give a new file
+    try:
+        with fp:
+            fp.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def load_network(fp: TextIO) -> Network:

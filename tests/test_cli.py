@@ -22,14 +22,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import anet
-from anet import cli, errors
+from anet import cli, errors, network
 from anet.cli import main
 from anet.cutlang import build_cut_acceptor, cut_params
 from anet.errors import AnetError
+from anet.mealy import compile_mealy, load_machine_path
 from anet.network import NETWORK_DELAY_LIMIT, load_network_path, make_network, network_to_text, save_network_path
 from anet.protocol import Alphabet, enumerate_language, run_online, trace_tsv
 from anet.rationals import parse_rational
 from conftest import _at_digit_limit
+from test_mealy import mutated_machine_files
 from test_network import CUT_LINES, mutated_cut_files
 from test_reduction import README_EXIT_CODES
 
@@ -151,6 +153,16 @@ def test_partition_refined_reports_intervals(cut_path, capsys):
         "[57/64,1)",
         "[1,1]",
     ]
+
+
+def test_partition_reads_empty_words_as_the_empty_word(cut_path, capsys):
+    # --words '' names the empty word, as --words eps does, not the default words
+    capsys.readouterr()
+    assert main(["partition", cut_path, "--words", ""]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[:3] == ["method: refined", "words: eps", "intervals: 6"]
+    assert main(["partition", cut_path, "--words", "eps"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_compile_fa_and_enum(tmp_path, capsys):
@@ -298,7 +310,8 @@ def test_values_past_the_print_digit_limit_exit_three(cut_path, tmp_path, capsys
         ["partition", str(big), "--words", "1111,0000,1010"],
     ):
         assert _at_digit_limit(640, lambda: main(argv)) == 3
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""  # each command's output is written whole or not at all
         assert err.count("\n") == 1 and err.startswith("error: DigitLimitError: ")
         assert "more than 640 digits" in err
 
@@ -314,6 +327,33 @@ def test_build_cut_past_the_print_digit_limit_leaves_the_out_path_as_it_was(tmp_
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith("error: DigitLimitError: ")
     assert (out.read_bytes() if out.exists() else None) == held
+
+
+def test_a_write_that_fails_after_the_open_leaves_the_out_path_as_it_was(tmp_path, monkeypatch, capsys):
+    # the write stops halfway, as on a full disk: the new file beside the out
+    # path is removed, and the old file is never opened
+    out = tmp_path / "cut.anet"
+    out.write_bytes(b"old text\n")
+    before = sorted(os.listdir(tmp_path))
+
+    def open_full_disk(*args, **kwargs):
+        fp = open(*args, **kwargs)
+        write = fp.write
+
+        def half_write(text):
+            write(text[: len(text) // 2])
+            fp.flush()
+            raise OSError(28, "No space left on device")
+
+        fp.write = half_write
+        return fp
+
+    monkeypatch.setattr(network, "open", open_full_disk, raising=False)
+    assert main(["build-cut", "27/8", "1/4", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: OSError: [Errno 28] No space left on device\n"
+    assert out.read_bytes() == b"old text\n"
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_reduce_past_the_size_limit_writes_nothing(tmp_path, capsys):
@@ -762,9 +802,12 @@ def test_fuzzed_quotient_argv_writes_the_network_or_prints_one_error_line(net, f
 # bases and thresholds, each as often well formed as fuzzed: cubes a^3/b^3, non-cubes, values <= 1 or outside
 # (0, 1), float, decimal or malformed text, and numbers near the int-to-str limit: cubes of 4,171 to 4,303 digits
 # and fractions 1/(10^n - 1)
-fuzzed_numbers = st.one_of(
+small_numbers = st.one_of(
     st.tuples(st.integers(1, 9), st.integers(1, 9)).map(lambda t: "%d/%d" % (t[0] ** 3, t[1] ** 3)),
     st.sampled_from(("2", "9/4", "1", "0", "1/8", "-8", "3/2", "-1/4", "3.375", "0.25", "1e3", "1/0", "", "x")),
+)
+fuzzed_numbers = st.one_of(
+    small_numbers,
     st.integers(1390, 1434).map(_cube_text),
     st.integers(4295, 4302).map(lambda n: "1/" + "9" * n),
 )
@@ -778,6 +821,26 @@ def _held(path: str):
     if os.path.isdir(path):
         return sorted(os.listdir(path))
     return Path(path).read_bytes() if os.path.isfile(path) else None
+
+
+def _assert_writes_or_leaves_the_out_path(tmp, out_kind, argv_of, want):
+    """main(argv_of(out path)), the out path in tmp made as out_kind says: one wrote line and a file that loads
+    back as want, or one error line with the out path and tmp's listing as they were."""
+    path = os.path.join(tmp, *(["missing"] if out_kind == "missing directory" else []), "out.anet")
+    if out_kind == "existing":
+        Path(path).write_text("\n".join(CUT_LINES), encoding="utf-8")
+    elif out_kind == "directory":
+        os.mkdir(path)
+    before, listing = _held(path), _held(tmp)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv_of(path + "\0" * (out_kind == "nul")))
+    _assert_output_or_one_error_line(code, out.getvalue(), err.getvalue(), "wrote %s: " % path)
+    if code == 0:
+        assert load_network_path(path) == want
+    else:
+        assert (_held(path), _held(tmp)) == (before, listing)
+    assert (code == 0) == (want is not None and out_kind in ("fresh", "existing"))
 
 
 @settings(max_examples=80, deadline=None)
@@ -798,18 +861,72 @@ def test_fuzzed_build_cut_argv_writes_the_acceptor_or_leaves_the_out_path(base, 
     except AnetError:
         want = None
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, *(["missing"] if out_kind == "missing directory" else []), "cut.anet")
-        if out_kind == "existing":
-            Path(path).write_text("\n".join(CUT_LINES), encoding="utf-8")
-        elif out_kind == "directory":
-            os.mkdir(path)
-        before = _held(path)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["build-cut", base, threshold, path + "\0" * (out_kind == "nul")])
-        _assert_output_or_one_error_line(code, out.getvalue(), err.getvalue(), "wrote %s: " % path)
-        if code == 0:
-            assert load_network_path(path) == want
-        else:
-            assert _held(path) == before
-    assert (code == 0) == (want is not None and out_kind in ("fresh", "existing"))
+        _assert_writes_or_leaves_the_out_path(tmp, out_kind, lambda path: ["build-cut", base, threshold, path], want)
+
+
+# -- anet qp and anet compile-fa on fuzzed argv: the output, or one error line and the README's exit code
+
+# besides small and malformed numbers, values of about 100 digits, whose orbits pass the lowest int-to-str
+# limit (640 digits) within the default depth: (10^k+1)^3/10^3k, 9...9/8...8 and 1/9...9
+qp_numbers = st.one_of(
+    small_numbers,
+    st.integers(30, 36).map(lambda k: "%s/1%s" % (_cube_text(k), "0" * (3 * k))),
+    st.integers(95, 105).map(lambda n: "%s/%s" % ("9" * n, "8" * (n - 1))),
+    st.integers(95, 105).map(lambda n: "1/" + "9" * n),
+)
+# each as often well formed as fuzzed: st.one_of would weigh each of qp_numbers' branches as much as the first
+qp_bases = st.booleans().flatmap(lambda ok: st.sampled_from(("27/8", "8", "64/27", "3", "27")) if ok else qp_numbers)
+qp_thresholds = st.booleans().flatmap(
+    lambda ok: st.sampled_from(("1/4", "1/3", "2/3", "1/28", "19/27")) if ok else qp_numbers
+)
+qp_depths = st.one_of(st.none(), st.sampled_from(("1", "2", "300", "0", "-1", "10001", "x", "", "2.5", str(10**30))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(qp_bases, qp_thresholds, qp_depths)
+@example("27/8", "1/4", None)
+@example("27", "1/28", "2")  # no expansion
+@example("3", "1/2", None)  # quasi-periodic
+@example("8", "1/" + "9" * 95, None)  # an orbit not closed within the depth
+@example("9" * 100 + "/" + "8" * 99, "1/3", None)  # past the digit limit, exit 3
+@example("2305843009213693952/2305843009213693951", "1/3", None)  # the trial-division bound, exit 3
+@example("9/8", "2/3", None)  # the orbit window bound, exit 3
+@example("27/8", "1/4", str(10**30))  # over budget, exit 3
+@example("27/8", "1/4", "0")  # a validation error, exit 2
+@example("27/8", "1/4", "x")  # a usage error, exit 1
+def test_fuzzed_qp_argv_prints_the_verdict_or_one_error_line(base, threshold, depth):
+    argv = ["qp", base, threshold] + ([] if depth is None else ["--depth", depth])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = _at_digit_limit(640, lambda: main(argv))
+    _assert_output_or_one_error_line(code, out.getvalue(), err.getvalue(), "")
+    assert code != 0 or out.getvalue().split("\n", 1)[0] in {*cli._QP_HEADLINE.values(), "UNKNOWN"}
+
+
+compile_fa_tables = st.one_of(st.none(), st.sampled_from(("missing", "directory", "nul")), mutated_machine_files())
+
+
+@settings(max_examples=60, deadline=None)
+@given(compile_fa_tables, out_kinds)
+@example(None, "fresh")
+@example(None, "existing")  # overwritten
+@example("missing", "existing")  # an I/O error, exit 1
+@example("directory", "fresh")
+@example("nul", "existing")  # a usage error, exit 1
+@example("e\t0\to\t-\t1\no\t1\te\t-\t0\n", "existing")  # no transition (e, 1), exit 2
+@example(None, "directory")
+@example(None, "missing directory")
+@example(None, "nul")
+def test_fuzzed_compile_fa_argv_writes_the_network_or_leaves_the_out_path(table, out_kind):
+    with tempfile.TemporaryDirectory() as tmp:
+        tsv = os.path.join(tmp, "t.tsv")
+        if table == "directory":
+            os.mkdir(tsv)
+        elif table != "missing":
+            Path(tsv).write_text(PARITY_TSV if table in (None, "nul") else table, encoding="utf-8")
+        try:
+            want = None if table == "nul" else compile_mealy(load_machine_path(tsv))[0]
+        except (AnetError, OSError):
+            want = None
+        tsv += "\0" * (table == "nul")
+        _assert_writes_or_leaves_the_out_path(tmp, out_kind, lambda path: ["compile-fa", tsv, path], want)
